@@ -87,7 +87,7 @@ type ScaleTopology = workloads.Topology
 // ScaleWorkload deterministically generates a synthetic workflow of the
 // requested family and exact node count — the same options produce
 // byte-identical canonical specs on every run. It extends the built-in
-// workloads to the 10k-node regime the incremental compilation path targets.
+// workloads to the 10k-node regime.
 func ScaleWorkload(opts ScaleOptions) (*Spec, error) { return workloads.Scale(opts) }
 
 // ScaleTopologies lists the generated topology families in a stable order.

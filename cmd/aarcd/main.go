@@ -8,7 +8,6 @@
 //	aarcd                              # listen on :8080 with defaults
 //	aarcd -addr :9090 -max-samples 200 # cap server-side search work
 //	aarcd -cache-dir /var/lib/aarc     # durable cache: warm restarts
-//	aarcd -batch-window 25ms           # coalesce cold singleton bursts
 //
 // With -cache-dir the recommendation store is tiered — a bounded memory
 // tier over one-file-per-fingerprint disk storage, written through on
@@ -19,11 +18,7 @@
 // POST /v1/configure:batch answers a list of configure requests as one
 // admission: store hits immediately, repeats deduplicated within the
 // batch, and all remaining misses searched by one -batch-workers-wide
-// pooled run with per-item error isolation. -batch-window additionally
-// coalesces *singleton* configure misses: cold requests queue for up to
-// the window and drain into the same kind of pooled run, so a burst of
-// distinct cold fingerprints completes in roughly max(single-search)
-// wall time instead of the sum. Cache hits never wait on the window.
+// pooled run with per-item error isolation.
 //
 // -drift-interval turns on the recommendation lifecycle: a background
 // monitor re-validates every cached entry on its evaluation pool, flags
@@ -89,18 +84,17 @@ func main() {
 	log.SetPrefix("aarcd: ")
 
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		method      = flag.String("method", "aarc", "default search method (see /v1/methods)")
-		seed        = flag.Uint64("seed", 42, "default simulator+searcher seed")
-		hostCores   = flag.Float64("cores", 96, "host CPU capacity shared by concurrent containers")
-		noNoise     = flag.Bool("no-noise", false, "disable the simulator's measurement noise")
-		cacheSize   = flag.Int("cache-size", 128, "max in-memory recommendations/engines (LRU)")
-		cacheDir    = flag.String("cache-dir", "", "durable recommendation store directory (empty = memory only)")
-		shards      = flag.Int("shards", 0, "runners per entry's evaluation pool (0 = GOMAXPROCS)")
-		maxSamples  = flag.Int("max-samples", 0, "server-side per-search sample cap (0 = unlimited)")
-		maxSimMS    = flag.Float64("max-sim-cost-ms", 0, "server-side simulated-time cap per search (0 = unlimited)")
-		batchWork   = flag.Int("batch-workers", 0, "concurrent searches per batched configure run (0 = GOMAXPROCS)")
-		batchWindow = flag.Duration("batch-window", 0, "coalesce singleton configure misses for this long into one pooled run (0 = off)")
+		addr       = flag.String("addr", ":8080", "listen address")
+		method     = flag.String("method", "aarc", "default search method (see /v1/methods)")
+		seed       = flag.Uint64("seed", 42, "default simulator+searcher seed")
+		hostCores  = flag.Float64("cores", 96, "host CPU capacity shared by concurrent containers")
+		noNoise    = flag.Bool("no-noise", false, "disable the simulator's measurement noise")
+		cacheSize  = flag.Int("cache-size", 128, "max in-memory recommendations/engines (LRU)")
+		cacheDir   = flag.String("cache-dir", "", "durable recommendation store directory (empty = memory only)")
+		shards     = flag.Int("shards", 0, "runners per entry's evaluation pool (0 = GOMAXPROCS)")
+		maxSamples = flag.Int("max-samples", 0, "server-side per-search sample cap (0 = unlimited)")
+		maxSimMS   = flag.Float64("max-sim-cost-ms", 0, "server-side simulated-time cap per search (0 = unlimited)")
+		batchWork  = flag.Int("batch-workers", 0, "concurrent searches per batched configure run (0 = GOMAXPROCS)")
 
 		searchTimeout = flag.Duration("search-timeout", 0, "server-side deadline per cold search; timed-out searches fail, never cached (0 = unbounded)")
 		maxSearches   = flag.Int("max-concurrent-searches", 0, "cold searches allowed at once; excess singleton misses get 429 + Retry-After (0 = unlimited)")
@@ -127,7 +121,6 @@ func main() {
 		aarc.WithCacheDir(*cacheDir),
 		aarc.WithShards(*shards),
 		aarc.WithBatchWorkers(*batchWork),
-		aarc.WithBatchWindow(*batchWindow),
 		aarc.WithSearchTimeout(*searchTimeout),
 		aarc.WithMaxConcurrentSearches(*maxSearches),
 		aarc.WithBreaker(*breakerK, *breakerCool),
@@ -173,9 +166,6 @@ func main() {
 	stats := svc.Stats()
 	if *cacheDir != "" {
 		log.Printf("durable store %s: warmed %d entries from %s", stats.Store, stats.Tiers["memory"], *cacheDir)
-	}
-	if *batchWindow > 0 {
-		log.Printf("batch window %s: coalescing cold configure bursts", *batchWindow)
 	}
 	if *driftInterval > 0 {
 		log.Printf("lifecycle on: drift sweep every %s, refresh on p99 >= %g of SLO", *driftInterval, effectiveDriftThreshold(*driftThreshold))

@@ -48,9 +48,8 @@
 // Bursts of distinct workloads batch: Service.ConfigureBatch answers a
 // list of requests as one admission (store hits immediately, in-batch
 // repeats deduplicated, remaining misses searched by one pooled run with
-// per-item error isolation), and WithBatchWindow opts singleton cache
-// misses into the same pooled runs. NewServiceHandler mounts the same
-// HTTP API cmd/aarcd serves (/v1/configure, /v1/configure:batch,
+// per-item error isolation). NewServiceHandler mounts the same HTTP API
+// cmd/aarcd serves (/v1/configure, /v1/configure:batch,
 // /v1/recommendation/{fingerprint} — the fingerprint-addressed fast
 // path, GET to skip spec canonicalization entirely and DELETE to
 // invalidate — /v1/dispatch, /v1/evaluate, /v1/methods, /healthz,

@@ -1,7 +1,7 @@
 // Package lockorder builds the whole-program lock-acquisition graph
 // and reports cycles — the static form of the deadlock-freedom claim
 // DESIGN.md makes for the serving stack's mutexes (service shards,
-// flightGroup, refresh set, coalescer, event bus, drift monitor).
+// flightGroup, refresh set, event bus, drift monitor).
 //
 // Where lockscope sees one function at a time, lockorder is
 // interprocedural: each package exports, as a unitchecker fact, the

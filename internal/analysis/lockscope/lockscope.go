@@ -1,13 +1,13 @@
 // Package lockscope checks the serving layer's lock-hygiene invariant:
 // no searching, store I/O, event publishing, or workflow evaluation
 // while a mutex is held. The two deadlock classes this encodes were
-// found the hard way — a batch run attaching to a singleflight while
-// the coalescer's mutex was held (PR 5), and an event hook publishing
-// into a bounded bus from under a service lock (PR 7); both only
-// surfaced under load. The one sanctioned exception is a mutex that
-// *owns* the callee — the runner-pool shards, where the shard mutex is
-// exactly what makes a non-thread-safe Runner usable — and such sites
-// carry an //aarc:locked <reason> marker.
+// found the hard way — a batch run attaching to a singleflight while a
+// queue mutex was held, and an event hook publishing into a bounded bus
+// from under a service lock; both only surfaced under load. The one
+// sanctioned exception is a mutex that *owns* the callee — the
+// runner-pool shards, where the shard mutex is exactly what makes a
+// non-thread-safe Runner usable — and such sites carry an
+// //aarc:locked <reason> marker.
 //
 // The analysis is a conservative per-function walk: it tracks
 // mu.Lock()/RLock() ... mu.Unlock()/RUnlock() pairs (including the

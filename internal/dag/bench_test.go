@@ -37,63 +37,3 @@ func BenchmarkCriticalPathFull10k(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkOrderEdgeInsert10k measures one incremental edge insert+remove
-// cycle (Pearce–Kelly repair) against the 10k-node graph, the operation a
-// full TopoSort would otherwise pay for on every spec edit.
-func BenchmarkOrderEdgeInsert10k(b *testing.B) {
-	g := bench10k.Clone()
-	o, err := NewOrder(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := g.Nodes()
-	u, v := ids[len(ids)/2], ids[len(ids)/2+7]
-	if g.HasPath(u, v) || g.HasPath(v, u) {
-		// Walk forward until an unrelated pair is found.
-		for off := 8; off < 100; off++ {
-			v = ids[len(ids)/2+off]
-			if !g.HasPath(u, v) && !g.HasPath(v, u) {
-				break
-			}
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.EdgeAdded(u, v); err != nil {
-			b.Fatal(err)
-		}
-		g.MustAddEdge(u, v)
-		if err := g.RemoveEdge(u, v); err != nil {
-			b.Fatal(err)
-		}
-		o.EdgeRemoved(u, v)
-	}
-}
-
-// BenchmarkDynamicCriticalPath10k measures an incremental reweight +
-// critical-path query against the full recompute above.
-func BenchmarkDynamicCriticalPath10k(b *testing.B) {
-	g := bench10k.Clone()
-	weights := make(map[string]float64, g.NumNodes())
-	for i, id := range g.Nodes() {
-		weights[id] = float64(1 + i%97)
-	}
-	d, err := NewDynamic(g, weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := d.Graph().Nodes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := ids[i%len(ids)]
-		if err := d.SetWeight(id, float64(1+i%89)); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := d.CriticalPath(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -161,6 +162,107 @@ func TestClone(t *testing.T) {
 	c.MustAddEdge("t", "extra")
 	if g.HasNode("extra") || g.NumEdges() != 4 {
 		t.Error("clone mutation leaked")
+	}
+}
+
+// TestCloneEqualsOriginal checks that a larger graph clones with identical node
+// order and adjacency, and that the clone is a deep copy.
+func TestCloneEqualsOriginal(t *testing.T) {
+	g := layeredRandomDAG(200, 3, 7)
+	c := g.Clone()
+	if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
+		t.Fatalf("clone shape %d/%d vs %d/%d", c.NumNodes(), c.NumEdges(), g.NumNodes(), g.NumEdges())
+	}
+	for i, id := range g.Nodes() {
+		if c.Nodes()[i] != id {
+			t.Fatal("clone node order differs")
+		}
+		cs, gs := c.Succ(id), g.Succ(id)
+		if len(cs) != len(gs) {
+			t.Fatalf("succ(%s) differs", id)
+		}
+		for j := range cs {
+			if cs[j] != gs[j] {
+				t.Fatalf("succ(%s) differs", id)
+			}
+		}
+	}
+	c.MustAddNode("extra")
+	c.MustAddEdge(g.Nodes()[0], "extra")
+	if g.HasNode("extra") || g.NumEdges() == c.NumEdges() {
+		t.Error("clone shares state with the original")
+	}
+}
+
+// layeredRandomDAG builds a connected layered-random DAG with n nodes: node i gets
+// a guaranteed edge from a random earlier node plus up to deg extras.
+func layeredRandomDAG(n, deg int, seed uint64) *Graph {
+	rng := rand.New(rand.NewPCG(seed, 0xd1a))
+	g := NewWithCapacity(n)
+	for i := 0; i < n; i++ {
+		g.MustAddNode(fmt.Sprintf("n%05d", i))
+	}
+	ids := g.Nodes()
+	for i := 1; i < n; i++ {
+		g.MustAddEdge(ids[rng.IntN(i)], ids[i])
+		for k := 0; k < deg; k++ {
+			j := rng.IntN(i)
+			_ = g.AddEdge(ids[j], ids[i]) // ignore duplicates
+		}
+	}
+	return g
+}
+
+func TestRemoveEdge(t *testing.T) {
+	g := New()
+	g.MustAddNode("a")
+	g.MustAddNode("b")
+	g.MustAddEdge("a", "b")
+	if err := g.RemoveEdge("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 0 || len(g.Succ("a")) != 0 || len(g.Pred("b")) != 0 {
+		t.Fatalf("edge not fully removed: %d edges", g.NumEdges())
+	}
+	if err := g.RemoveEdge("a", "b"); err == nil {
+		t.Error("removing a missing edge should error")
+	}
+	if err := g.RemoveEdge("a", "zz"); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("want ErrUnknownNode, got %v", err)
+	}
+}
+
+func TestRemoveNode(t *testing.T) {
+	g := New()
+	for _, id := range []string{"a", "b", "c", "d"} {
+		g.MustAddNode(id)
+	}
+	g.MustAddEdge("a", "b")
+	g.MustAddEdge("b", "c")
+	g.MustAddEdge("b", "d")
+	g.MustAddEdge("a", "d")
+	if err := g.RemoveNode("b"); err != nil {
+		t.Fatal(err)
+	}
+	if g.HasNode("b") {
+		t.Fatal("b still present")
+	}
+	if g.NumEdges() != 1 { // only a->d survives
+		t.Fatalf("want 1 edge, got %d", g.NumEdges())
+	}
+	// Insertion order of the survivors is preserved, indices compacted.
+	want := []string{"a", "c", "d"}
+	got := g.Nodes()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("nodes after removal = %v", got)
+		}
+		if g.index[want[i]] != i {
+			t.Errorf("index[%s] = %d, want %d", want[i], g.index[want[i]], i)
+		}
+	}
+	if err := g.RemoveNode("zz"); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("want ErrUnknownNode, got %v", err)
 	}
 }
 

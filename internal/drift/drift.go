@@ -8,9 +8,8 @@
 // The Monitor is deliberately ignorant of the serving layer: it speaks
 // a two-method Prober interface (list the fingerprints, sample one) and
 // emits stale fingerprints on a bounded queue. The serving layer probes
-// on its existing sharded runner pools (evaluateN, so the shard-lock
-// amortization is reused) and consumes the queue with its background
-// refresher.
+// on its existing sharded runner pools (evaluateN, the path Evaluate
+// uses) and consumes the queue with its background refresher.
 //
 // Detection is a rolling p99 with hysteresis: each sweep appends a few
 // validation runs to a per-fingerprint window, and an entry is flagged

@@ -10,11 +10,6 @@
 // versa: a batch item whose fingerprint is already in flight elsewhere
 // waits instead of searching again). Errors are isolated per item: one
 // bad spec fails only its slot.
-//
-// The same pooled run backs the opt-in miss coalescer (Config.BatchWindow,
-// aarcd -batch-window): singleton misses queue for up to one window and
-// drain together, so a cold burst of singleton requests amortizes like an
-// explicit batch.
 
 package service
 
@@ -23,8 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"aarc/internal/workflow"
 )
@@ -173,7 +166,7 @@ func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]Batc
 	}
 
 	// Phase 3 — attach: wait on fingerprints some other caller (a
-	// singleton leader, a coalescing window, another batch) is searching.
+	// singleton leader, another batch) is searching.
 	// This comes after the pooled run so two batches leading disjoint
 	// subsets of each other's fingerprints release one another.
 	for _, a := range waits {
@@ -216,68 +209,4 @@ func (s *Service) searchPending(ctx context.Context, p *pendingSearch) {
 	}()
 	body, err := s.searchMiss(ctx, p.fp, p.spec, p.r, false)
 	s.flight.finish(p.fp, p.c, body, err)
-}
-
-// coalescer queues singleton configure misses for up to one batch window
-// and drains the queue into a single pooled run. The first miss of a
-// quiet period arms the window timer; every miss that lands before it
-// fires joins the same run. Enqueued misses already hold their flight
-// claim, so concurrent requests for a queued fingerprint attach as
-// followers instead of queueing twice, and cache hits never enter the
-// coalescer at all — the window taxes only cold fingerprints.
-type coalescer struct {
-	s      *Service
-	window time.Duration
-
-	mu      sync.Mutex
-	pending []*pendingSearch
-	closed  bool
-}
-
-// errServiceClosed fails flights parked with the coalescer when the
-// service shuts down mid-window.
-var errServiceClosed = errors.New("service: closed")
-
-func (c *coalescer) enqueue(p *pendingSearch) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.s.flight.finish(p.fp, p.c, nil, errServiceClosed)
-		return
-	}
-	c.pending = append(c.pending, p)
-	first := len(c.pending) == 1
-	c.mu.Unlock()
-	if first {
-		time.AfterFunc(c.window, c.drain)
-	}
-}
-
-// close fails every parked flight and refuses new ones, so a window armed
-// just before Service.Close cannot fire a search against a closed store:
-// the still-pending timer finds an empty queue and does nothing.
-func (c *coalescer) close() {
-	c.mu.Lock()
-	parked := c.pending
-	c.pending = nil
-	c.closed = true
-	c.mu.Unlock()
-	for _, p := range parked {
-		c.s.flight.finish(p.fp, p.c, nil, errServiceClosed)
-	}
-}
-
-func (c *coalescer) drain() {
-	c.mu.Lock()
-	runs := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	if len(runs) == 0 {
-		return
-	}
-	c.s.coalesced.Add(int64(len(runs)))
-	// Searches already run detached from request contexts (searchMiss
-	// detaches via context.WithoutCancel); the timer goroutine has no
-	// request context to pass in the first place.
-	c.s.runPending(context.Background(), runs) //aarc:detached coalescer timer owns no request context; parked flights carry the waiters
 }

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"aarc/internal/search"
-	"aarc/internal/workflow"
 )
 
 // gaugeSearcher measures search concurrency: tests assert that a batch of
@@ -339,118 +337,6 @@ func TestBatchAttachesToSingletonSearch(t *testing.T) {
 	}
 	if results[1].Err != nil || len(results[1].Body) == 0 {
 		t.Errorf("fresh batch item: err=%v body=%d bytes", results[1].Err, len(results[1].Body))
-	}
-}
-
-// TestBatchWindowCoalescesSingletonMisses: with -batch-window style
-// coalescing on, a cold burst of singleton requests drains into pooled
-// batch runs — every miss is served, every body is stored, and the
-// coalesced counter accounts for each one.
-func TestBatchWindowCoalescesSingletonMisses(t *testing.T) {
-	const burst = 6
-	svc := stubService(t, Config{BatchWindow: 40 * time.Millisecond, BatchWorkers: 4})
-	before := stubSearches.Load()
-
-	var wg sync.WaitGroup
-	errs := make([]error, burst)
-	bodies := make([][]byte, burst)
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bodies[i], _, errs[i] = svc.ConfigureJSON(context.Background(), testSpec(t, i), RequestOptions{})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-		if len(bodies[i]) == 0 {
-			t.Fatalf("caller %d got an empty body", i)
-		}
-	}
-	if got := stubSearches.Load() - before; got != burst {
-		t.Errorf("coalesced burst ran %d searches, want %d", got, burst)
-	}
-	st := svc.Stats()
-	if st.Coalesced != burst {
-		t.Errorf("coalesced = %d, want %d", st.Coalesced, burst)
-	}
-	if st.BatchRuns < 1 || st.BatchRuns > burst {
-		t.Errorf("batch runs = %d, want 1..%d", st.BatchRuns, burst)
-	}
-	if st.Misses != burst || st.Entries != burst {
-		t.Errorf("stats after coalesced burst: %+v", st)
-	}
-
-	// Warm requests bypass the coalescer entirely: hits never wait on the
-	// window and the coalesced counter stays put.
-	if _, hit, err := svc.ConfigureJSON(context.Background(), testSpec(t, 0), RequestOptions{}); err != nil || !hit {
-		t.Fatalf("warm request after coalesced burst: hit=%v err=%v", hit, err)
-	}
-	if got := svc.Stats().Coalesced; got != burst {
-		t.Errorf("a cache hit moved the coalesced counter to %d", got)
-	}
-}
-
-// TestCloseFailsParkedWindow: closing the service mid-window fails the
-// parked request cleanly (no search runs against the closed store) and a
-// fresh request after close is refused by the coalescer, not wedged.
-func TestCloseFailsParkedWindow(t *testing.T) {
-	svc, err := New(Config{Method: "stub", BatchWindow: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := svc.ConfigureJSON(context.Background(), testSpec(t, 0), RequestOptions{})
-		errc <- err
-	}()
-	// Wait until the miss is parked with the coalescer, then close.
-	for {
-		svc.coal.mu.Lock()
-		parked := len(svc.coal.pending)
-		svc.coal.mu.Unlock()
-		if parked == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	before := stubSearches.Load()
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; !errors.Is(err, errServiceClosed) {
-		t.Errorf("parked request error = %v, want errServiceClosed", err)
-	}
-	if got := stubSearches.Load() - before; got != 0 {
-		t.Errorf("close ran %d searches for parked misses, want 0", got)
-	}
-	// Post-close misses fail immediately instead of parking forever.
-	if _, _, err := svc.ConfigureJSON(context.Background(), testSpec(t, 1), RequestOptions{}); !errors.Is(err, errServiceClosed) {
-		t.Errorf("post-close request error = %v, want errServiceClosed", err)
-	}
-}
-
-// TestEvaluateNChunksLockHolds: a big evaluate batch re-acquires per
-// 64-run chunk — amortized against the lock-per-run loop, but bounded so
-// one caller cannot hold a shard for MaxEvaluateRuns runs.
-func TestEvaluateNChunksLockHolds(t *testing.T) {
-	pool, err := newRunnerPool(testSpec(t, 0), workflow.RunnerOptions{Seed: 42}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := pool.locks.Load()
-	results, err := pool.evaluateN(testSpec(t, 0).Base, 130)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 130 {
-		t.Fatalf("got %d results, want 130", len(results))
-	}
-	if got := pool.locks.Load() - before; got != 3 {
-		t.Errorf("130 runs acquired %d shard locks, want 3 (chunks of %d)", got, evaluateChunk)
 	}
 }
 

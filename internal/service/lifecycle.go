@@ -151,8 +151,8 @@ func (s *Service) Recommendations() []RecommendationInfo {
 
 // lifecycleProber adapts the Service to the drift monitor's Prober:
 // fingerprints come from the store's key index, and probes run on the
-// entry's existing sharded runner pool via evaluateN — the same
-// shard-lock amortization the Evaluate/Validate hot path uses.
+// entry's existing sharded runner pool via evaluateN, the same path
+// Evaluate and Validate use.
 type lifecycleProber struct{ s *Service }
 
 // Keys() order is unspecified; sorted so every sweep probes entries in

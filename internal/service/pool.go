@@ -18,7 +18,6 @@ import (
 // land on the same shard.
 type runnerPool struct {
 	next   atomic.Uint64
-	locks  atomic.Int64 // shard-lock acquisitions, for the amortization benchmarks
 	shards []runnerShard
 }
 
@@ -58,46 +57,21 @@ func newRunnerPool(spec *workflow.Spec, opts workflow.RunnerOptions, n int) (*ru
 func (p *runnerPool) evaluate(a resources.Assignment) (search.Result, error) {
 	sh := &p.shards[int(p.next.Add(1)-1)%len(p.shards)]
 	sh.mu.Lock()
-	p.locks.Add(1)
 	defer sh.mu.Unlock()
 	return sh.r.Evaluate(a) //aarc:locked the shard mutex owns this Runner; locking it is what makes Evaluate safe (DESIGN.md §3)
 }
 
-// evaluateChunk bounds how long evaluateN holds one shard's lock: up to
-// this many runs per acquisition. Big enough that the per-run lock cost
-// vanishes (1/64 acquisitions per run), small enough that a concurrent
-// caller round-robined onto the same shard waits one chunk, not an
-// entire MaxEvaluateRuns batch.
-const evaluateChunk = 64
-
-// evaluateN runs n executions in chunks of up to evaluateChunk, each
-// chunk on the next shard (round-robin) under a single lock acquisition —
-// one acquisition per chunk instead of one per execution, which is what
-// /v1/evaluate pays when a client asks for many what-if runs at once. A
-// chunk's results continue that shard's RNG stream (still measurement
-// statistics — which shards serve a call depends on arrival order), and
-// concurrent callers proceed on other shards in parallel, delayed at
-// worst by one in-flight chunk. On a mid-run error the completed results
-// are returned alongside it.
+// evaluateN runs n executions, each on the next shard (round-robin) via
+// evaluate, so concurrent callers interleave across shards run by run. On
+// a mid-run error the completed results are returned alongside it.
 func (p *runnerPool) evaluateN(a resources.Assignment, n int) ([]search.Result, error) {
 	out := make([]search.Result, 0, n)
-	for len(out) < n {
-		m := n - len(out)
-		if m > evaluateChunk {
-			m = evaluateChunk
+	for i := 0; i < n; i++ {
+		res, err := p.evaluate(a)
+		if err != nil {
+			return out, err
 		}
-		sh := &p.shards[int(p.next.Add(1)-1)%len(p.shards)]
-		sh.mu.Lock()
-		p.locks.Add(1)
-		for i := 0; i < m; i++ {
-			res, err := sh.r.Evaluate(a) //aarc:locked the shard mutex owns this Runner; chunked so waiters stall one chunk at most
-			if err != nil {
-				sh.mu.Unlock()
-				return out, err
-			}
-			out = append(out, res)
-		}
-		sh.mu.Unlock()
+		out = append(out, res)
 	}
 	return out, nil
 }

@@ -80,15 +80,8 @@ type Config struct {
 	Shards       int     // runners per fingerprint's pool; default GOMAXPROCS
 
 	// BatchWorkers bounds how many searches one batched configure run
-	// (ConfigureBatch, or a drained coalescing window) executes
-	// concurrently; 0 selects GOMAXPROCS.
+	// (ConfigureBatch) executes concurrently; 0 selects GOMAXPROCS.
 	BatchWorkers int
-	// BatchWindow, when positive, coalesces singleton Configure misses:
-	// the first miss waits up to this long for other distinct misses and
-	// the whole queue drains into one pooled batch run, amortizing worker
-	// startup across the burst. Zero (the default) keeps the classic
-	// search-per-miss path. Cache hits never wait on the window.
-	BatchWindow time.Duration
 
 	// SearchTimeout, when positive, is the server-side deadline applied
 	// to every detached leader search: a search that has not returned by
@@ -102,9 +95,9 @@ type Config struct {
 	// run at once across the whole service. A singleton miss that cannot
 	// get a slot is shed fail-fast (ErrOverloaded — HTTP 429 with
 	// Retry-After) when its context carries no deadline, or waits for a
-	// slot until that deadline otherwise. Batched and coalesced runs
-	// wait for slots (their concurrency is already bounded by the batch
-	// pool). Zero disables the cap.
+	// slot until that deadline otherwise. Batched runs wait for slots
+	// (their concurrency is already bounded by the batch pool). Zero
+	// disables the cap.
 	MaxConcurrentSearches int
 
 	// BreakerThreshold and BreakerCooldown tune the circuit breaker
@@ -243,8 +236,7 @@ type Stats struct {
 	Searches       int64          `json:"searches"`          // underlying searches actually run
 	Evictions      int64          `json:"evictions"`         // entries dropped by a capacity bound (store + engine cache)
 	StoreErrors    int64          `json:"store_errors"`      // store reads/writes that failed and were degraded
-	BatchRuns      int64          `json:"batch_runs"`        // pooled batch search runs (ConfigureBatch + drained windows)
-	Coalesced      int64          `json:"coalesced"`         // singleton misses absorbed into a window's pooled run
+	BatchRuns      int64          `json:"batch_runs"`        // pooled batch search runs (ConfigureBatch)
 	Retries        int64          `json:"retries"`           // store ops recovered (or attempted) by the retry tier
 	ShedRequests   int64          `json:"shed_requests"`     // cold searches refused by the concurrency cap (HTTP 429)
 	SearchTimeouts int64          `json:"search_timeouts"`   // searches cut off by the server-side deadline
@@ -267,7 +259,6 @@ type Service struct {
 	st     store.Store
 	flight flightGroup
 	batch  *experiments.Pool // bounds concurrent searches per batched run
-	coal   *coalescer        // non-nil only when Config.BatchWindow > 0
 
 	sem     chan struct{}  // MaxConcurrentSearches slots; nil = uncapped
 	breaker *store.Breaker // disk-tier breaker; nil without one
@@ -296,7 +287,6 @@ type Service struct {
 	evictions      atomic.Int64
 	storeErrs      atomic.Int64
 	batchRuns      atomic.Int64
-	coalesced      atomic.Int64
 	shedRequests   atomic.Int64
 	searchTimeouts atomic.Int64
 	panics         atomic.Int64
@@ -385,9 +375,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxConcurrentSearches > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrentSearches)
 	}
-	if cfg.BatchWindow > 0 {
-		s.coal = &coalescer{s: s, window: cfg.BatchWindow}
-	}
 	if cfg.DriftInterval > 0 {
 		// The lifecycle context is the service's own root: drift sweeps
 		// and refresh workers live until Close, not until any request.
@@ -414,9 +401,7 @@ func New(cfg Config) (*Service, error) {
 }
 
 // Close releases the backing store (flushing nothing: durable tiers are
-// written through at Put time, so shutdown has no persistence step) and
-// shuts the miss coalescer, failing any flights still parked in an
-// unfired window so no search starts against the closed store. The
+// written through at Put time, so shutdown has no persistence step). The
 // lifecycle goroutines — drift monitor and refresh workers — are
 // cancelled and joined first, so no background re-search races the
 // store's close; the event bus closes last, terminating every watch
@@ -426,9 +411,6 @@ func (s *Service) Close() error {
 	if s.lifecycleCancel != nil {
 		s.lifecycleCancel()
 		s.lifecycleWG.Wait()
-	}
-	if s.coal != nil {
-		s.coal.close()
 	}
 	err := s.st.Close()
 	s.bus.Close()
@@ -490,7 +472,6 @@ func (s *Service) Stats() Stats {
 		Evictions:      s.evictions.Load() + ss.Evictions,
 		StoreErrors:    s.storeErrs.Load(),
 		BatchRuns:      s.batchRuns.Load(),
-		Coalesced:      s.coalesced.Load(),
 		Retries:        retries,
 		ShedRequests:   s.shedRequests.Load(),
 		SearchTimeouts: s.searchTimeouts.Load(),
@@ -522,8 +503,8 @@ var ErrOverloaded = errors.New("service: too many concurrent searches, retry lat
 //     deadline is refused immediately with ErrOverloaded — fail-fast
 //     beats queueing unbounded work behind a slow burst — while a
 //     request that brought a deadline waits for a slot until then;
-//   - shed=false (batch and coalescer runs, whose concurrency the batch
-//     pool already bounds): wait for a slot, honoring ctx cancellation.
+//   - shed=false (batch runs, whose concurrency the batch pool already
+//     bounds): wait for a slot, honoring ctx cancellation.
 func (s *Service) acquireSearch(ctx context.Context, shed bool) error {
 	if s.sem == nil {
 		return nil
@@ -788,24 +769,14 @@ func (s *Service) configure(ctx context.Context, spec *workflow.Spec, ro Request
 	s.misses.Add(1)
 	c, leader := s.flight.claim(fp)
 	if !leader {
-		// Another caller — a singleton leader, a batch item, or a queued
-		// coalescer miss — is already searching this fingerprint: wait for
-		// its result.
+		// Another caller — a singleton leader or a batch item — is
+		// already searching this fingerprint: wait for its result.
 		body, err = s.flightResult(ctx, c)
 		return fp, body, false, err
 	}
-	if s.coal != nil {
-		// Window coalescing: park the claimed miss with the coalescer,
-		// which drains the queue into one pooled batch run, then wait on
-		// our own flight like a follower. The coalescer owns finishing the
-		// flight (its run recovers panics), so no abandon is deferred here.
-		s.coal.enqueue(&pendingSearch{fp: fp, c: c, spec: spec, r: r})
-		body, err = s.flightResult(ctx, c)
-		return fp, body, false, err
-	}
-	// Classic path: this caller is the leader and searches inline. Abandon
-	// is deferred so a panic publishes a sentinel error to followers (see
-	// flightGroup) instead of an unset result.
+	// This caller is the leader and searches inline. Abandon is deferred
+	// so a panic publishes a sentinel error to followers (see flightGroup)
+	// instead of an unset result.
 	defer s.flight.abandon(fp, c)
 	body, err = s.searchMiss(ctx, fp, spec, r, true)
 	s.flight.finish(fp, c, body, err)
@@ -1184,13 +1155,12 @@ var ErrTooManyRuns = fmt.Errorf("service: runs exceed the per-request bound %d",
 
 // Evaluate runs the workflow behind a configured fingerprint n times under
 // an arbitrary assignment (what-if probing), on the fingerprint's sharded
-// runner pool. The runs are executed in chunks of one shard-lock
-// acquisition each (runnerPool.evaluateN) — the batch amortization —
-// rather than paying a lock round-trip per run. A nil assignment evaluates the stored
-// recommendation itself. Works across restarts when the store is durable:
-// the pool is rebuilt from the stored canonical spec and runner options.
-// On a mid-run error the completed results are returned alongside it, so
-// callers (and the HTTP error body) can report how many runs finished.
+// runner pool, each run on the next shard (runnerPool.evaluateN). A nil
+// assignment evaluates the stored recommendation itself. Works across
+// restarts when the store is durable: the pool is rebuilt from the stored
+// canonical spec and runner options. On a mid-run error the completed
+// results are returned alongside it, so callers (and the HTTP error body)
+// can report how many runs finished.
 func (s *Service) Evaluate(fp string, a resources.Assignment, n int) ([]search.Result, error) {
 	if n <= 0 {
 		n = 1

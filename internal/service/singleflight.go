@@ -84,7 +84,9 @@ func (g *flightGroup) finish(key string, c *flightCall, val any, err error) {
 // abandon is the leader's deferred safety net: if the call was never
 // finished — the leader's fn panicked — it publishes errLeaderPanicked so
 // followers fail cleanly instead of reading an unset (nil, nil) as
-// success. A finished call is left alone.
+// success. A finished call is left alone. Every leader defers it: the
+// singleton configure leader, ConfigureBatch for each flight it claims,
+// a background refresh, and do.
 func (g *flightGroup) abandon(key string, c *flightCall) {
 	if c.finished {
 		return

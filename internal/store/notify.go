@@ -13,8 +13,8 @@ const (
 // Notify wraps a Store and invokes a hook after every successful
 // mutation — the change-notification seam the serving layer's event bus
 // hangs off: every Put and Delete reaching the store, whatever path
-// produced it (singleton miss, batch run, coalesced window, background
-// refresh, explicit invalidation), fires exactly one callback.
+// produced it (singleton miss, batch run, background refresh, explicit
+// invalidation), fires exactly one callback.
 //
 // The hook runs synchronously on the mutating goroutine, after the
 // inner operation succeeded; failed operations never notify. Keep the

@@ -12,9 +12,10 @@ import (
 // that, called at test end (normally via t.Cleanup through
 // VerifyNoLeaks), fails the test if goroutines created since the
 // snapshot are still running. It exists to back the Service lifecycle
-// contract: Close must stop the coalescer, the refresh workers, the
-// watch fan-out, and every singleflight leader it owns — a background
-// goroutine outliving Close is a leak, not a scheduling artifact.
+// contract: Close must stop the drift monitor, the refresh workers,
+// the watch fan-out, and every singleflight leader it owns — a
+// background goroutine outliving Close is a leak, not a scheduling
+// artifact.
 //
 // Shutdown is asynchronous (workers observe a cancelled context at
 // their next select), so the check retries with backoff for up to

@@ -22,12 +22,11 @@ type NodeAdd struct {
 }
 
 // Delta is a batch edit against a workflow Spec: the churn primitives in
-// internal/workloads emit Deltas, Spec.Apply replays one onto a spec, and
-// Runner.Patch additionally splices it into the compiled execution plan
-// without recompiling. Application order is fixed: edge removals, node
-// removals, node additions, edge additions, profile updates, base merges —
-// so a Delta that removes a node need not list its incident edges (they are
-// expanded internally), and an added edge may reference an added node.
+// internal/workloads emit Deltas and Spec.Apply replays one onto a spec.
+// Application order is fixed: edge removals, node removals, node additions,
+// edge additions, profile updates, base merges — so a Delta that removes a
+// node need not list its incident edges (RemoveNode drops them), and an
+// added edge may reference an added node.
 type Delta struct {
 	RemoveEdges []Edge
 	RemoveNodes []string
@@ -45,41 +44,6 @@ func (d Delta) Empty() bool {
 	return len(d.RemoveEdges) == 0 && len(d.RemoveNodes) == 0 &&
 		len(d.AddNodes) == 0 && len(d.AddEdges) == 0 &&
 		len(d.Profiles) == 0 && len(d.Base) == 0
-}
-
-// normalized expands the delta so every edge incident to a removed node
-// appears explicitly in RemoveEdges (deduplicated). The plan patcher needs
-// the expansion — it must retire edge rows before it can tombstone a node
-// slot — and it must run against the pre-mutation graph, while the rest of
-// the patch runs against the post-mutation graph.
-func (d Delta) normalized(s *Spec) (Delta, error) {
-	if len(d.RemoveNodes) == 0 {
-		return d, nil
-	}
-	seen := make(map[Edge]bool, len(d.RemoveEdges))
-	for _, e := range d.RemoveEdges {
-		seen[e] = true
-	}
-	nd := d
-	nd.RemoveEdges = append([]Edge(nil), d.RemoveEdges...)
-	add := func(e Edge) {
-		if !seen[e] {
-			seen[e] = true
-			nd.RemoveEdges = append(nd.RemoveEdges, e)
-		}
-	}
-	for _, id := range d.RemoveNodes {
-		if !s.G.HasNode(id) {
-			return d, fmt.Errorf("workflow %s: removing unknown node %q", s.Name, id)
-		}
-		for _, to := range s.G.Succ(id) {
-			add(Edge{From: id, To: to})
-		}
-		for _, from := range s.G.Pred(id) {
-			add(Edge{From: from, To: id})
-		}
-	}
-	return nd, nil
 }
 
 // Apply replays a delta onto the spec in place, keeping the profile, group

@@ -3,7 +3,6 @@ package workflow
 import (
 	"sort"
 
-	"aarc/internal/dag"
 	"aarc/internal/perfmodel"
 	"aarc/internal/resources"
 	"aarc/internal/search"
@@ -12,35 +11,21 @@ import (
 // plan is the compiled, int-indexed execution form of a Spec. NewRunner
 // builds it once; every Evaluate then walks dense slices instead of
 // re-deriving topo order and re-hashing string node IDs. Dense node IDs are
-// topological positions, so iterating 0..n-1 is already a valid schedule
-// order and the ready queue can order nodes by comparing ints.
+// topological indices, so iterating 0..n-1 is already a valid schedule order
+// and the ready queue can order nodes by comparing ints.
 //
-// A freshly compiled plan is hole-free: row i holds the i-th node of the
-// topological sort. plan.patch (see patch.go) edits the plan in place under
-// spec churn: removed nodes leave tombstoned rows (ids[i] == "" and
-// indeg0[i] == -1, so the ready-seeding `d == 0` scan skips them for free),
-// added nodes reuse tombstones or append rows, and a Pearce–Kelly order
-// repair relocates rows. Live row positions always form a valid topological
-// order. All per-evaluation mutable state lives in the runner's scratch
-// arena; a patched plan must be owned by exactly one runner.
+// The plan is immutable after compile and may be shared by reads; all
+// per-evaluation mutable state lives in the runner's scratch arena.
 type plan struct {
-	ids      []string            // dense node ID -> spec node ID ("" = hole)
+	ids      []string            // dense node ID -> spec node ID, topo order
 	groups   []string            // dense node ID -> group name
 	groupIdx []int32             // dense node ID -> dense group index
 	profiles []perfmodel.Profile // dense node ID -> performance profile
 	succs    [][]int32           // dense node ID -> successor dense IDs
-	indeg0   []int32             // dense node ID -> predecessor count (-1 = hole)
+	indeg0   []int32             // dense node ID -> predecessor count
 
-	groupNames []string         // dense group index -> name (compile: sorted)
-	groupNode  []string         // dense group index -> one member, for errors
-	groupLive  []int32          // dense group index -> live member count
-	gidx       map[string]int32 // group name -> dense group index
-
-	// ord maintains the row positions under churn (lazily created on the
-	// first patch; until then the topo order in ids is authoritative).
-	ord *dag.Order
-	// sweepBuf is the reusable indegree scratch for the post-patch sweep.
-	sweepBuf []int32
+	groupNames []string // dense group index -> name (sorted, = FunctionGroups)
+	groupNode  []string // dense group index -> one member node, for error text
 }
 
 // compilePlan flattens a validated spec into the dense execution plan.
@@ -70,8 +55,6 @@ func compilePlan(spec *Spec) (*plan, error) {
 		indeg0:     make([]int32, n),
 		groupNames: groupNames,
 		groupNode:  make([]string, len(groupNames)),
-		groupLive:  make([]int32, len(groupNames)),
-		gidx:       gidx,
 	}
 	for i, id := range topo {
 		g := spec.GroupOf(id)
@@ -80,7 +63,6 @@ func compilePlan(spec *Spec) (*plan, error) {
 		if p.groupNode[gidx[g]] == "" {
 			p.groupNode[gidx[g]] = id
 		}
-		p.groupLive[gidx[g]]++
 		p.profiles[i] = spec.Profiles[id]
 		p.indeg0[i] = int32(len(spec.G.Pred(id)))
 		succ := spec.G.Succ(id)

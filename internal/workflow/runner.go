@@ -44,9 +44,6 @@ type Runner struct {
 	scale    float64
 	rng      *rand.Rand
 	scratch  scratch
-	// broken is set when an incremental Patch corrupted the plan and the
-	// fallback recompile also failed; every later call reports it.
-	broken error
 }
 
 // NewRunner validates the spec and builds a runner.
@@ -151,20 +148,11 @@ func (r *Runner) MeanEvaluate(a resources.Assignment) (search.Result, error) {
 func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand) (search.Result, error) {
 	p := r.plan
 	s := &r.scratch
-	if r.broken != nil {
-		return search.Result{}, r.broken
-	}
 	s.reset(p)
 	var res search.Result
 
-	// Resolve the assignment once per group instead of once per node. Groups
-	// whose every member was patched away keep their dense slot but need no
-	// config; a zero placeholder keeps the index aligned.
+	// Resolve the assignment once per group instead of once per node.
 	for gi, g := range p.groupNames {
-		if p.groupLive[gi] == 0 {
-			s.cfgs = append(s.cfgs, resources.Config{})
-			continue
-		}
 		cfg, ok := a[g]
 		if !ok {
 			return res, fmt.Errorf("workflow %s: assignment missing group %q (node %q)", r.spec.Name, g, p.groupNode[gi])
@@ -257,13 +245,9 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 		}
 	}
 
-	// Hand back string-keyed results; never-started nodes report as skipped
-	// and tombstoned rows of a patched plan are not part of the workflow.
+	// Hand back string-keyed results; never-started nodes report as skipped.
 	res.Nodes = make(map[string]search.NodeResult, len(p.ids))
 	for i := range p.ids {
-		if p.ids[i] == "" {
-			continue
-		}
 		if s.state[i] == stFinished {
 			res.Nodes[p.ids[i]] = s.nodeRes[i]
 		} else {

@@ -13,9 +13,9 @@ import (
 // were already connected by a directed path in the pre-delta graph (or to a
 // freshly inserted node), so the emitted deltas keep the DAG acyclic, and
 // removals bridge every predecessor to every successor, so the workflow
-// stays one connected component with a source and a sink. The differential
-// test harness feeds these deltas to Runner.Patch and asserts the
-// incrementally patched state equals a from-scratch rebuild.
+// stays one connected component with a source and a sink. Callers replay a
+// delta with Spec.Apply; the edited spec has a new fingerprint and is
+// compiled and searched afresh.
 
 func hasEdge(s *workflow.Spec, u, v string) bool {
 	for _, x := range s.G.Succ(u) {

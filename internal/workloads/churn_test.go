@@ -89,8 +89,8 @@ func TestChurnDeterministic(t *testing.T) {
 }
 
 // TestChurnGrowsAndShrinks sanity-checks that the primitives actually edit
-// the graph (a silent no-op churn stream would make the differential
-// harness vacuous).
+// the graph (a silent no-op churn stream would make every churn test
+// vacuous).
 func TestChurnGrowsAndShrinks(t *testing.T) {
 	spec, err := Scale(ScaleOptions{Topology: TopologyDiamond, Nodes: 100, Seed: 5})
 	if err != nil {

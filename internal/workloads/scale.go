@@ -33,8 +33,7 @@ func Topologies() []Topology {
 }
 
 // ScaleOptions parameterizes the scale-regime workload generator, which
-// extends the layered Synthetic generator to the 10k-node regime the
-// incremental plan-compilation path is built for.
+// extends the layered Synthetic generator to the 10k-node regime.
 type ScaleOptions struct {
 	// Topology selects the DAG family.
 	Topology Topology

@@ -24,8 +24,7 @@ type settings struct {
 	cacheDir   string      // NewService: "" = memory-only store
 	store      store.Store // NewService: nil = built from cacheSize/cacheDir
 
-	batchWorkers int           // ConfigureBatch + NewService: 0 = GOMAXPROCS
-	batchWindow  time.Duration // NewService: 0 = no miss coalescing
+	batchWorkers int // ConfigureBatch + NewService: 0 = GOMAXPROCS
 
 	searchTimeout    time.Duration // NewService: 0 = no server-side search deadline
 	maxConcSearches  int           // NewService: 0 = unlimited cold searches
@@ -139,24 +138,11 @@ func WithCacheDir(dir string) Option {
 
 // WithBatchWorkers bounds how many searches a batched configure run
 // executes concurrently: ConfigureBatch's worker pool, and — for
-// NewService — the pooled run behind Service.ConfigureBatch,
-// POST /v1/configure:batch and a drained WithBatchWindow queue. Zero
-// (the default) selects GOMAXPROCS. Configure and ConfigureClasses
-// ignore it.
+// NewService — the pooled run behind Service.ConfigureBatch and
+// POST /v1/configure:batch. Zero (the default) selects GOMAXPROCS.
+// Configure and ConfigureClasses ignore it.
 func WithBatchWorkers(n int) Option {
 	return func(s *settings) { s.batchWorkers = n }
-}
-
-// WithBatchWindow opts NewService into miss coalescing: a singleton
-// Configure cache miss waits up to d for other distinct misses, and the
-// whole queue drains into one WithBatchWorkers-wide pooled batch run —
-// so a cold burst of singleton requests amortizes like an explicit
-// batch. Cache hits never wait on the window; d is therefore the maximum
-// extra latency a cold request can pay. Zero (the default) keeps the
-// classic search-per-miss path. Configure, ConfigureBatch and
-// ConfigureClasses ignore it.
-func WithBatchWindow(d time.Duration) Option {
-	return func(s *settings) { s.batchWindow = d }
 }
 
 // WithSearchTimeout sets NewService's server-side search deadline: a
@@ -173,10 +159,10 @@ func WithSearchTimeout(d time.Duration) Option {
 // WithMaxConcurrentSearches caps how many cold searches NewService runs
 // at once. At saturation, a singleton configure miss without a context
 // deadline is shed fail-fast (HTTP 429 with Retry-After on the wire);
-// one with a deadline waits for a slot until then; batched and
-// coalesced runs always wait (their concurrency is already pool-
-// bounded). Zero (the default) disables the cap. Configure,
-// ConfigureBatch and ConfigureClasses ignore it.
+// one with a deadline waits for a slot until then; batched runs always
+// wait (their concurrency is already pool-bounded). Zero (the default)
+// disables the cap. Configure, ConfigureBatch and ConfigureClasses
+// ignore it.
 func WithMaxConcurrentSearches(n int) Option {
 	return func(s *settings) { s.maxConcSearches = n }
 }

@@ -75,12 +75,11 @@ func NewTieredStore(fast, slow Store) Store { return store.NewTiered(fast, slow)
 // NewService builds the serving layer with the same functional options as
 // Configure (WithMethod, WithSeed, WithHostCores, WithNoise, WithSLO,
 // WithInputScale) plus the service-specific WithCacheSize, WithShards,
-// WithCacheDir, WithStore, WithBatchWorkers, WithBatchWindow (opt-in
-// coalescing of singleton cache misses into pooled batch runs) and the
-// resilience knobs WithSearchTimeout, WithMaxConcurrentSearches,
-// WithBreaker and WithChaosDiskOutage, and the lifecycle knobs
-// WithDrift and WithRefreshWorkers (background staleness detection and
-// atomic refresh, observable via Service.Watch and GET /v1/watch/{fp}).
+// WithCacheDir, WithStore and WithBatchWorkers, the resilience knobs
+// WithSearchTimeout, WithMaxConcurrentSearches, WithBreaker and
+// WithChaosDiskOutage, and the lifecycle knobs WithDrift and
+// WithRefreshWorkers (background staleness detection and atomic
+// refresh, observable via Service.Watch and GET /v1/watch/{fp}).
 // A WithBudget budget becomes the server-side cap: requests may tighten
 // it, never exceed it. The error is the backing store's (opening a cache
 // directory can fail; a memory-only service cannot). Close the service
@@ -99,7 +98,6 @@ func NewService(opts ...Option) (*Service, error) {
 		CacheSize:    s.cacheSize,
 		Shards:       s.shards,
 		BatchWorkers: s.batchWorkers,
-		BatchWindow:  s.batchWindow,
 		CacheDir:     s.cacheDir,
 		Store:        s.store,
 
