@@ -1,4 +1,4 @@
-// Command aarcvet is the project's vet suite: ten analyzers that
+// Command aarcvet is the project's vet suite: nine analyzers that
 // machine-check the serving stack's cache, concurrency and determinism
 // invariants (DESIGN.md §13–§14), plus a local shadow check. Run it
 // through cmd/go:
@@ -14,12 +14,15 @@
 //
 //	bin/aarcvet -fix ./...
 //
-// Six of the analyzers are purely syntactic/type-based (ctxflow,
-// detcanon, lockscope, regversion, shadow, tierorder). The other four
-// — lockorder, nilness, goleak, hotalloc — are built on
+// Five of the analyzers are purely syntactic/type-based (ctxflow,
+// detcanon, regversion, shadow, tierorder). The other four —
+// lockorder, nilness, goleak, hotalloc — are built on
 // internal/analysis/flow, a stdlib-only CFG/dataflow layer that stands
 // in for the golang.org/x/tools SSA packages this offline build cannot
-// import. lockorder and hotalloc are interprocedural: they export
+// import (detcanon also walks flow's call graph). lockorder runs one
+// held-lock dataflow per function for both of its checks: no search,
+// store I/O, publish or evaluation under a mutex, and no lock-order
+// cycles. lockorder and hotalloc are interprocedural: they export
 // per-package facts through the vet .cfg/vetx protocol, so a lock
 // acquired in internal/store and another in internal/service can still
 // form a reported cycle, and an allocation three calls deep still
@@ -39,7 +42,6 @@ import (
 	"aarc/internal/analysis/goleak"
 	"aarc/internal/analysis/hotalloc"
 	"aarc/internal/analysis/lockorder"
-	"aarc/internal/analysis/lockscope"
 	"aarc/internal/analysis/nilness"
 	"aarc/internal/analysis/regversion"
 	"aarc/internal/analysis/shadow"
@@ -54,7 +56,6 @@ func suite() []*analysis.Analyzer {
 		goleak.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
-		lockscope.Analyzer,
 		nilness.Analyzer,
 		regversion.Analyzer,
 		shadow.Analyzer,

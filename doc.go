@@ -88,11 +88,12 @@
 // `go vet -vettool` (scripts/lint.sh, and CI, fail on any finding);
 // deliberate exceptions are waived in-source by reasoned //aarc:
 // markers. A stdlib-only CFG/dataflow layer (internal/analysis/flow)
-// extends the suite with flow-sensitive checks: lock-order cycles
-// across packages, guaranteed-nil dereferences, goroutines with no
-// reachable stop signal, and allocations on //aarc:hotpath-marked fast
-// paths (the fingerprint GET is pinned alloc-free both statically and
-// by AllocsPerRun tests). See DESIGN.md sections 13–14.
+// carries the flow-sensitive checks: one held-lock dataflow for calls
+// under a mutex and lock-order cycles across packages, guaranteed-nil
+// dereferences, goroutines with no reachable stop signal, and
+// allocations on //aarc:hotpath-marked fast paths (the fingerprint GET
+// is pinned alloc-free both statically and by AllocsPerRun tests). See
+// DESIGN.md sections 13–14.
 //
 // Start with the examples, which use only this public API:
 //

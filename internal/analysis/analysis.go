@@ -29,6 +29,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // An Analyzer is one named static check.
@@ -148,4 +149,35 @@ func PkgPathOf(fn *types.Func) string {
 func IsTestFile(fset *token.FileSet, f *ast.File) bool {
 	name := fset.Position(f.Package).Filename
 	return len(name) >= len("_test.go") && name[len(name)-len("_test.go"):] == "_test.go"
+}
+
+// NonTestFiles returns the package's files other than _test.go files.
+func (p *Pass) NonTestFiles() []*ast.File {
+	var out []*ast.File
+	for _, f := range p.Files {
+		if !IsTestFile(p.Fset, f) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// ShortName trims the import-path prefix off a full function or lock
+// name for messages: "aarc/internal/store.(Memory).Get" becomes
+// "store.(Memory).Get".
+func ShortName(full string) string {
+	if i := strings.LastIndex(full, "/"); i >= 0 {
+		return full[i+1:]
+	}
+	return full
+}
+
+// IsContextType reports whether t is context.Context.
+func IsContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

@@ -128,7 +128,7 @@ func checkEntryPoint(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return
 	}
 	for _, field := range fd.Type.Params.List {
-		if isContextType(pass.TypesInfo.TypeOf(field.Type)) {
+		if analysis.IsContextType(pass.TypesInfo.TypeOf(field.Type)) {
 			return
 		}
 	}
@@ -139,15 +139,6 @@ func checkEntryPoint(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return
 	}
 	pass.Reportf(fd.Name.Pos(), "exported %s drives context-accepting search/store/evaluate machinery but accepts no context.Context itself", fd.Name.Name)
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 // callsContextAcceptor reports whether the body calls any function
@@ -169,7 +160,7 @@ func callsContextAcceptor(pass *analysis.Pass, body *ast.BlockStmt) bool {
 		}
 		params := fn.Signature().Params()
 		for i := 0; i < params.Len(); i++ {
-			if isContextType(params.At(i).Type()) {
+			if analysis.IsContextType(params.At(i).Type()) {
 				found = true
 				return false
 			}

@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"aarc/internal/analysis"
+	"aarc/internal/analysis/flow"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -37,65 +38,27 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	// Collect function declarations and their types.Func objects.
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				decls[obj] = fd
-			}
-		}
-	}
-
 	// Roots: canonicalization entry points by name or marker.
-	var work []*types.Func
-	for obj, fd := range decls {
-		if isRoot(fd) {
-			work = append(work, obj)
+	graph := flow.BuildCallGraph(pass.NonTestFiles(), pass.TypesInfo)
+	names := graph.SortedNames()
+	var roots []string
+	for _, name := range names {
+		if isRoot(graph.Nodes[name].Decl) {
+			roots = append(roots, name)
 		}
 	}
-	if len(work) == 0 {
+	if len(roots) == 0 {
 		return nil
 	}
 
-	// Reachability over intra-package static calls (and function
-	// values referenced from a reachable body — passing a function as
-	// a value can still execute it inside the canonical path).
-	reachable := make(map[*types.Func]bool)
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		if reachable[fn] {
-			continue
+	// Reachability follows every function a reachable body names, not
+	// only the ones it calls: passing a function as a value can still
+	// execute it inside the canonical path.
+	reachable := graph.Reachable(roots)
+	for _, name := range names {
+		if reachable[name] {
+			checkFunc(pass, graph.Nodes[name].Decl)
 		}
-		reachable[fn] = true
-		fd := decls[fn]
-		if fd == nil {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if callee, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
-				if _, local := decls[callee]; local && !reachable[callee] {
-					work = append(work, callee)
-				}
-			}
-			return true
-		})
-	}
-
-	for fn := range reachable {
-		checkFunc(pass, decls[fn])
 	}
 	return nil
 }
@@ -197,9 +160,22 @@ func isMapToMapCopy(pass *analysis.Pass, rs *ast.RangeStmt) bool {
 	return true
 }
 
-// sortsAfter reports whether fd calls a sorting function (sort.* or
-// slices.Sort*) after pos — the "collect then order" idiom that makes
-// an unordered iteration or listing deterministic before it escapes.
+// sorting names the package sort functions, and the Sort method of its
+// slice types, that order a slice in place. Searching or checking
+// sortedness orders nothing.
+var sorting = map[string]bool{
+	"Sort":        true,
+	"Stable":      true,
+	"Slice":       true,
+	"SliceStable": true,
+	"Strings":     true,
+	"Ints":        true,
+	"Float64s":    true,
+}
+
+// sortsAfter reports whether fd sorts (one of sorting, or slices.Sort*)
+// after pos — the "collect then order" idiom that makes an unordered
+// iteration or listing deterministic before it escapes.
 func sortsAfter(pass *analysis.Pass, fd *ast.FuncDecl, pos token.Pos) bool {
 	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -213,11 +189,9 @@ func sortsAfter(pass *analysis.Pass, fd *ast.FuncDecl, pos token.Pos) bool {
 		}
 		switch analysis.PkgPathOf(fn) {
 		case "sort":
-			found = true
+			found = sorting[fn.Name()]
 		case "slices":
-			if strings.HasPrefix(fn.Name(), "Sort") {
-				found = true
-			}
+			found = strings.HasPrefix(fn.Name(), "Sort")
 		}
 		return !found
 	})

@@ -3,53 +3,55 @@ package flow
 // The call-graph builder. aarcvet runs one package at a time under the
 // go vet protocol, so the graph is per-package: nodes are this
 // package's function declarations, edges are the statically resolvable
-// calls they make — including calls into other packages, which become
-// leaf nodes carrying only a name. Cross-package closure happens in
-// the analyzers, which export per-function summaries as unitchecker
-// facts and splice the imported packages' graphs in by name.
+// calls they make — including calls into other packages, which appear
+// only as callee names. Cross-package closure happens in the analyzers,
+// which export per-function summaries as unitchecker facts and splice
+// the imported packages' summaries in by name.
 //
 // Function-literal bodies are attributed to the enclosing declaration:
-// a goroutine or callback launched inside a method acquires locks and
-// allocates on behalf of that method, and the fact granularity (one
-// summary per declared function) follows the call sites an importing
-// package can actually name.
+// a goroutine or callback launched inside a method allocates on behalf
+// of that method, and the fact granularity (one summary per declared
+// function) follows the call sites an importing package can actually
+// name.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"sort"
+
+	"aarc/internal/analysis"
 )
 
-// A Node is one declared function or method and the calls beneath it.
+// A Node is one declared function or method and what its body names.
 type Node struct {
-	// Func is the declared object; nil for external callees known only
-	// by name.
-	Func *types.Func
-	// Decl is the declaration; nil for package "init" bodies collapsed
-	// into the synthetic init node and for external callees.
+	// Decl is the declaration; never nil.
 	Decl *ast.FuncDecl
 	// Calls are the resolved call sites in body order (function-literal
 	// bodies inlined in source order).
 	Calls []Call
+	// Refs are the full names of every function or method the body
+	// mentions, called or taken as a value, in body order. A function
+	// passed as a value can still run on the caller's path, so
+	// Reachable follows Refs rather than Calls.
+	Refs []string
 }
 
 // A Call is one statically resolved call site.
 type Call struct {
 	// Callee is the target's full name, as FullName produces it.
 	Callee string
-	// Fn is the target object when the call stays resolvable in this
-	// package's type information (always non-nil; "statically
-	// resolved" is the condition for the edge existing at all).
+	// Fn is the target object ("statically resolved" is the condition
+	// for the call being recorded at all, so never nil).
 	Fn *types.Func
 	// Site is the call expression.
 	Site *ast.CallExpr
-	// InGo is true when the call executes on a new goroutine spawned
-	// within the caller (directly via `go`, or inside a function
-	// literal that a `go` statement launches).
-	InGo bool
 }
 
-// A CallGraph maps full function names to their nodes.
+// A CallGraph maps full function names to their nodes. A package may
+// declare any number of init functions, which nothing can call; each
+// gets its own node, keyed "pkgpath.init.0", "pkgpath.init.1", ... in
+// file order, as the compiler numbers them.
 type CallGraph struct {
 	Nodes map[string]*Node
 }
@@ -81,9 +83,11 @@ func FullName(fn *types.Func) string {
 }
 
 // BuildCallGraph walks the package's declarations and resolves every
-// static call. info needs Uses and Defs populated.
+// static call and function reference. info needs Uses and Defs
+// populated.
 func BuildCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 	g := &CallGraph{Nodes: map[string]*Node{}}
+	inits := 0
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -94,74 +98,35 @@ func BuildCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 			if fn == nil {
 				continue
 			}
-			node := &Node{Func: fn, Decl: fd}
-			collectCalls(fd.Body, info, false, &node.Calls)
-			g.Nodes[FullName(fn)] = node
+			name := FullName(fn)
+			if fd.Recv == nil && fd.Name.Name == "init" {
+				name = fmt.Sprintf("%s.%d", name, inits)
+				inits++
+			}
+			node := &Node{Decl: fd}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if callee := analysis.FuncOf(info, n); callee != nil {
+						node.Calls = append(node.Calls, Call{Callee: FullName(callee), Fn: callee, Site: n})
+					}
+				case *ast.Ident:
+					if ref, ok := info.Uses[n].(*types.Func); ok {
+						node.Refs = append(node.Refs, FullName(ref))
+					}
+				}
+				return true
+			})
+			g.Nodes[name] = node
 		}
 	}
 	return g
 }
 
-// collectCalls gathers resolved call sites under n, descending into
-// function literals (their goroutine-ness compounds: a literal run by
-// `go` marks everything inside it InGo).
-func collectCalls(n ast.Node, info *types.Info, inGo bool, out *[]Call) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.GoStmt:
-			// The spawned call and anything in a spawned literal is on
-			// another goroutine.
-			if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
-				collectCalls(lit.Body, info, true, out)
-				for _, arg := range x.Call.Args {
-					collectCalls(arg, info, inGo, out)
-				}
-				return false
-			}
-			if fn := funcOf(info, x.Call); fn != nil {
-				*out = append(*out, Call{Callee: FullName(fn), Fn: fn, Site: x.Call, InGo: true})
-			}
-			for _, arg := range x.Call.Args {
-				collectCalls(arg, info, inGo, out)
-			}
-			return false
-		case *ast.FuncLit:
-			collectCalls(x.Body, info, inGo, out)
-			return false
-		case *ast.CallExpr:
-			if fn := funcOf(info, x); fn != nil {
-				*out = append(*out, Call{Callee: FullName(fn), Fn: fn, Site: x, InGo: inGo})
-			}
-			return true
-		}
-		return true
-	})
-}
-
-// funcOf resolves the called function or method, seeing through
-// parentheses; nil for func values, conversions, and builtins.
-// (Duplicated from package analysis to keep flow importable on its
-// own; the logic is four lines.)
-func funcOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
-}
-
 // Reachable returns the set of full names reachable from the given
-// roots through this package's nodes, including the roots and every
-// external leaf name encountered. extern, when non-nil, extends the
-// walk across package boundaries: it maps an external full name to
-// that function's own callees (from imported facts).
-func (g *CallGraph) Reachable(roots []string, extern func(string) []string) map[string]bool {
+// roots through this package's nodes' Refs, including the roots and
+// every external name encountered.
+func (g *CallGraph) Reachable(roots []string) map[string]bool {
 	seen := map[string]bool{}
 	stack := append([]string(nil), roots...)
 	for len(stack) > 0 {
@@ -172,13 +137,7 @@ func (g *CallGraph) Reachable(roots []string, extern func(string) []string) map[
 		}
 		seen[name] = true
 		if node := g.Nodes[name]; node != nil {
-			for _, c := range node.Calls {
-				stack = append(stack, c.Callee)
-			}
-			continue
-		}
-		if extern != nil {
-			stack = append(stack, extern(name)...)
+			stack = append(stack, node.Refs...)
 		}
 	}
 	return seen

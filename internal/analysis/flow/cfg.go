@@ -7,12 +7,9 @@
 //
 //   - a CFG per function body (basic blocks with edges from
 //     if/for/range/switch/select/goto/labels; return and panic edge to
-//     the exit block; defers are collected for exit-time analysis);
+//     the exit block; defer statements stay in place in their block);
 //   - a generic worklist dataflow engine over caller-supplied join
-//     semilattices, with per-edge refinement (branch conditions) and a
-//     widening hook so infinite-ascending-chain lattices terminate;
-//   - def-use chains: reaching definitions computed on the engine,
-//     folded into per-use chains;
+//     semilattices, with per-edge refinement (branch conditions);
 //   - a per-package call graph whose per-function summaries — combined
 //     with the unitchecker's cross-package fact files — let analyzers
 //     propagate facts across functions and packages.
@@ -66,11 +63,6 @@ type Graph struct {
 	// the exit. Unreachable blocks (code after return, empty branch
 	// joins) stay in the slice with no predecessors.
 	Blocks []*Block
-
-	// Defers are the body's defer statements in source order. Their
-	// calls run at every exit edge in LIFO order; analyses that care
-	// (lock-set, cleanup checks) process them against the exit state.
-	Defers []*ast.DeferStmt
 }
 
 // Entry returns the entry block.
@@ -186,9 +178,6 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.jump(b.g.Exit())
 	case *ast.BranchStmt:
 		b.branchStmt(s)
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, s)
-		b.current().Stmts = append(b.current().Stmts, s)
 	case *ast.ExprStmt:
 		b.current().Stmts = append(b.current().Stmts, s)
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isPanic(call) {
@@ -196,7 +185,7 @@ func (b *builder) stmt(s ast.Stmt) {
 			b.jump(b.g.Exit())
 		}
 	default:
-		// Assign, Decl, Send, IncDec, Go, Empty...: straight-line.
+		// Assign, Decl, Defer, Send, IncDec, Go, Empty...: straight-line.
 		b.current().Stmts = append(b.current().Stmts, s)
 	}
 }
@@ -467,19 +456,7 @@ func (b *builder) resolveGotos() {
 // tests compare: one line per block with its kind, statements and
 // successor indexes.
 func (g *Graph) String() string {
-	return g.format(nil)
-}
-
-// Format is String with positions resolved through fset (unused by the
-// golden tests, useful when debugging a real package's CFG).
-func (g *Graph) Format(fset *token.FileSet) string {
-	return g.format(fset)
-}
-
-func (g *Graph) format(fset *token.FileSet) string {
-	if fset == nil {
-		fset = token.NewFileSet()
-	}
+	fset := token.NewFileSet()
 	var sb strings.Builder
 	for _, b := range g.Blocks {
 		fmt.Fprintf(&sb, "%d %s", b.Index, b.Kind)

@@ -27,8 +27,8 @@ type Analysis[T any] struct {
 
 	// Transfer produces the block's out-state from its in-state. It
 	// must be monotone in the in-state or the fixpoint may not exist;
-	// MaxIter/Widen are the safety nets when it is not, or when the
-	// lattice has infinite ascending chains.
+	// MaxIter is the safety net when it is not, or when the lattice
+	// has infinite ascending chains.
 	Transfer func(b *Block, in T) T
 
 	// Edge, when non-nil, refines the state flowing along one edge —
@@ -48,12 +48,6 @@ type Analysis[T any] struct {
 	// (sound-if-monotone, possibly unrefined) states rather than
 	// spinning.
 	MaxIter int
-
-	// Widen, when non-nil, replaces plain Join on re-visits of a block
-	// already seen: next = Widen(previous-in, joined-in). Lattices with
-	// infinite ascending chains (intervals, counters) use it to force
-	// termination by jumping to an upper bound.
-	Widen func(prev, next T) T
 }
 
 // Result holds the fixpoint: In[i] and Out[i] are the states at entry
@@ -88,7 +82,6 @@ func (a Analysis[T]) Forward(g *Graph) Result[T] {
 	// dedupes so a block is pending at most once.
 	queue := make([]int, 0, n)
 	inQueue := make([]bool, n)
-	visited := make([]bool, n)
 	push := func(i int) {
 		if !inQueue[i] {
 			inQueue[i] = true
@@ -120,11 +113,7 @@ func (a Analysis[T]) Forward(g *Graph) Result[T] {
 				}
 				in = a.Lattice.Join(in, out)
 			}
-			if a.Widen != nil && visited[i] {
-				in = a.Widen(res.In[i], in)
-			}
 		}
-		visited[i] = true
 		res.In[i] = in
 
 		out := a.Transfer(b, in)

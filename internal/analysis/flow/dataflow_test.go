@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -12,8 +13,8 @@ import (
 // intLattice is the chain lattice over ints ordered by ≤ with an
 // explicit top: bottom ⊏ 0 ⊏ 1 ⊏ 2 ⊏ ... ⊏ top, Join = max. The
 // ascending chain is infinite, so a transfer function that increments
-// around a loop back edge never converges without widening — exactly
-// what the termination test needs.
+// around a loop back edge never converges — exactly what the termination
+// test needs.
 //
 // Elements: nil = bottom, {v, false} = the value v, {_, true} = top.
 type intVal struct {
@@ -49,39 +50,25 @@ func (intLattice) Equal(a, b *intVal) bool {
 	}
 }
 
-// loopGraph builds the canonical counting loop:
-//
-//	entry -> head; head -> body, done; body -> head
-//
-// whose body transfer increments the counter — a non-converging chain
-// without widening.
-func loopGraph(t *testing.T) *Graph {
-	t.Helper()
-	return New(parseBody(t, `for cond() {
+// TestFixpointWidening is the termination test: the engine has no
+// widening operator, so a counting loop over a lattice with an infinite
+// ascending chain never converges, and the engine must stop at MaxIter
+// and say so with Converged=false.
+func TestFixpointWidening(t *testing.T) {
+	g := New(parseBody(t, `for cond() {
 	inc()
 }`))
-}
-
-// TestFixpointWidening is the ISSUE's termination test: a loop over a
-// lattice with an infinite ascending chain must (a) blow MaxIter
-// without widening, flagged by Converged=false, and (b) terminate at
-// top with a widening operator.
-func TestFixpointWidening(t *testing.T) {
-	g := loopGraph(t)
-
-	transfer := func(b *Block, in *intVal) *intVal {
-		if b.Kind == "for.body" && in != nil && !in.top {
-			return &intVal{v: in.v + 1} // the ascending chain
-		}
-		return in
-	}
-
 	t.Run("without-widening-hits-MaxIter", func(t *testing.T) {
 		res := Analysis[*intVal]{
-			Lattice:  intLattice{},
-			Transfer: transfer,
-			Entry:    &intVal{v: 0},
-			MaxIter:  100,
+			Lattice: intLattice{},
+			Transfer: func(b *Block, in *intVal) *intVal {
+				if b.Kind == "for.body" && in != nil && !in.top {
+					return &intVal{v: in.v + 1} // the ascending chain
+				}
+				return in
+			},
+			Entry:   &intVal{v: 0},
+			MaxIter: 100,
 		}.Forward(g)
 		if res.Converged {
 			t.Fatalf("expected non-convergence without widening; head in-state %+v after %d iterations",
@@ -89,37 +76,6 @@ func TestFixpointWidening(t *testing.T) {
 		}
 		if res.Iterations < 100 {
 			t.Fatalf("stopped after %d iterations, want MaxIter=100 visits", res.Iterations)
-		}
-	})
-
-	t.Run("widening-terminates-at-top", func(t *testing.T) {
-		res := Analysis[*intVal]{
-			Lattice:  intLattice{},
-			Transfer: transfer,
-			Entry:    &intVal{v: 0},
-			MaxIter:  100,
-			// Standard widening: any strictly increasing revisit jumps
-			// straight to top.
-			Widen: func(prev, next *intVal) *intVal {
-				if prev == nil || (intLattice{}).Equal(prev, next) {
-					return next
-				}
-				return &intVal{top: true}
-			},
-		}.Forward(g)
-		if !res.Converged {
-			t.Fatalf("widened analysis did not converge in %d iterations", res.Iterations)
-		}
-		// The loop head's in-state must have been widened to top: the
-		// counter is 0 on entry and k+1 around the back edge.
-		head := res.In[2]
-		if head == nil || !head.top {
-			t.Fatalf("loop head in-state = %+v, want top", head)
-		}
-		// The loop-done block sees the widened state too.
-		done := res.In[4]
-		if done == nil || !done.top {
-			t.Fatalf("for.done in-state = %+v, want top", done)
 		}
 	})
 }
@@ -189,8 +145,8 @@ after()`))
 }
 
 // typecheck parses and type-checks one file, returning what
-// BuildChains and BuildCallGraph need.
-func typecheck(t *testing.T, src string) (*token.FileSet, *ast.File, *types.Package, *types.Info) {
+// BuildCallGraph needs.
+func typecheck(t *testing.T, src string) (*ast.File, *types.Info) {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "t.go", src, 0)
@@ -203,92 +159,14 @@ func typecheck(t *testing.T, src string) (*token.FileSet, *ast.File, *types.Pack
 		Types: map[ast.Expr]types.TypeAndValue{},
 	}
 	conf := types.Config{Importer: importer.Default()}
-	pkg, err := conf.Check("p", fset, []*ast.File{f}, info)
-	if err != nil {
+	if _, err := conf.Check("p", fset, []*ast.File{f}, info); err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	return fset, f, pkg, info
-}
-
-func TestDefUseChains(t *testing.T) {
-	_, f, _, info := typecheck(t, `package p
-
-func f(a int) int {
-	x := 1
-	if a > 0 {
-		x = 2
-	}
-	return x
-}
-`)
-	fd := f.Decls[0].(*ast.FuncDecl)
-	sig := info.Defs[fd.Name].Type().(*types.Signature)
-	g := New(fd.Body)
-	chains := BuildChains(g, sig, info)
-
-	// Find the `return x` use.
-	var retUse *ast.Ident
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			retUse = ret.Results[0].(*ast.Ident)
-		}
-		return true
-	})
-	defs := chains[retUse]
-	if len(defs) != 2 {
-		t.Fatalf("return x: %d reaching defs, want 2 (x := 1 and x = 2); chains=%v", len(defs), defs)
-	}
-	// Inside the if, `x = 2` kills `x := 1`; after the join both reach.
-	for _, d := range defs {
-		if d.Var.Name() != "x" {
-			t.Errorf("reaching def of wrong var %s", d.Var.Name())
-		}
-	}
-
-	// The `a > 0` condition's use of a reaches the parameter def.
-	var aUse *ast.Ident
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "a" {
-			aUse = id
-		}
-		return true
-	})
-	adefs := chains[aUse]
-	if len(adefs) != 1 || adefs[0].Stmt != nil {
-		t.Fatalf("use of a: defs=%v, want exactly the parameter def", adefs)
-	}
-}
-
-func TestDefUseKill(t *testing.T) {
-	_, f, _, info := typecheck(t, `package p
-
-func f() int {
-	x := 1
-	x = 2
-	return x
-}
-`)
-	fd := f.Decls[0].(*ast.FuncDecl)
-	g := New(fd.Body)
-	chains := BuildChains(g, info.Defs[fd.Name].Type().(*types.Signature), info)
-	var retUse *ast.Ident
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			retUse = ret.Results[0].(*ast.Ident)
-		}
-		return true
-	})
-	defs := chains[retUse]
-	if len(defs) != 1 {
-		t.Fatalf("straight-line redefinition: %d reaching defs, want 1", len(defs))
-	}
-	if defs[0].Rhs == nil {
-		t.Fatal("surviving def lost its Rhs")
-	}
+	return f, info
 }
 
 func TestCallGraph(t *testing.T) {
-	_, f, _, info := typecheck(t, `package p
+	f, info := typecheck(t, `package p
 
 type T struct{}
 
@@ -301,10 +179,21 @@ func root() {
 	t.m()
 	go spawned()
 	go func() { inLit() }()
+	apply(asValue)
 }
 
 func spawned() {}
 func inLit()   {}
+
+func apply(f func()) { f() }
+func asValue()       { deeper() }
+func deeper()        {}
+
+func init() { first() }
+func init() { second() }
+
+func first()  {}
+func second() {}
 `)
 	g := BuildCallGraph([]*ast.File{f}, info)
 
@@ -312,34 +201,38 @@ func inLit()   {}
 	if root == nil {
 		t.Fatalf("no node for p.root; have %v", g.SortedNames())
 	}
-	byName := map[string]Call{}
+	calls := map[string]bool{}
 	for _, c := range root.Calls {
-		byName[c.Callee] = c
+		calls[c.Callee] = true
 	}
-	if _, ok := byName["p.(T).m"]; !ok {
-		t.Errorf("root → (T).m edge missing; calls=%v", root.Calls)
-	}
-	if c, ok := byName["p.spawned"]; !ok || !c.InGo {
-		t.Errorf("go spawned(): edge missing or not InGo (%+v)", c)
-	}
-	if c, ok := byName["p.inLit"]; !ok || !c.InGo {
-		t.Errorf("call inside go func(){}: edge missing or not InGo (%+v)", c)
-	}
-
-	// Reachability: root reaches helper through (T).m.
-	reach := g.Reachable([]string{"p.root"}, nil)
-	if !reach["p.helper"] {
-		t.Errorf("p.helper not reachable from p.root: %v", reach)
-	}
-
-	// extern hook: an unknown leaf expands through the callback.
-	reach = g.Reachable([]string{"q.external"}, func(name string) []string {
-		if name == "q.external" {
-			return []string{"q.deeper"}
+	for _, want := range []string{"p.(T).m", "p.spawned", "p.inLit", "p.apply"} {
+		if !calls[want] {
+			t.Errorf("root → %s edge missing; calls=%v", want, root.Calls)
 		}
-		return nil
-	})
-	if !reach["q.deeper"] {
-		t.Errorf("extern expansion missed q.deeper: %v", reach)
+	}
+	if calls["p.asValue"] {
+		t.Errorf("asValue is passed, not called, yet appears among root's calls")
+	}
+
+	// Reachability: root reaches helper through (T).m, and deeper
+	// through asValue, which it only passes as a value.
+	reach := g.Reachable([]string{"p.root"})
+	for _, want := range []string{"p.helper", "p.asValue", "p.deeper"} {
+		if !reach[want] {
+			t.Errorf("%s not reachable from p.root: %v", want, reach)
+		}
+	}
+
+	// Every init body keeps its own node, so neither one's calls are
+	// lost to the other.
+	for i, want := range []string{"p.first", "p.second"} {
+		name := fmt.Sprintf("p.init.%d", i)
+		node := g.Nodes[name]
+		if node == nil || node.Decl == nil {
+			t.Fatalf("no node with a declaration for %s; have %v", name, g.SortedNames())
+		}
+		if len(node.Calls) != 1 || node.Calls[0].Callee != want {
+			t.Errorf("%s calls %v, want [%s]", name, node.Calls, want)
+		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"aarc/internal/analysis"
+	"aarc/internal/analysis/flow"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -40,27 +41,16 @@ func run(pass *analysis.Pass) error {
 
 	// Local declarations, so `go s.loop()` can be judged by loop's body
 	// rather than its signature.
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
-				}
-			}
-		}
-	}
+	files := pass.NonTestFiles()
+	graph := flow.BuildCallGraph(files, pass.TypesInfo)
 
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f) {
-			continue
-		}
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			if stoppable(pass, decls, gs) {
+			if stoppable(pass, graph, gs) {
 				return true
 			}
 			if m, ok := pass.Markers().At(pass.Fset, gs.Pos(), "leaky"); ok {
@@ -78,7 +68,7 @@ func run(pass *analysis.Pass) error {
 
 // stoppable decides whether the spawned goroutine can be stopped (or
 // stops by itself).
-func stoppable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, gs *ast.GoStmt) bool {
+func stoppable(pass *analysis.Pass, graph *flow.CallGraph, gs *ast.GoStmt) bool {
 	// A context or channel handed in at the spawn site is a stop
 	// signal regardless of what we know about the callee.
 	for _, arg := range gs.Call.Args {
@@ -88,11 +78,11 @@ func stoppable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, gs *ast
 	}
 
 	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-		return bodyStoppable(pass, decls, lit.Body, 0)
+		return bodyStoppable(pass, graph, lit.Body, 0)
 	}
 
 	if fn := analysis.FuncOf(pass.TypesInfo, gs.Call); fn != nil {
-		return fnStoppable(pass, decls, fn, 0)
+		return fnStoppable(pass, graph, fn, 0)
 	}
 
 	// A dynamic call (go f() through a func value): judge by the func
@@ -103,12 +93,12 @@ func stoppable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, gs *ast
 	return false
 }
 
-func fnStoppable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, fn *types.Func, depth int) bool {
+func fnStoppable(pass *analysis.Pass, graph *flow.CallGraph, fn *types.Func, depth int) bool {
 	if sig := fn.Signature(); sig != nil && signatureHasSignal(sig) {
 		return true
 	}
-	if fd, ok := decls[fn]; ok {
-		return bodyStoppable(pass, decls, fd.Body, depth)
+	if node := graph.Nodes[flow.FullName(fn)]; node != nil {
+		return bodyStoppable(pass, graph, node.Decl.Body, depth)
 	}
 	// Cross-package callee without a signal in its signature: assumed
 	// to leak (its own package can restructure or waive).
@@ -118,7 +108,7 @@ func fnStoppable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, fn *t
 // bodyStoppable scans a spawned body for a stop signal or guaranteed
 // termination. depth bounds the one-hop expansion of in-package
 // helpers the body delegates to.
-func bodyStoppable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, body *ast.BlockStmt, depth int) bool {
+func bodyStoppable(pass *analysis.Pass, graph *flow.CallGraph, body *ast.BlockStmt, depth int) bool {
 	hasLoop := false
 	hasSignal := false
 	var callees []*types.Func
@@ -139,7 +129,7 @@ func bodyStoppable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, bod
 				hasSignal = true
 			}
 		case *ast.Ident:
-			if t := pass.TypesInfo.TypeOf(n); t != nil && isContextType(t) {
+			if t := pass.TypesInfo.TypeOf(n); t != nil && analysis.IsContextType(t) {
 				hasSignal = true
 			}
 		case *ast.CallExpr:
@@ -164,7 +154,7 @@ func bodyStoppable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, bod
 	// spins. Expand in-package callees one level.
 	if depth < 1 {
 		for _, fn := range callees {
-			if helperHasSignal(pass, decls, fn) {
+			if helperHasSignal(pass, graph, fn) {
 				return true
 			}
 		}
@@ -175,16 +165,16 @@ func bodyStoppable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, bod
 // helperHasSignal reports whether a callee can observe a stop signal:
 // its signature takes one, or its (in-package) body references a
 // context, receives from a channel, or ranges over one.
-func helperHasSignal(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, fn *types.Func) bool {
+func helperHasSignal(pass *analysis.Pass, graph *flow.CallGraph, fn *types.Func) bool {
 	if sig := fn.Signature(); sig != nil && signatureHasSignal(sig) {
 		return true
 	}
-	fd, ok := decls[fn]
-	if !ok {
+	node := graph.Nodes[flow.FullName(fn)]
+	if node == nil {
 		return false
 	}
 	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
@@ -197,7 +187,7 @@ func helperHasSignal(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, f
 				}
 			}
 		case *ast.Ident:
-			if t := pass.TypesInfo.TypeOf(n); t != nil && isContextType(t) {
+			if t := pass.TypesInfo.TypeOf(n); t != nil && analysis.IsContextType(t) {
 				found = true
 			}
 		case *ast.FuncLit:
@@ -220,18 +210,9 @@ func signatureHasSignal(sig *types.Signature) bool {
 }
 
 func isSignalType(t types.Type) bool {
-	if isContextType(t) {
+	if analysis.IsContextType(t) {
 		return true
 	}
 	_, isChan := t.Underlying().(*types.Chan)
 	return isChan
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

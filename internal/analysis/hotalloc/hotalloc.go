@@ -94,7 +94,7 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	graph := flow.BuildCallGraph(nonTestFiles(pass), pass.TypesInfo)
+	graph := flow.BuildCallGraph(pass.NonTestFiles(), pass.TypesInfo)
 
 	// Local summaries: direct allocs (positions kept for reporting)
 	// plus expandable callees.
@@ -111,8 +111,8 @@ func run(pass *analysis.Pass) error {
 			allocs = append(allocs, localAlloc{what, pos})
 		})
 		for _, c := range node.Calls {
-			if denied[pkgPathOf(c.Fn)] {
-				allocs = append(allocs, localAlloc{"call into " + pkgPathOf(c.Fn), c.Site.Pos()})
+			if denied[analysis.PkgPathOf(c.Fn)] {
+				allocs = append(allocs, localAlloc{"call into " + analysis.PkgPathOf(c.Fn), c.Site.Pos()})
 			}
 		}
 		localAllocs[name] = allocs
@@ -150,7 +150,7 @@ func run(pass *analysis.Pass) error {
 					}
 					if ext, ok := known[c.Callee]; ok {
 						for _, a := range externAllocs(c.Callee, ext, known, map[string]bool{}) {
-							report(pass, c.Site.Pos(), root, "call to %s which allocates (%s at %s)", shortName(c.Callee), a.What, a.At)
+							report(pass, c.Site.Pos(), root, "call to %s which allocates (%s at %s)", analysis.ShortName(c.Callee), a.What, a.At)
 						}
 					}
 					// Unknown callee (stdlib outside the denylist,
@@ -221,7 +221,7 @@ func report(pass *analysis.Pass, pos token.Pos, root string, format string, args
 		return
 	}
 	msg := fmt.Sprintf(format, args...)
-	pass.Reportf(pos, "%s on //aarc:hotpath path rooted at %s; hoist the allocation off the fast path or mark //aarc:coldalloc <reason>", msg, shortName(root))
+	pass.Reportf(pos, "%s on //aarc:hotpath path rooted at %s; hoist the allocation off the fast path or mark //aarc:coldalloc <reason>", msg, analysis.ShortName(root))
 }
 
 // collectAllocs walks a body and reports every heap-escaping
@@ -343,28 +343,4 @@ func isByteOrRuneSlice(t types.Type) bool {
 	}
 	e, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && (e.Kind() == types.Uint8 || e.Kind() == types.Int32)
-}
-
-func pkgPathOf(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
-}
-
-func shortName(full string) string {
-	if i := strings.LastIndex(full, "/"); i >= 0 {
-		return full[i+1:]
-	}
-	return full
-}
-
-func nonTestFiles(pass *analysis.Pass) []*ast.File {
-	var out []*ast.File
-	for _, f := range pass.Files {
-		if !analysis.IsTestFile(pass.Fset, f) {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -1,23 +1,46 @@
-// Package lockorder builds the whole-program lock-acquisition graph
-// and reports cycles — the static form of the deadlock-freedom claim
-// DESIGN.md makes for the serving stack's mutexes (service shards,
-// flightGroup, refresh set, event bus, drift monitor).
+// Package lockorder checks the serving stack's two lock invariants with
+// one held-lock dataflow over each function's control-flow graph.
 //
-// Where lockscope sees one function at a time, lockorder is
-// interprocedural: each package exports, as a unitchecker fact, the
-// set of locks every function may transitively acquire and the
-// acquired-while-held edges observed so far; importing packages splice
-// those summaries into their own graphs, so an edge created by calling
-// into another package (service holds refreshMu → store takes
+// Lock hygiene: no searching, store I/O, event publishing, or workflow
+// evaluation while a mutex is held. The two deadlock classes this
+// encodes were found the hard way — a batch run attaching to a
+// singleflight while a queue mutex was held, and an event hook
+// publishing into a bounded bus from under a service lock; both only
+// surfaced under load. The one sanctioned exception is a mutex that
+// *owns* the callee — the runner-pool shards, where the shard mutex is
+// exactly what makes a non-thread-safe Runner usable — and such sites
+// carry an //aarc:locked <reason> marker. Tests can deadlock too, so
+// this check covers _test.go files and _test packages.
+//
+// Lock order: the whole-program lock-acquisition graph has no cycles —
+// the static form of the deadlock-freedom claim DESIGN.md makes for the
+// serving stack's mutexes (service shards, flightGroup, refresh set,
+// event bus, drift monitor). The graph is built from non-test code
+// only. It is interprocedural: each package exports, as a unitchecker
+// fact, the set of locks every function may transitively acquire and
+// the acquired-while-held edges observed so far; importing packages
+// splice those summaries into their own graphs, so an edge created by
+// calling into another package (service holds refreshMu → store takes
 // Memory.mu) materializes without re-analyzing the callee.
 //
-// A lock's identity is its declaration site, not its instance:
-// "pkgpath.(Type).field" for mutex fields, "pkgpath.var" for
-// package-level mutexes. Two shards of one pool share an identity — a
-// self-edge on a sharded lock is reported too, since acquiring two
-// instances of the same class in arbitrary order is the classic
-// sharded-deadlock. Function-local mutexes cannot participate in
-// cross-function cycles and are ignored.
+// The held-lock analysis runs flow.Analysis once per function body and
+// once per function literal. Its state is the set of locks that may be
+// held: Lock/RLock adds, Unlock/RUnlock removes, a join takes the union
+// of the incoming sets, and `defer mu.Unlock()` keeps the lock held to
+// the function's exit. A held lock is keyed by its printed receiver
+// (s.mu): that key is what a release matches and what a hygiene finding
+// names. It also carries its class, the declaration site that orders
+// it — "pkgpath.(Type).field" for mutex fields, "pkgpath.var" for
+// package-level mutexes. Two shards of one pool share a class, so a
+// self-edge on a sharded lock is reported too: acquiring two instances
+// of the same class in arbitrary order is the classic sharded deadlock.
+// Function-local mutexes have no class; they count for hygiene but make
+// no edges, since they cannot form a cross-function cycle. The body of
+// a `go` literal starts with nothing held, and what it acquires or
+// calls stays out of the spawner's may-acquire set: a goroutine's locks
+// are ordered on its own stack. Any other literal starts with the set
+// held where it appears (a literal built under a lock is overwhelmingly
+// run under it: sort.Slice callbacks, inline wrappers).
 //
 // A cycle is reported once, at the smallest-position local edge
 // participating in it. Cycles whose edges all come from imported facts
@@ -29,10 +52,12 @@
 package lockorder
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,7 +67,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:  "lockorder",
-	Doc:   "build the cross-package lock-acquisition graph and flag cycles (potential deadlocks)",
+	Doc:   "flag search/store/publish/evaluate calls made while a mutex is held, and cycles in the cross-package lock-acquisition graph (potential deadlocks)",
 	Run:   run,
 	Facts: true,
 }
@@ -50,7 +75,7 @@ var Analyzer = &analysis.Analyzer{
 // Fact is one package's contribution to the whole-program graph.
 type Fact struct {
 	// Acquires maps a function's full name (flow.FullName) to the
-	// lock identities it may transitively acquire on the calling
+	// lock classes it may transitively acquire on the calling
 	// goroutine.
 	Acquires map[string][]string `json:"acquires,omitempty"`
 	// Edges are the acquired-while-held pairs observed in this package
@@ -67,37 +92,342 @@ type Edge struct {
 	At string `json:"at"`
 }
 
-// acquire is one direct lock acquisition observed during the walk.
-type acquire struct {
-	lock string
-	pos  token.Pos
-	held []string // locks held at this point, excluding lock itself
+// heldLock is one lock that may be held: key is the printed receiver,
+// class the declaration site ("" for a function-local mutex).
+type heldLock struct {
+	key, class string
 }
 
-// callsite is one statically resolved call observed under held locks.
-type callsite struct {
-	callee string
-	pos    token.Pos
-	held   []string
-	// detached marks calls made on a goroutine the function spawns:
-	// they produce ordering edges on that goroutine's stack but do not
-	// join the spawner's synchronous may-acquire set.
+// lockSet is the dataflow state: the locks that may be held, sorted.
+// Sets are never modified once built, so states and records share them.
+type lockSet []heldLock
+
+func (s lockSet) with(l heldLock) lockSet {
+	if slices.Contains(s, l) {
+		return s
+	}
+	out := append(slices.Clone(s), l)
+	slices.SortFunc(out, func(a, b heldLock) int {
+		return cmp.Or(strings.Compare(a.key, b.key), strings.Compare(a.class, b.class))
+	})
+	return out
+}
+
+func (s lockSet) without(key string) lockSet {
+	return slices.DeleteFunc(slices.Clone(s), func(l heldLock) bool { return l.key == key })
+}
+
+// classes returns the distinct classes in s, sorted, skipping
+// function-local locks.
+func (s lockSet) classes() []string {
+	var out []string
+	for _, l := range s {
+		if l.class != "" && !slices.Contains(out, l.class) {
+			out = append(out, l.class)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// names renders the held keys for a hygiene finding: the smallest, and
+// a note when there are more (there is almost always exactly one).
+func (s lockSet) names() string {
+	for _, l := range s[1:] {
+		if l.key != s[0].key {
+			return s[0].key + " (and others)"
+		}
+	}
+	return s[0].key
+}
+
+type lattice struct{}
+
+func (lattice) Bottom() lockSet { return nil }
+
+func (lattice) Join(a, b lockSet) lockSet {
+	for _, l := range b {
+		a = a.with(l)
+	}
+	return a
+}
+
+func (lattice) Equal(a, b lockSet) bool { return slices.Equal(a, b) }
+
+// acquire is one direct lock acquisition of a classed lock.
+type acquire struct {
+	class string
+	pos   token.Pos
+	held  lockSet // locks that may be held just before
+	// detached marks acquisitions on a goroutine the function spawns:
+	// they order locks on that goroutine's stack but do not join the
+	// spawner's synchronous may-acquire set.
 	detached bool
 }
 
-// funcSummary is the per-function result of the body walk.
+// callsite is one statically resolved call.
+type callsite struct {
+	callee   string
+	pos      token.Pos
+	held     lockSet
+	detached bool
+}
+
+// funcSummary is what one declaration, literals included, contributes
+// to the lock-order graph.
 type funcSummary struct {
 	name     string
 	acquires []acquire
 	calls    []callsite
-	direct   map[string]bool // lock IDs acquired synchronously
+}
+
+// body is one function body awaiting the held-lock analysis.
+type body struct {
+	block    *ast.BlockStmt
+	entry    lockSet
+	detached bool
+}
+
+// checker analyzes one declaration: its body, then every function
+// literal found while replaying it, each from the state where the
+// literal appears.
+type checker struct {
+	pass    *analysis.Pass
+	sum     *funcSummary
+	pending []body
 }
 
 func run(pass *analysis.Pass) error {
-	if strings.HasSuffix(pass.Pkg.Name(), "_test") {
-		return nil
+	var sums []*funcSummary
+	for _, f := range pass.Files {
+		test := analysis.IsTestFile(pass.Fset, f)
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			c := &checker{pass: pass, sum: &funcSummary{name: flow.FullName(fn)}, pending: []body{{block: fd.Body}}}
+			for len(c.pending) > 0 {
+				b := c.pending[0]
+				c.pending = c.pending[1:]
+				c.analyze(b)
+			}
+			if !test && fn != nil {
+				sums = append(sums, c.sum)
+			}
+		}
 	}
+	checkOrder(pass, sums)
+	return nil
+}
 
+// analyze runs the held-lock dataflow over one body, then replays each
+// block from its fixpoint in-state to check calls and record
+// acquisitions, the way nilness reports.
+func (c *checker) analyze(b body) {
+	g := flow.New(b.block)
+	res := flow.Analysis[lockSet]{
+		Lattice: lattice{},
+		Entry:   b.entry,
+		Transfer: func(blk *flow.Block, held lockSet) lockSet {
+			for _, s := range blk.Stmts {
+				_, l, dir := c.lockOp(s)
+				held = update(held, l, dir)
+			}
+			return held
+		},
+	}.Forward(g)
+	for _, blk := range g.Blocks {
+		held := res.In[blk.Index]
+		for _, s := range blk.Stmts {
+			call, l, dir := c.lockOp(s)
+			if dir == 0 {
+				c.scan(s, held, b.detached)
+				continue
+			}
+			if dir > 0 && l.class != "" {
+				c.sum.acquires = append(c.sum.acquires, acquire{l.class, call.Pos(), held, b.detached})
+			}
+			held = update(held, l, dir)
+		}
+		if blk.Cond != nil {
+			c.scan(blk.Cond, held, b.detached)
+		}
+	}
+}
+
+// update applies one lock operation to the held set.
+func update(held lockSet, l heldLock, dir int) lockSet {
+	switch {
+	case dir > 0:
+		return held.with(l)
+	case dir < 0:
+		return held.without(l.key)
+	}
+	return held
+}
+
+// lockOp classifies a statement that locks (dir +1) or unlocks (-1) a
+// sync mutex. A deferred unlock runs at exit, so it changes nothing
+// here; the lock stays held for the rest of the body.
+func (c *checker) lockOp(s ast.Stmt) (*ast.CallExpr, heldLock, int) {
+	var call *ast.CallExpr
+	switch s := s.(type) {
+	case *ast.ExprStmt:
+		call, _ = s.X.(*ast.CallExpr)
+	case *ast.DeferStmt:
+		call = s.Call
+	}
+	if call == nil {
+		return nil, heldLock{}, 0
+	}
+	l, dir := c.lockCall(call)
+	if _, deferred := s.(*ast.DeferStmt); deferred && dir < 0 {
+		dir = 0
+	}
+	return call, l, dir
+}
+
+// scan checks and records the calls n makes with held locks, and
+// queues the function literals it builds. A range statement sits whole
+// in its loop head, so only its range expression is scanned there.
+func (c *checker) scan(n ast.Node, held lockSet, detached bool) {
+	switch s := n.(type) {
+	case *ast.RangeStmt:
+		n = s.X
+	case *ast.GoStmt:
+		for _, arg := range s.Call.Args {
+			c.scan(arg, held, detached)
+		}
+		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+			c.pending = append(c.pending, body{block: lit.Body, detached: true})
+		}
+		return
+	}
+	ast.Inspect(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.FuncLit:
+			c.pending = append(c.pending, body{x.Body, held, detached})
+			return false
+		case *ast.CallExpr:
+			if _, dir := c.lockCall(x); dir != 0 {
+				return true // lock calls nested in expressions are not tracked
+			}
+			fn := analysis.FuncOf(c.pass.TypesInfo, x)
+			if fn == nil || fn.Pkg() == nil {
+				return true
+			}
+			if len(held) > 0 {
+				c.checkHygiene(x, fn, held)
+			}
+			c.sum.calls = append(c.sum.calls, callsite{flow.FullName(fn), x.Pos(), held, detached})
+		}
+		return true
+	})
+}
+
+// checkHygiene reports call if it is one of the operations forbidden
+// under a mutex and no //aarc:locked waiver covers it.
+func (c *checker) checkHygiene(call *ast.CallExpr, fn *types.Func, held lockSet) {
+	if fn.Signature().Recv() == nil {
+		return
+	}
+	var what string
+	switch pkg := fn.Pkg().Name(); fn.Name() {
+	case "Search":
+		what = "a search"
+	case "Publish":
+		if pkg != "event" {
+			return
+		}
+		what = "an event publish"
+	case "Get", "Put", "Delete", "Keys", "Warm":
+		if pkg != "store" {
+			return
+		}
+		what = "store I/O"
+	case "Evaluate", "MeanEvaluate":
+		if pkg != "workflow" {
+			return
+		}
+		what = "a workflow evaluation"
+	default:
+		return
+	}
+	pass := c.pass
+	if m, ok := pass.Markers().At(pass.Fset, call.Pos(), "locked"); ok {
+		if m.Arg == "" {
+			pass.Reportf(call.Pos(), "//aarc:locked marker needs a reason")
+		}
+		return
+	}
+	pass.Reportf(call.Pos(), "%s while holding mutex %s can deadlock or serialize the serving path; move it outside the critical section or mark //aarc:locked <reason>", what, held.names())
+}
+
+// lockCall classifies Lock/RLock (+1) and Unlock/RUnlock (-1) calls on
+// sync mutexes; dir 0 for everything else.
+func (c *checker) lockCall(call *ast.CallExpr) (heldLock, int) {
+	fn := analysis.FuncOf(c.pass.TypesInfo, call)
+	if fn == nil || fn.Signature().Recv() == nil || analysis.PkgPathOf(fn) != "sync" {
+		return heldLock{}, 0
+	}
+	dir := 0
+	switch fn.Name() {
+	case "Lock", "RLock":
+		dir = +1
+	case "Unlock", "RUnlock":
+		dir = -1
+	default:
+		return heldLock{}, 0
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return heldLock{}, 0
+	}
+	return heldLock{key: types.ExprString(sel.X), class: c.lockClass(sel.X)}, dir
+}
+
+// lockClass names the mutex expression by declaration site, or ""
+// when it is function-local or unresolvable.
+func (c *checker) lockClass(e ast.Expr) string {
+	info := c.pass.TypesInfo
+	switch e := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		// A field: name it by the owning named type.
+		if selInfo, ok := info.Selections[e]; ok {
+			t := selInfo.Recv()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+				return fmt.Sprintf("%s.(%s).%s", named.Obj().Pkg().Path(), named.Obj().Name(), e.Sel.Name)
+			}
+		}
+		// Qualified package-level var (pkg.mu).
+		if id, ok := e.X.(*ast.Ident); ok {
+			if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
+				if v, ok := info.Uses[e.Sel].(*types.Var); ok && v.Pkg() != nil {
+					return v.Pkg().Path() + "." + v.Name()
+				}
+			}
+		}
+	case *ast.Ident:
+		if v, ok := info.Uses[e].(*types.Var); ok && v.Pkg() != nil {
+			if v.Parent() == v.Pkg().Scope() {
+				return v.Pkg().Path() + "." + v.Name()
+			}
+		}
+	case *ast.IndexExpr:
+		return c.lockClass(e.X)
+	}
+	return ""
+}
+
+// checkOrder closes the package's summaries over the call graph and the
+// imported facts, reports lock-order cycles, and exports this package's
+// fact.
+func checkOrder(pass *analysis.Pass, sums []*funcSummary) {
 	factAcquires := map[string][]string{}
 	var depEdges []Edge
 	for path := range pass.Facts {
@@ -111,58 +441,41 @@ func run(pass *analysis.Pass) error {
 		depEdges = append(depEdges, f.Edges...)
 	}
 
-	// Phase 1: walk every declaration, collecting direct acquires,
-	// held-at-call snapshots, and local edges.
-	summaries := map[string]*funcSummary{}
-	var order []string
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f) {
-			continue
+	// Transitive may-acquire fixpoint over the local calls, seeded with
+	// direct acquires and imported summaries. Declarations sharing a
+	// name (a package's init functions) share one entry.
+	may := map[string]map[string]bool{}
+	for _, s := range sums {
+		if may[s.name] == nil {
+			may[s.name] = map[string]bool{}
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		for _, a := range s.acquires {
+			if !a.detached {
+				may[s.name][a.class] = true
 			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			w := &walker{pass: pass, sum: &funcSummary{name: flow.FullName(fn), direct: map[string]bool{}}}
-			w.stmts(fd.Body.List, nil)
-			summaries[w.sum.name] = w.sum
-			order = append(order, w.sum.name)
 		}
 	}
-	sort.Strings(order)
-
-	// Phase 2: transitive may-acquire fixpoint over the local call
-	// graph, seeded with direct acquires and imported summaries.
-	may := map[string]map[string]bool{}
-	for _, name := range order {
-		m := map[string]bool{}
-		for l := range summaries[name].direct {
-			m[l] = true
+	calleeLocks := func(name string) []string {
+		local, ok := may[name]
+		if !ok {
+			return factAcquires[name]
 		}
-		may[name] = m
+		locks := make([]string, 0, len(local))
+		for l := range local {
+			locks = append(locks, l)
+		}
+		sort.Strings(locks)
+		return locks
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, name := range order {
-			m := may[name]
-			for _, c := range summaries[name].calls {
+		for _, s := range sums {
+			m := may[s.name]
+			for _, c := range s.calls {
 				if c.detached {
 					continue
 				}
-				var callee []string
-				if local, ok := may[c.callee]; ok {
-					for l := range local {
-						callee = append(callee, l)
-					}
-				} else {
-					callee = factAcquires[c.callee]
-				}
-				for _, l := range callee {
+				for _, l := range calleeLocks(c.callee) {
 					if !m[l] {
 						m[l] = true
 						changed = true
@@ -172,9 +485,9 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// Phase 3: materialize edges. Direct edges were captured with the
-	// held set at the acquire; call edges pair every held lock with
-	// everything the callee may acquire.
+	// Materialize edges: an acquire pairs every held class with the
+	// acquired one; a call pairs every held class with everything the
+	// callee may acquire.
 	type localEdge struct {
 		Edge
 		pos token.Pos
@@ -189,27 +502,19 @@ func run(pass *analysis.Pass) error {
 		}
 		local = append(local, localEdge{Edge{From: from, To: to, At: pass.Fset.Position(pos).String()}, pos})
 	}
-	for _, name := range order {
-		s := summaries[name]
+	for _, s := range sums {
 		for _, a := range s.acquires {
-			for _, h := range a.held {
-				addEdge(h, a.lock, a.pos)
+			for _, h := range a.held.classes() {
+				addEdge(h, a.class, a.pos)
 			}
 		}
 		for _, c := range s.calls {
-			if len(c.held) == 0 {
+			held := c.held.classes()
+			if len(held) == 0 {
 				continue
 			}
-			var acq []string
-			if m, ok := may[c.callee]; ok {
-				for l := range m {
-					acq = append(acq, l)
-				}
-				sort.Strings(acq)
-			} else {
-				acq = factAcquires[c.callee]
-			}
-			for _, h := range c.held {
+			acq := calleeLocks(c.callee)
+			for _, h := range held {
 				for _, l := range acq {
 					addEdge(h, l, c.pos)
 				}
@@ -217,7 +522,7 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// Phase 4: cycle detection over dep + local edges.
+	// Cycle detection over dep + local edges.
 	adj := map[string]map[string]bool{}
 	nodeSet := map[string]bool{}
 	add := func(e Edge) {
@@ -264,7 +569,7 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 		if best != token.NoPos {
-			pass.Reportf(best, "lock order cycle %s: this site acquires %s while holding %s; establish one canonical order (see DESIGN.md §14) or mark //aarc:lockorder <reason>", desc, shortLock(bestEdge.To), shortLock(bestEdge.From))
+			pass.Reportf(best, "lock order cycle %s: this site acquires %s while holding %s; establish one canonical order (see DESIGN.md §14) or mark //aarc:lockorder <reason>", desc, analysis.ShortName(bestEdge.To), analysis.ShortName(bestEdge.From))
 			continue
 		}
 		// No local edge: only main packages re-report imported cycles,
@@ -291,21 +596,12 @@ func run(pass *analysis.Pass) error {
 	// Export this package's view: transitive acquires plus every edge
 	// seen so far, so importers get the closure from direct deps alone.
 	out := Fact{Acquires: map[string][]string{}}
-	for _, name := range order {
-		m := may[name]
-		if len(m) == 0 {
-			continue
-		}
-		locks := make([]string, 0, len(m))
-		for l := range m {
-			locks = append(locks, l)
-		}
-		sort.Strings(locks)
-		out.Acquires[name] = locks
-	}
 	for fn, locks := range factAcquires {
-		if _, ok := out.Acquires[fn]; !ok {
-			out.Acquires[fn] = locks
+		out.Acquires[fn] = locks
+	}
+	for name, m := range may {
+		if len(m) > 0 {
+			out.Acquires[name] = calleeLocks(name)
 		}
 	}
 	seenEdge := map[Edge]bool{}
@@ -334,253 +630,10 @@ func run(pass *analysis.Pass) error {
 	if pass.ExportFact != nil {
 		pass.ExportFact(out)
 	}
-	return nil
-}
-
-// walker threads the held-lock list through a function body,
-// lockscope-style: branch bodies get copies, go-statement bodies start
-// empty and their acquires/calls are detached (they do not feed the
-// spawning function's synchronous summary — a goroutine's locks are
-// ordered on its own stack).
-type walker struct {
-	pass *analysis.Pass
-	sum  *funcSummary
-}
-
-func (w *walker) stmts(list []ast.Stmt, held []string) []string {
-	for _, s := range list {
-		held = w.stmt(s, held)
-	}
-	return held
-}
-
-func copyHeld(held []string) []string {
-	return append([]string(nil), held...)
-}
-
-func without(held []string, lock string) []string {
-	out := held[:0:0]
-	for _, h := range held {
-		if h != lock {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-func (w *walker) stmt(s ast.Stmt, held []string) []string {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if lock, dir := w.lockCall(call); dir != 0 {
-				if dir > 0 {
-					w.record(lock, call.Pos(), held)
-					return append(held, lock)
-				}
-				return without(held, lock)
-			}
-		}
-		w.scan(s.X, held)
-	case *ast.DeferStmt:
-		if lock, dir := w.lockCall(s.Call); dir != 0 {
-			if dir > 0 {
-				w.record(lock, s.Call.Pos(), held)
-				return append(held, lock)
-			}
-			return held // defer unlock: held until return
-		}
-		w.scan(s.Call, held)
-	case *ast.GoStmt:
-		for _, arg := range s.Call.Args {
-			w.scan(arg, held)
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			// Fresh goroutine, fresh stack: its internal ordering still
-			// counts (it can deadlock against others), so walk it with
-			// an empty held set into the same summary — but its calls
-			// must not look synchronous, so the body is walked through
-			// a detached summary and only its direct edges survive.
-			w.goBody(lit.Body)
-		}
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held = w.stmt(s.Init, held)
-		}
-		w.scan(s.Cond, held)
-		w.stmts(s.Body.List, copyHeld(held))
-		if s.Else != nil {
-			w.stmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held = w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scan(s.Cond, held)
-		}
-		w.stmts(s.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		w.scan(s.X, held)
-		w.stmts(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held = w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scan(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			w.scan(rhs, held)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.scan(r, held)
-		}
-	default:
-		w.scanNode(s, held)
-	}
-	return held
-}
-
-// goBody walks a go-statement literal with a detached summary: direct
-// acquires inside it produce edges on its own stack and feed nothing
-// into the enclosing function's synchronous may-acquire set.
-func (w *walker) goBody(body *ast.BlockStmt) {
-	det := &walker{pass: w.pass, sum: &funcSummary{name: w.sum.name + "·go", direct: map[string]bool{}}}
-	det.stmts(body.List, nil)
-	// Direct edges observed inside the goroutine are real edges on its
-	// own stack; its calls carry over detached so they stay out of the
-	// spawner's synchronous may-acquire set, like det.sum.direct.
-	w.sum.acquires = append(w.sum.acquires, det.sum.acquires...)
-	for _, c := range det.sum.calls {
-		c.detached = true
-		w.sum.calls = append(w.sum.calls, c)
-	}
-}
-
-func (w *walker) record(lock string, pos token.Pos, held []string) {
-	w.sum.direct[lock] = true
-	w.sum.acquires = append(w.sum.acquires, acquire{lock: lock, pos: pos, held: copyHeld(held)})
-}
-
-// scan records statically resolved calls in an expression evaluated
-// with locks held, and walks function literals with the same held set
-// (a literal built under a lock is overwhelmingly run under it).
-func (w *walker) scan(e ast.Expr, held []string) {
-	w.scanNode(e, held)
-}
-
-func (w *walker) scanNode(n ast.Node, held []string) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			w.stmts(x.Body.List, copyHeld(held))
-			return false
-		case *ast.CallExpr:
-			if _, dir := w.lockCall(x); dir != 0 {
-				return true // handled structurally where it matters
-			}
-			if fn := analysis.FuncOf(w.pass.TypesInfo, x); fn != nil && fn.Pkg() != nil {
-				w.sum.calls = append(w.sum.calls, callsite{
-					callee: flow.FullName(fn),
-					pos:    x.Pos(),
-					held:   copyHeld(held),
-				})
-			}
-		}
-		return true
-	})
-}
-
-// lockCall classifies Lock/RLock (+1) and Unlock/RUnlock (-1) calls on
-// sync mutexes and resolves the receiver to a declaration-site lock
-// identity; dir 0 for everything else, lock "" when the receiver is a
-// function-local mutex (which cannot cycle across functions).
-func (w *walker) lockCall(call *ast.CallExpr) (lock string, dir int) {
-	fn := analysis.FuncOf(w.pass.TypesInfo, call)
-	if fn == nil || fn.Signature().Recv() == nil {
-		return "", 0
-	}
-	if pkg := fn.Pkg(); pkg == nil || pkg.Path() != "sync" {
-		return "", 0
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		dir = +1
-	case "Unlock", "RUnlock":
-		dir = -1
-	default:
-		return "", 0
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", 0
-	}
-	return w.lockIdent(sel.X), dir
-}
-
-// lockIdent names the mutex expression by declaration site.
-func (w *walker) lockIdent(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		// A field: name it by the owning named type.
-		if selInfo, ok := w.pass.TypesInfo.Selections[e]; ok {
-			t := selInfo.Recv()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-				return fmt.Sprintf("%s.(%s).%s", named.Obj().Pkg().Path(), named.Obj().Name(), e.Sel.Name)
-			}
-		}
-		// Qualified package-level var (pkg.mu).
-		if id, ok := e.X.(*ast.Ident); ok {
-			if _, isPkg := w.pass.TypesInfo.Uses[id].(*types.PkgName); isPkg {
-				if v, ok := w.pass.TypesInfo.Uses[e.Sel].(*types.Var); ok && v.Pkg() != nil {
-					return v.Pkg().Path() + "." + v.Name()
-				}
-			}
-		}
-	case *ast.Ident:
-		if v, ok := w.pass.TypesInfo.Uses[e].(*types.Var); ok && v.Pkg() != nil {
-			if v.Parent() == v.Pkg().Scope() {
-				return v.Pkg().Path() + "." + v.Name()
-			}
-		}
-	case *ast.IndexExpr:
-		return w.lockIdent(e.X)
-	}
-	return "" // local or unresolvable: cannot participate in a cycle
 }
 
 // stronglyConnected returns Tarjan's SCCs over the adjacency map, in
-// deterministic (smallest-member) order, ignoring "" nodes (dropped
-// local locks).
+// deterministic (smallest-member) order.
 func stronglyConnected(nodes []string, adj map[string]map[string]bool) [][]string {
 	index := map[string]int{}
 	low := map[string]int{}
@@ -599,9 +652,7 @@ func stronglyConnected(nodes []string, adj map[string]map[string]bool) [][]strin
 
 		var succs []string
 		for s := range adj[v] {
-			if s != "" {
-				succs = append(succs, s)
-			}
+			succs = append(succs, s)
 		}
 		sort.Strings(succs)
 		for _, s := range succs {
@@ -632,9 +683,6 @@ func stronglyConnected(nodes []string, adj map[string]map[string]bool) [][]strin
 		}
 	}
 	for _, v := range nodes {
-		if v == "" {
-			continue
-		}
 		if _, seen := index[v]; !seen {
 			strongconnect(v)
 		}
@@ -647,7 +695,7 @@ func stronglyConnected(nodes []string, adj map[string]map[string]bool) [][]strin
 // smallest lock, following edges within the SCC.
 func cycleString(scc []string, adj map[string]map[string]bool) string {
 	if len(scc) == 1 {
-		s := shortLock(scc[0])
+		s := analysis.ShortName(scc[0])
 		return s + " → " + s
 	}
 	in := map[string]bool{}
@@ -684,17 +732,8 @@ func cycleString(scc []string, adj map[string]map[string]bool) string {
 	}
 	parts := make([]string, 0, len(path)+1)
 	for _, p := range path {
-		parts = append(parts, shortLock(p))
+		parts = append(parts, analysis.ShortName(p))
 	}
-	parts = append(parts, shortLock(start))
+	parts = append(parts, analysis.ShortName(start))
 	return strings.Join(parts, " → ")
-}
-
-// shortLock trims the module-internal path prefix for readability:
-// "aarc/internal/service.(Service).mu" → "service.(Service).mu".
-func shortLock(id string) string {
-	if i := strings.LastIndex(id, "/"); i >= 0 {
-		return id[i+1:]
-	}
-	return id
 }

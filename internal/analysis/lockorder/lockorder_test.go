@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "../testdata", lockorder.Analyzer, "lockorder/dep", "lockorder/svc")
+	analysistest.Run(t, "../testdata", lockorder.Analyzer, "lockorder/dep", "lockorder/svc", "lockscope/svc", "lockscope/ext")
 }

@@ -12,7 +12,7 @@ import (
 //
 //	//aarc:detached <reason>  — blessed context detachment site (ctxflow)
 //	//aarc:sorted <reason>    — map/Keys iteration proven order-safe (detcanon)
-//	//aarc:locked <reason>    — call under a mutex that owns the callee (lockscope)
+//	//aarc:locked <reason>    — call under a mutex that owns the callee (lockorder)
 //	//aarc:errpath <reason>   — deliberate store write on an error path (tierorder)
 //	//aarc:canonical          — extra root for the determinism call graph (detcanon)
 //	//aarc:lockorder <reason> — blessed lock-acquisition edge (lockorder)

@@ -93,10 +93,7 @@ func run(pass *analysis.Pass) error {
 	if strings.HasSuffix(pass.Pkg.Name(), "_test") {
 		return nil
 	}
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f) {
-			continue
-		}
+	for _, f := range pass.NonTestFiles() {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -102,3 +102,33 @@ func sortedListFingerprint(r *registry) string {
 func unreachableClock() int64 {
 	return time.Now().Unix()
 }
+
+// applied runs stamp only through a function value: stamp never
+// appears as a callee, but it is still on the canonical path.
+//
+//aarc:canonical stamps through a helper
+func applied(body string) string {
+	return apply(stamp, body)
+}
+
+func apply(f func(string) string, s string) string { return f(s) }
+
+func stamp(s string) string {
+	return s + strconv.FormatInt(time.Now().Unix(), 10) // want `time\.Now in canonicalization path stamp`
+}
+
+// searchedNotSorted only searches and checks sortedness after the map
+// range; none of those calls orders anything, so the iteration order
+// still escapes.
+//
+//aarc:canonical searching is not sorting
+func searchedNotSorted(m map[string]int, known []string) string {
+	var out []string
+	for k := range m { // want `map iteration order can reach canonical output from searchedNotSorted`
+		out = append(out, k)
+	}
+	if sort.StringsAreSorted(out) || sort.SliceIsSorted(out, func(i, j int) bool { return out[i] < out[j] }) {
+		return "sorted"
+	}
+	return out[sort.SearchStrings(known, out[0])%len(out)]
+}

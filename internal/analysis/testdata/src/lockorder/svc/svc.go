@@ -141,3 +141,74 @@ func (t *T) goDetached() {
 		t.y.Unlock()
 	}()
 }
+
+type C struct {
+	u sync.Mutex
+	v sync.Mutex
+}
+
+// condV takes v on the slow path only and keeps it past the join, so
+// the u taken after the join may be taken under v: that v→u edge
+// closes the cycle with uThenV's u→v.
+func (c *C) condV(slow bool) {
+	if slow {
+		c.v.Lock()
+		defer c.v.Unlock()
+	}
+	c.u.Lock() // want `lock order cycle`
+	c.u.Unlock()
+}
+
+func (c *C) uThenV() {
+	c.u.Lock()
+	defer c.u.Unlock()
+	c.v.Lock()
+	c.v.Unlock()
+}
+
+type G struct {
+	a sync.Mutex
+	b sync.Mutex
+}
+
+func (g *G) lockB() {
+	g.b.Lock()
+	g.b.Unlock()
+}
+
+// spawnB takes b only on a goroutine it starts, never on its caller's
+// stack.
+func (g *G) spawnB() {
+	go func() {
+		g.lockB()
+	}()
+}
+
+// holdAThenSpawn holds a across spawnB, which makes no a→b edge, so
+// holdBThenA's b→a closes no cycle.
+func (g *G) holdAThenSpawn() {
+	g.a.Lock()
+	defer g.a.Unlock()
+	g.spawnB()
+}
+
+func (g *G) holdBThenA() {
+	g.b.Lock()
+	defer g.b.Unlock()
+	g.a.Lock()
+	g.a.Unlock()
+}
+
+// localPair takes two function-local mutexes in both orders: they have
+// no declaration-site class, make no edges and form no cycle.
+func localPair() {
+	var p, q sync.Mutex
+	p.Lock()
+	q.Lock()
+	q.Unlock()
+	p.Unlock()
+	q.Lock()
+	p.Lock()
+	p.Unlock()
+	q.Unlock()
+}

@@ -82,3 +82,91 @@ func (s *S) branchStaysHeld(cold bool) {
 func (s *S) noLockAtAll(q string) string {
 	return s.eng.Search(q) // ok: nothing held
 }
+
+// branchAcquire takes the lock on one path only and keeps it past the
+// join: the held set there is the union of both paths, so the search
+// after the if may run under s.mu.
+func (s *S) branchAcquire(q string, cold bool) string {
+	if cold {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	return s.eng.Search(q) // want `a search while holding mutex s\.mu`
+}
+
+// breakHoldingLock leaves the loop with the lock still held on the
+// break path, so the store write after the loop may run under it.
+func (s *S) breakHoldingLock(keys []string) {
+	for _, k := range keys {
+		s.mu.Lock()
+		if k == "" {
+			break
+		}
+		s.mu.Unlock()
+	}
+	_ = s.st.Put("k", nil) // want `store I/O while holding mutex s\.mu`
+}
+
+// otherKeyReleased unlocks another receiver: a release matches the
+// printed receiver, so s.mu stays held.
+func (s *S) otherKeyReleased(o *S, q string) string {
+	s.mu.Lock()
+	o.mu.Unlock()
+	return s.eng.Search(q) // want `a search while holding mutex s\.mu`
+}
+
+// localMutex: a function-local mutex counts for lock hygiene.
+func (s *S) localMutex(q string) string {
+	var mu sync.Mutex
+	mu.Lock()
+	defer mu.Unlock()
+	return s.eng.Search(q) // want `a search while holding mutex mu`
+}
+
+// literalUnderLock builds a literal under the lock; the literal starts
+// with the set held where it appears.
+func (s *S) literalUnderLock(q string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	search := func() string { return s.eng.Search(q) } // want `a search while holding mutex s\.mu`
+	return search()
+}
+
+// gotoHeld jumps past the unlock with the lock held.
+func (s *S) gotoHeld(q string, retry bool) string {
+	s.mu.Lock()
+	if retry {
+		goto search
+	}
+	s.mu.Unlock()
+	return ""
+search:
+	return s.eng.Search(q) // want `a search while holding mutex s\.mu`
+}
+
+// labeledBreakHeld leaves both loops from the inner one with the lock
+// held.
+func (s *S) labeledBreakHeld(rows [][]string) {
+outer:
+	for _, row := range rows {
+		for _, k := range row {
+			s.mu.Lock()
+			if k == "" {
+				break outer
+			}
+			s.mu.Unlock()
+		}
+	}
+	_ = s.st.Delete("k") // want `store I/O while holding mutex s\.mu`
+}
+
+// selectAcquire takes the lock in one select case and keeps it past
+// the select.
+func (s *S) selectAcquire(ch chan int) {
+	select {
+	case <-ch:
+		s.mu.Lock()
+	default:
+	}
+	s.bus.Publish("put", "fp") // want `an event publish while holding mutex s\.mu`
+}

@@ -10,9 +10,11 @@ import (
 
 // TestVettoolProtocol is the end-to-end check of the whole stack: build
 // the real aarcvet binary, point `go vet -vettool` at a throwaway
-// module seeded with a detcanon violation, and require the diagnostic
-// to surface through cmd/go with a non-zero exit. This is the same
-// path scripts/lint.sh and CI use.
+// module seeded with a detcanon violation and, in a _test.go file, a
+// lock-hygiene one, and require both diagnostics to surface through
+// cmd/go with a non-zero exit. The second pins that lockorder, which
+// exchanges facts, still reports on the test variant cmd/go vets. This
+// is the same path scripts/lint.sh and CI use.
 func TestVettoolProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and shells out to cmd/go")
@@ -53,6 +55,26 @@ func Fingerprint(body []byte) string {
 	return fmt.Sprintf("%d-%x", time.Now().UnixNano(), body)
 }
 `)
+	// A method named Search called while a sync.Mutex is held.
+	writeFile(t, filepath.Join(mod, "probe_test.go"), `package vetprobe
+
+import "sync"
+
+type engine struct{}
+
+func (engine) Search(q string) string { return q }
+
+type probe struct {
+	mu  sync.Mutex
+	eng engine
+}
+
+func (p *probe) lookup(q string) string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.eng.Search(q)
+}
+`)
 
 	vet := exec.Command(goTool, "vet", "-vettool="+vettool, "./...")
 	vet.Dir = mod
@@ -60,18 +82,42 @@ func Fingerprint(body []byte) string {
 	if err == nil {
 		t.Fatalf("go vet exited 0 on a seeded time.Now violation; output:\n%s", out)
 	}
-	if !strings.Contains(string(out), "time.Now in canonicalization path Fingerprint") {
-		t.Fatalf("diagnostic did not surface through the vet protocol; output:\n%s", out)
+	for _, want := range []string{
+		"time.Now in canonicalization path Fingerprint",
+		"a search while holding mutex p.mu",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("diagnostic %q did not surface through the vet protocol; output:\n%s", want, out)
+		}
 	}
 
-	// Fix the violation and the same invocation must go green: the
-	// non-zero exit above was the finding, not protocol breakage.
+	// Fix the violations and the same invocation must go green: the
+	// non-zero exit above was the findings, not protocol breakage.
 	writeFile(t, filepath.Join(mod, "fingerprint.go"), `package vetprobe
 
 import "fmt"
 
 func Fingerprint(body []byte) string {
 	return fmt.Sprintf("%x", body)
+}
+`)
+	writeFile(t, filepath.Join(mod, "probe_test.go"), `package vetprobe
+
+import "sync"
+
+type engine struct{}
+
+func (engine) Search(q string) string { return q }
+
+type probe struct {
+	mu  sync.Mutex
+	eng engine
+}
+
+func (p *probe) lookup(q string) string {
+	p.mu.Lock()
+	p.mu.Unlock()
+	return p.eng.Search(q)
 }
 `)
 	vet = exec.Command(goTool, "vet", "-vettool="+vettool, "./...")

@@ -135,9 +135,6 @@ type Config struct {
 	// 16). A subscriber that falls further behind loses events —
 	// counted in Stats.EventsDropped — rather than blocking publishers.
 	WatchBuffer int
-	// EventRing bounds the bus's recent-events ring backing Last-Event-ID
-	// resume (default 256).
-	EventRing int
 
 	// ChaosDiskDown, when positive (and CacheDir is set), wraps the disk
 	// tier in a deterministic fault injector that fails every disk op
@@ -295,6 +292,10 @@ type Service struct {
 	watchSubs      atomic.Int64
 }
 
+// eventRing bounds the event bus's recent-events ring backing
+// Last-Event-ID resume on GET /v1/watch/{fp}.
+const eventRing = 256
+
 // New builds a Service. Zero Config fields take the documented defaults;
 // the error is the backing store's (a memory-only service cannot fail).
 func New(cfg Config) (*Service, error) {
@@ -324,9 +325,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.WatchBuffer <= 0 {
 		cfg.WatchBuffer = 16
-	}
-	if cfg.EventRing <= 0 {
-		cfg.EventRing = 256
 	}
 	st := cfg.Store
 	breaker, retrier := cfg.Breaker, cfg.Retrier
@@ -366,7 +364,7 @@ func New(cfg Config) (*Service, error) {
 		batch:      experiments.NewPool(cfg.BatchWorkers),
 		pools:      newLRUCache(cfg.CacheSize),
 		engines:    newLRUCache(cfg.CacheSize),
-		bus:        event.NewBus(cfg.EventRing),
+		bus:        event.NewBus(eventRing),
 		refreshing: make(map[string]struct{}),
 	}
 	// Outermost store layer: change notifications. Warm-loaded entries
