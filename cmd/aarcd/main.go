@@ -1,7 +1,7 @@
 // Command aarcd is the long-lived configuration service: an HTTP daemon
 // over the serving layer (internal/service) that answers configuration
 // searches from a fingerprint-keyed recommendation cache and dispatches
-// input-aware requests to pre-searched per-class configurations (§IV-D).
+// input-aware requests to the configure at their input class's scale (§IV-D).
 //
 // Usage:
 //
@@ -89,7 +89,7 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "default simulator+searcher seed")
 		hostCores  = flag.Float64("cores", 96, "host CPU capacity shared by concurrent containers")
 		noNoise    = flag.Bool("no-noise", false, "disable the simulator's measurement noise")
-		cacheSize  = flag.Int("cache-size", 128, "max in-memory recommendations/engines (LRU)")
+		cacheSize  = flag.Int("cache-size", 128, "max in-memory recommendations (LRU)")
 		cacheDir   = flag.String("cache-dir", "", "durable recommendation store directory (empty = memory only)")
 		shards     = flag.Int("shards", 0, "runners per entry's evaluation pool (0 = GOMAXPROCS)")
 		maxSamples = flag.Int("max-samples", 0, "server-side per-search sample cap (0 = unlimited)")

@@ -41,10 +41,11 @@
 // (SpecFingerprint plus search options and the method's implementation
 // version, so stale entries self-invalidate on a version bump),
 // concurrent requests for the same workload share one search, and
-// Validate/Evaluate run on a sharded runner pool. The storage layer is
-// swappable: the default is a bounded in-memory LRU (NewMemoryStore),
-// WithCacheDir tiers it over durable disk storage (warm restarts with
-// byte-identical hits), and WithStore accepts any Store implementation.
+// Validate/Evaluate run on a sharded runner pool; a Dispatch is the
+// Configure at its input class's scale. The storage layer is swappable:
+// the default is a bounded in-memory LRU (NewMemoryStore), WithCacheDir
+// tiers it over durable disk storage (warm restarts with byte-identical
+// hits), and WithStore accepts any Store implementation.
 // Bursts of distinct workloads batch: Service.ConfigureBatch answers a
 // list of requests as one admission (store hits immediately, in-batch
 // repeats deduplicated, remaining misses searched by one pooled run with

@@ -3,6 +3,7 @@ package aarc_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -308,5 +309,39 @@ func TestNewServiceCachesAcrossCalls(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Searches != 1 || st.Hits != 1 {
 		t.Errorf("stats = %+v, want 1 search / 1 hit", st)
+	}
+}
+
+// TestServiceDispatchMatchesConfigureClasses pins the service's dispatch
+// to the §IV-D engine: for every default video class, Service.Dispatch
+// serves the configuration ConfigureClasses searches under the same
+// options.
+func TestServiceDispatchMatchesConfigureClasses(t *testing.T) {
+	spec, err := aarc.Workload("video-analysis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, classes := context.Background(), aarc.DefaultVideoClasses()
+	for _, method := range []string{"aarc", "bo", "maff", "random"} {
+		opts := []aarc.Option{aarc.WithMethod(method), aarc.WithBudget(aarc.Budget{MaxSamples: 40})}
+		engine, err := aarc.ConfigureClasses(ctx, spec, classes, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := aarc.NewService(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cls := range classes {
+			res, _, err := svc.Dispatch(ctx, spec, nil, cls.Scale, aarc.ServiceRequest{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := (&aarc.ServiceRecommendation{Assignment: res.Assignment}).ResourceAssignment()
+			if want, _ := engine.Config(cls.Name); res.Class != cls.Name || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: dispatch at %v = class %s %v, want class %s %v", method, cls.Scale, res.Class, got, cls.Name, want)
+			}
+		}
+		svc.Close()
 	}
 }

@@ -24,7 +24,7 @@
 // Dynamic calls (interface methods, func values) cannot be expanded
 // statically and are skipped; the contract is that every concrete
 // implementation backing a hot path carries its own //aarc:hotpath
-// (store.Memory.Get, store.Tiered.Get, store.Notify.Get do), and the
+// (store.Memory.Get and store.Tiered.Get do), and the
 // AllocsPerRun twin tests in internal/service and internal/store pin
 // the same paths at run time. The waiver for a deliberate allocation
 // is //aarc:coldalloc <reason> on the offending line.

@@ -14,13 +14,13 @@
 //
 // Lock order: the whole-program lock-acquisition graph has no cycles —
 // the static form of the deadlock-freedom claim DESIGN.md makes for the
-// serving stack's mutexes (service shards, flightGroup, refresh set,
-// event bus, drift monitor). The graph is built from non-test code
-// only. It is interprocedural: each package exports, as a unitchecker
-// fact, the set of locks every function may transitively acquire and
-// the acquired-while-held edges observed so far; importing packages
+// serving stack's mutexes (service shards, flightGroup, event bus, drift
+// monitor). The graph is built from non-test code only. It is
+// interprocedural: each package exports, as a unitchecker fact, the set
+// of locks every function may transitively acquire and the
+// acquired-while-held edges observed so far; importing packages
 // splice those summaries into their own graphs, so an edge created by
-// calling into another package (service holds refreshMu → store takes
+// calling into another package (service holds Service.mu → store takes
 // Memory.mu) materializes without re-analyzing the callee.
 //
 // The held-lock analysis runs flow.Analysis once per function body and

@@ -1,5 +1,5 @@
 // Fixture for tierorder: wrapper compositions must follow
-// Notify ⊃ Tiered ⊃ Breaker ⊃ Retry ⊃ base, resolved through direct
+// Tiered ⊃ Breaker ⊃ Retry ⊃ base, resolved through direct
 // nesting and single-assignment locals, with Faulty transparent; store
 // Puts under err != nil need an //aarc:errpath waiver.
 package app
@@ -18,7 +18,7 @@ func canonical() store.Store {
 	if err != nil {
 		return store.NewMemory()
 	}
-	return store.NewNotify(store.NewTiered(store.NewBreaker(store.NewRetry(store.NewMemory(), 2), 3), disk))
+	return store.NewTiered(store.NewBreaker(store.NewRetry(store.NewMemory(), 2), 3), disk)
 }
 
 // chained resolves through single-assignment locals: still canonical.
@@ -26,7 +26,7 @@ func chained() store.Store {
 	base := store.NewMemory()
 	retrier := store.NewRetry(base, 2)
 	breaker := store.NewBreaker(retrier, 3)
-	return store.NewNotify(breaker)
+	return store.NewTiered(store.NewMemory(), breaker)
 }
 
 // chainedInverted is the same inversion hidden behind a local.
@@ -51,12 +51,6 @@ func faultyInverted() store.Store {
 // exceed inner).
 func doubled() store.Store {
 	return store.NewRetry(store.NewRetry(store.NewMemory(), 1), 1) // want `store wrapper order violation: NewRetry may not wrap NewRetry`
-}
-
-// notifyUnderTiered: Notify below Tiered would fire events for
-// internal promotes.
-func notifyUnderTiered() store.Store {
-	return store.NewTiered(store.NewMemory(), store.NewNotify(store.NewMemory())) // want `store wrapper order violation: NewTiered may not wrap NewNotify`
 }
 
 // reassigned locals have unknown rank: the analyzer under-approximates

@@ -26,9 +26,6 @@ func NewBreaker(s Store, threshold int) Store { return s }
 // NewTiered composes a fast and a slow tier (rank 3).
 func NewTiered(fast, slow Store) Store { return fast }
 
-// NewNotify publishes lifecycle events for mutations (rank 4).
-func NewNotify(s Store) Store { return s }
-
 // NewFaulty is the transparent chaos layer: any position, inherits the
 // rank of what it wraps.
 func NewFaulty(s Store) Store { return s }

@@ -1,18 +1,17 @@
 // Package tierorder checks store wrapper composition against the
 // canonical stacking order:
 //
-//	Notify ⊃ Tiered ⊃ Breaker ⊃ Retry ⊃ base (Memory/Disk)
+//	Tiered ⊃ Breaker ⊃ Retry ⊃ base (Memory/Disk)
 //
-// Each layer's position is load-bearing: Notify outermost so lifecycle
-// events fire once per logical mutation (never for Tiered's internal
-// promotes or Warm's loads); Breaker outside Retry so one logical
-// operation — however many retry attempts it takes — counts once
-// against the trip threshold, and an open breaker fast-fails before
-// burning retry backoff. Inverting Retry(Breaker(...)) makes every
-// probe storm the backend and trips the breaker on attempt counts, the
-// exact misconfiguration the PR 6 chaos drills guard against. Faulty
-// is a transparent chaos layer and may appear anywhere; it inherits
-// the rank of what it wraps.
+// Each layer's position is load-bearing: Tiered outermost so the fast
+// tier keeps serving while the slow tier's breaker is open; Breaker
+// outside Retry so one logical operation — however many retry attempts
+// it takes — counts once against the trip threshold, and an open
+// breaker fast-fails before burning retry backoff. Inverting
+// Retry(Breaker(...)) makes every probe storm the backend and trips the
+// breaker on attempt counts, the exact misconfiguration the chaos drills
+// guard against. Faulty is a transparent chaos layer and may appear
+// anywhere; it inherits the rank of what it wraps.
 //
 // The check resolves arguments through single-assignment locals, so
 // the idiomatic "retrier := NewRetry(...); breaker := NewBreaker(
@@ -43,7 +42,6 @@ var Analyzer = &analysis.Analyzer{
 // rank orders the wrapper constructors; outer must strictly exceed
 // inner. Faulty is transparent (rank of its first argument).
 var rank = map[string]int{
-	"NewNotify":  4,
 	"NewTiered":  3,
 	"NewBreaker": 2,
 	"NewRetry":   1,
@@ -161,7 +159,7 @@ func checkCompositions(pass *analysis.Pass, fd *ast.FuncDecl) {
 		// wrappers, both for Tiered.
 		var inner []ast.Expr
 		switch name {
-		case "NewNotify", "NewBreaker", "NewRetry":
+		case "NewBreaker", "NewRetry":
 			if len(call.Args) > 0 {
 				inner = call.Args[:1]
 			}
@@ -171,7 +169,7 @@ func checkCompositions(pass *analysis.Pass, fd *ast.FuncDecl) {
 		for _, arg := range inner {
 			if r, innerName, ok := rankOf(arg); ok && r >= outer {
 				pass.Reportf(call.Pos(),
-					"store wrapper order violation: %s may not wrap %s (canonical order: Notify ⊃ Tiered ⊃ Breaker ⊃ Retry ⊃ base)",
+					"store wrapper order violation: %s may not wrap %s (canonical order: Tiered ⊃ Breaker ⊃ Retry ⊃ base)",
 					name, innerName)
 			}
 		}

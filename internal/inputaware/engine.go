@@ -106,17 +106,22 @@ func (e *Engine) Trace(class string) (*search.Trace, bool) {
 	return t, ok
 }
 
+// Classify maps an analyzed input scale to the engine's class for it (see
+// the package-level Classify).
+func (e *Engine) Classify(scale float64) Class { return Classify(e.classes, scale) }
+
 // Classify maps an analyzed input scale to the smallest class that covers
 // it (first class whose scale is >= the input's), falling back to the
 // largest class for oversized inputs. Covering from above keeps the SLO safe
-// at the price of slight over-provisioning within a class.
-func (e *Engine) Classify(scale float64) Class {
-	for _, c := range e.classes {
+// at the price of slight over-provisioning within a class. classes must be
+// non-empty and sorted ascending by scale.
+func Classify(classes []Class, scale float64) Class {
+	for _, c := range classes {
 		if c.Scale >= scale-1e-9 {
 			return c
 		}
 	}
-	return e.classes[len(e.classes)-1]
+	return classes[len(classes)-1]
 }
 
 // Dispatch returns the configuration for one request.

@@ -100,6 +100,9 @@ func TestClassify(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := e.Classify(c.scale); got.Name != c.want {
+			t.Errorf("Engine.Classify(%v) = %s, want %s", c.scale, got.Name, c.want)
+		}
+		if got := Classify(e.Classes(), c.scale); got.Name != c.want {
 			t.Errorf("Classify(%v) = %s, want %s", c.scale, got.Name, c.want)
 		}
 	}

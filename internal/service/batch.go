@@ -125,7 +125,7 @@ func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]Batc
 			results[i].Err = err
 			continue
 		}
-		fp, err := s.fingerprint(it.Spec, r, nil)
+		fp, err := s.fingerprint(it.Spec, r)
 		if err != nil {
 			results[i].Err = err
 			continue

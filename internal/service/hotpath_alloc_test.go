@@ -2,8 +2,8 @@
 // GET /v1/recommendation/{fp} resolves to RecommendationJSON, whose
 // //aarc:hotpath marker promises an alloc-free hit. hotalloc proves it
 // statically down to the Store interface hop; this pins the whole
-// chain — RecommendationJSON → getStore → Notify.Get → Tiered.Get →
-// Memory.Get — at zero allocations per hit at runtime.
+// chain — RecommendationJSON → getStore → Tiered.Get → Memory.Get —
+// at zero allocations per hit at runtime.
 package service
 
 import (

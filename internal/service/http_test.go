@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -177,14 +178,27 @@ func TestHTTPDispatchAndEvaluate(t *testing.T) {
 		t.Errorf("scale 1.4 classified as %q, want heavy", d.Class)
 	}
 
-	// Evaluate needs a configured fingerprint.
-	_, cb := postJSON(t, ts.URL+"/v1/configure", `{"workload": "chatbot"}`)
-	var rec Recommendation
-	if err := json.Unmarshal(cb, &rec); err != nil {
+	// The dispatch fingerprint is the class's store entry: fetchable, and
+	// a hit for a configure at the class's input scale.
+	resp, err := http.Get(ts.URL + "/v1/recommendation/" + d.Fingerprint)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var rec Recommendation
+	err = json.NewDecoder(resp.Body).Decode(&rec)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET dispatch fingerprint: status %d, err %v", resp.StatusCode, err)
+	}
+	if !reflect.DeepEqual(rec.Assignment, d.Assignment) {
+		t.Errorf("stored assignment %v differs from the dispatched %v", rec.Assignment, d.Assignment)
+	}
+	resp, _ = postJSON(t, ts.URL+"/v1/configure", `{"workload": "video-analysis", "input_scale": 1.6}`)
+	if got := resp.Header.Get("X-Aarc-Cache"); resp.StatusCode != http.StatusOK || got != "hit" {
+		t.Errorf("configure at the class scale: status %d, X-Aarc-Cache %q, want a 200 hit", resp.StatusCode, got)
+	}
 	resp, b = postJSON(t, ts.URL+"/v1/evaluate",
-		fmt.Sprintf(`{"fingerprint": %q, "runs": 3}`, rec.Fingerprint))
+		fmt.Sprintf(`{"fingerprint": %q, "runs": 3}`, d.Fingerprint))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("evaluate status %d: %s", resp.StatusCode, b)
 	}
@@ -201,7 +215,7 @@ func TestHTTPDispatchAndEvaluate(t *testing.T) {
 		t.Errorf("unknown fingerprint status = %d, want 404", resp.StatusCode)
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/evaluate",
-		fmt.Sprintf(`{"fingerprint": %q, "runs": 2000000000}`, rec.Fingerprint))
+		fmt.Sprintf(`{"fingerprint": %q, "runs": 2000000000}`, d.Fingerprint))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized runs status = %d, want 400", resp.StatusCode)
 	}

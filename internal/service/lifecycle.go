@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -11,53 +13,19 @@ import (
 	"aarc/internal/drift"
 	"aarc/internal/event"
 	"aarc/internal/search"
-	"aarc/internal/store"
 )
 
-// This file is the recommendation lifecycle: the event bus the store
-// publishes into, the drift monitor's view of the service, and the
-// background refresher that re-searches stale entries and atomically
-// swaps them — old bytes serve until the swap, no request ever observes
-// a miss or a torn entry. The event Kind vocabulary (put, refreshed,
-// invalidated) is documented on internal/event.
+// This file is the recommendation lifecycle: the event bus the service
+// publishes into where it writes the store (putStore, Invalidate), the
+// drift monitor's view of the service, and the background refresher
+// that re-searches stale entries and atomically swaps them — old bytes
+// serve until the swap, no request ever observes a miss or a torn
+// entry. The event Kind vocabulary (put, refreshed, invalidated) is
+// documented on internal/event.
 
 // Event is a recommendation lifecycle notification. See internal/event
 // for the kind vocabulary.
 type Event = event.Event
-
-// storeEvent is the store.Notify hook: every successful store mutation
-// lands here, on the mutating goroutine, and is published to the bus.
-// A Put for a fingerprint currently mid-refresh is a swap, not a new
-// entry, and publishes "refreshed" instead of "put".
-func (s *Service) storeEvent(op store.Op, fp string) {
-	kind := event.KindPut
-	switch op {
-	case store.OpDelete:
-		kind = event.KindInvalidated
-	case store.OpPut:
-		if s.isRefreshing(fp) {
-			kind = event.KindRefreshed
-		}
-	}
-	s.bus.Publish(kind, fp)
-}
-
-func (s *Service) isRefreshing(fp string) bool {
-	s.refreshMu.Lock()
-	_, ok := s.refreshing[fp]
-	s.refreshMu.Unlock()
-	return ok
-}
-
-func (s *Service) setRefreshing(fp string, on bool) {
-	s.refreshMu.Lock()
-	if on {
-		s.refreshing[fp] = struct{}{}
-	} else {
-		delete(s.refreshing, fp)
-	}
-	s.refreshMu.Unlock()
-}
 
 // Watch subscribes to a fingerprint's lifecycle events ("" watches every
 // fingerprint). The returned channel is closed when the subscription
@@ -194,10 +162,23 @@ func (s *Service) refreshLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case fp := <-s.monitor.Stale():
-			if err := s.refresh(ctx, fp); err != nil && ctx.Err() == nil {
-				s.refreshFails.Add(1)
-			}
+			s.refreshOne(ctx, fp)
 		}
+	}
+}
+
+// refreshOne runs one refresh and counts its failure, a panicking search
+// included: no request is there to recover it. refresh's deferred abandon
+// and releaseSearch have already freed its flight and admission slot.
+func (s *Service) refreshOne(ctx context.Context, fp string) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.refreshFails.Add(1)
+			log.Printf("service: refresh of %s panicked: %v\n%s", fp, p, debug.Stack())
+		}
+	}()
+	if err := s.refresh(ctx, fp); err != nil && ctx.Err() == nil {
+		s.refreshFails.Add(1)
 	}
 }
 
@@ -268,8 +249,6 @@ func (s *Service) refresh(ctx context.Context, fp string) error {
 		return err
 	}
 	defer s.releaseSearch()
-	s.setRefreshing(fp, true)
-	defer s.setRefreshing(fp, false)
 	// The lifecycle context rides into the search: Close cancels
 	// in-flight refreshes, unlike foreground misses which run detached.
 	ne, se, err := s.runSearch(ctx, fp, e.spec, r)
@@ -277,7 +256,7 @@ func (s *Service) refresh(ctx context.Context, fp string) error {
 		s.flight.finish(fp, c, nil, err)
 		return err
 	}
-	s.putStore(fp, se) // the swap; store.Notify publishes "refreshed"
+	s.putStore(fp, se, event.KindRefreshed) // the swap
 	s.putPool(fp, ne)
 	s.refreshes.Add(1)
 	s.flight.finish(fp, c, se.Body, nil)

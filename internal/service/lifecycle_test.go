@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 
 	"aarc/internal/event"
 	"aarc/internal/search"
+	"aarc/internal/store"
 )
 
 // Two independently-gated methods for the refresh-priority test: the
@@ -48,9 +50,19 @@ func (lgate2Searcher) Search(ctx context.Context, ev search.Evaluator, opts sear
 	return stubSearcher{}.Search(ctx, ev, opts)
 }
 
+// rerunPanics switches the "rerun" method from stub to panicky, so a test
+// configures an entry cleanly and then makes its refresh explode.
+var rerunPanics atomic.Bool
+
 func init() {
 	search.Register("lgate", 1, func(seed uint64) search.Searcher { return lgateSearcher{} })
 	search.Register("lgate2", 1, func(seed uint64) search.Searcher { return lgate2Searcher{} })
+	search.Register("rerun", 1, func(seed uint64) search.Searcher {
+		if rerunPanics.Load() {
+			return panickySearcher{}
+		}
+		return stubSearcher{}
+	})
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -162,6 +174,105 @@ func TestDriftRefreshSwapEndToEnd(t *testing.T) {
 	}
 	if got.Fingerprint != fp {
 		t.Fatalf("post-refresh fingerprint = %s, want %s", got.Fingerprint, fp)
+	}
+}
+
+// TestRefreshPanicKeepsServing: a search that panics in a background
+// refresh is a counted refresh failure, not a dead process: the old
+// entry still serves, and the worker goes on to the next stale entry.
+func TestRefreshPanicKeepsServing(t *testing.T) {
+	svc := stubService(t, Config{DriftInterval: time.Hour, DriftThreshold: 1e-9})
+	t.Cleanup(func() { rerunPanics.Store(false) })
+	ro, ctx := RequestOptions{Method: "rerun"}, context.Background()
+	body, _, err := svc.ConfigureJSON(ctx, testSpec(t, 0), ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Recommendation
+	if err := json.Unmarshal(body, &rec); err != nil {
+		t.Fatal(err)
+	}
+
+	rerunPanics.Store(true)
+	svc.DriftSweep(ctx)
+	waitFor(t, "the panicked refresh to be counted", func() bool { return svc.Stats().RefreshFails == 1 })
+	rerunPanics.Store(false)
+	if got, err := svc.RecommendationJSON(rec.Fingerprint); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("after a panicked refresh the entry serves %q, %v; want the original bytes", got, err)
+	}
+
+	if _, _, err := svc.Configure(ctx, testSpec(t, 1), ro); err != nil {
+		t.Fatal(err)
+	}
+	svc.DriftSweep(ctx)
+	waitFor(t, "the next stale entry to be refreshed", func() bool { return svc.Stats().Refreshes == 1 })
+	if got := svc.Stats().RefreshFails; got != 1 {
+		t.Fatalf("refresh_failures = %d, want 1", got)
+	}
+}
+
+// TestEventsOnlyForSuccessfulWrites: the service publishes where it
+// writes the store, and only when the write succeeded — a failed Put or
+// Delete and a store hit publish nothing.
+func TestEventsOnlyForSuccessfulWrites(t *testing.T) {
+	faulty := store.NewFaulty(store.NewMemory(16), store.FaultConfig{})
+	svc := stubService(t, Config{Store: faulty})
+	spec, ctx := testSpec(t, 0), context.Background()
+	events, cancel, err := svc.Watch(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	// Publishing is synchronous, so after each call the channel holds
+	// exactly the events that call published.
+	published := func() string {
+		var kinds []string
+		for {
+			select {
+			case ev := <-events:
+				kinds = append(kinds, string(ev.Kind))
+			default:
+				return strings.Join(kinds, ",")
+			}
+		}
+	}
+
+	faulty.FailAll(nil)
+	rec, _, err := svc.Configure(ctx, spec, RequestOptions{})
+	if err != nil {
+		t.Fatalf("Configure during a store outage: %v", err)
+	}
+	if svc.Stats().StoreErrors == 0 {
+		t.Fatal("a failed Put left store_errors at 0")
+	}
+	if got := published(); got != "" {
+		t.Fatalf("a failed Put published %q", got)
+	}
+
+	faulty.Recover()
+	if _, hit, err := svc.Configure(ctx, spec, RequestOptions{}); err != nil || hit {
+		t.Fatalf("post-recovery Configure: hit=%v err=%v", hit, err)
+	}
+	if _, hit, err := svc.Configure(ctx, spec, RequestOptions{}); err != nil || !hit {
+		t.Fatalf("repeat Configure: hit=%v err=%v", hit, err)
+	}
+	if got := published(); got != "put" {
+		t.Fatalf("a stored miss and a hit published %q, want put", got)
+	}
+
+	faulty.FailAll(nil)
+	if _, err := svc.Invalidate(rec.Fingerprint); err == nil {
+		t.Fatal("Invalidate over a failing Delete returned no error")
+	}
+	if got := published(); got != "" {
+		t.Fatalf("a failed Delete published %q", got)
+	}
+	faulty.Recover()
+	if existed, err := svc.Invalidate(rec.Fingerprint); err != nil || !existed {
+		t.Fatalf("Invalidate: existed=%v err=%v", existed, err)
+	}
+	if got := published(); got != "invalidated" {
+		t.Fatalf("Invalidate published %q, want invalidated", got)
 	}
 }
 
@@ -577,8 +688,8 @@ func TestHealthzConcurrentWithConfigure(t *testing.T) {
 	}
 }
 
-// BenchmarkWatchFanout measures publishing one store event to N live
-// watch subscribers, including the mid-refresh kind attribution check.
+// BenchmarkWatchFanout measures publishing one lifecycle event to N live
+// watch subscribers.
 //
 //	go test ./internal/service -bench=BenchmarkWatchFanout -run='^$'
 func BenchmarkWatchFanout(b *testing.B) {
@@ -606,7 +717,7 @@ func BenchmarkWatchFanout(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				svc.storeEvent(0, "bench-fp") // store.OpPut
+				svc.bus.Publish(event.KindPut, "bench-fp")
 			}
 			b.StopTimer()
 			svc.bus.Close()

@@ -3,12 +3,11 @@ package service
 import "container/list"
 
 // lruCache is a bounded least-recently-used map for the service's
-// process-private runtime state: runner pools and dispatch engines,
-// keyed by fingerprint. (Recommendation storage itself lives behind the
-// store.Store contract — internal/store carries the LRU that used to be
-// here.) It is not safe for concurrent use: the Service guards it with
-// its own mutex, held only briefly — searches and evaluations run
-// outside the lock.
+// process-private runtime state: runner pools, keyed by fingerprint.
+// (Recommendations themselves live behind the store.Store contract.) It
+// is not safe for concurrent use: the Service guards it with its own
+// mutex, held only briefly — searches and evaluations run outside the
+// lock.
 type lruCache struct {
 	capacity int
 	order    *list.List // front = most recently used
@@ -41,23 +40,21 @@ func (c *lruCache) get(key string) (any, bool) {
 	return el.Value.(*lruItem).val, true
 }
 
-// add inserts (or replaces) key and reports the key it evicted to stay
-// within capacity, if any.
-func (c *lruCache) add(key string, val any) (evicted string, didEvict bool) {
+// add inserts (or replaces) key, evicting the least recently used key
+// to stay within capacity.
+func (c *lruCache) add(key string, val any) {
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruItem).val = val
 		c.order.MoveToFront(el)
-		return "", false
+		return
 	}
 	c.items[key] = c.order.PushFront(&lruItem{key: key, val: val})
 	if c.order.Len() <= c.capacity {
-		return "", false
+		return
 	}
 	oldest := c.order.Back()
 	c.order.Remove(oldest)
-	k := oldest.Value.(*lruItem).key
-	delete(c.items, k)
-	return k, true
+	delete(c.items, oldest.Value.(*lruItem).key)
 }
 
 // remove drops key if present.
@@ -67,5 +64,3 @@ func (c *lruCache) remove(key string) {
 		delete(c.items, key)
 	}
 }
-
-func (c *lruCache) len() int { return c.order.Len() }

@@ -19,6 +19,7 @@ import (
 
 	"aarc/internal/search"
 	"aarc/internal/store"
+	"aarc/internal/workloads"
 )
 
 // wedgedSearcher wedges its first Search call — it parks on a channel
@@ -147,7 +148,7 @@ func TestOpenBreakerServesMemoryOnly(t *testing.T) {
 		Logf:      t.Logf,
 	})
 	tiered := store.NewTiered(store.NewMemory(128), breaker)
-	svc := stubService(t, Config{Store: tiered, Breaker: breaker, Retrier: retrier})
+	svc := stubService(t, Config{Store: tiered})
 	handler := NewHandler(svc)
 	spec := testSpec(t, 0)
 
@@ -317,15 +318,23 @@ func TestLoadSheddingFailFast(t *testing.T) {
 		t.Fatalf("deadline-carrying miss at saturation = %v, want ErrOverloaded after waiting", err)
 	}
 	cancel()
-
-	body := `{"workload":"chatbot","method":"gate"}`
-	rr := httptest.NewRecorder()
-	handler.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/configure", strings.NewReader(body)))
-	if rr.Code != http.StatusTooManyRequests {
-		t.Fatalf("shed HTTP status = %d, want 429", rr.Code)
+	// A dispatch miss is a configure miss: shed the same way.
+	if err := dispatchWithin(t, svc, ro); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("dispatch miss at saturation = %v, want ErrOverloaded", err)
 	}
-	if ra := rr.Header().Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want %q (one search deadline)", ra, "2")
+
+	for path, body := range map[string]string{
+		"/v1/configure": `{"workload":"chatbot","method":"gate"}`,
+		"/v1/dispatch":  `{"workload":"video-analysis","method":"gate","scale":1.4}`,
+	} {
+		rr := httptest.NewRecorder()
+		handler.ServeHTTP(rr, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rr.Code != http.StatusTooManyRequests {
+			t.Fatalf("shed %s status = %d, want 429", path, rr.Code)
+		}
+		if ra := rr.Header().Get("Retry-After"); ra != "2" {
+			t.Fatalf("%s Retry-After = %q, want %q (one search deadline)", path, ra, "2")
+		}
 	}
 	if got := svc.Stats().ShedRequests; got < 3 {
 		t.Fatalf("ShedRequests = %d, want >= 3", got)
@@ -333,6 +342,50 @@ func TestLoadSheddingFailFast(t *testing.T) {
 
 	close(gateRelease)
 	wg.Wait()
+}
+
+// dispatchWithin dispatches video-analysis at scale 1.4 and returns the
+// error, failing the test after five seconds: a dispatch that ignores the
+// admission cap or the search deadline must fail the tests, not hang them.
+func dispatchWithin(t *testing.T, svc *Service, ro RequestOptions) error {
+	t.Helper()
+	spec, err := workloads.ByName("video-analysis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := svc.Dispatch(context.Background(), spec, nil, 1.4, ro)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("Dispatch still running after 5s")
+		return nil
+	}
+}
+
+// TestDispatchSearchTimeout: SearchTimeout bounds a dispatch search like
+// any other: DeadlineExceeded, HTTP 504.
+func TestDispatchSearchTimeout(t *testing.T) {
+	gateStarted = make(chan struct{}, 8)
+	gateRelease = make(chan struct{})
+	svc := stubService(t, Config{SearchTimeout: 20 * time.Millisecond})
+	// Registered after stubService so LIFO cleanup releases the parked
+	// searches before the leak check armed in there fires.
+	t.Cleanup(func() { close(gateRelease) })
+
+	if err := dispatchWithin(t, svc, RequestOptions{Method: "gate"}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("gated dispatch error = %v, want DeadlineExceeded", err)
+	}
+	body := `{"workload":"video-analysis","method":"gate","scale":1.4}`
+	rr := httptest.NewRecorder()
+	NewHandler(svc).ServeHTTP(rr, httptest.NewRequest("POST", "/v1/dispatch", strings.NewReader(body)))
+	if rr.Code != http.StatusGatewayTimeout {
+		t.Fatalf("timed-out dispatch HTTP status = %d, want 504", rr.Code)
+	}
 }
 
 // TestReadyzDrain: /readyz flips to 503 the moment a drain begins, while

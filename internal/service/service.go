@@ -8,10 +8,10 @@
 //     over the spec's canonical JSON (workflow.CanonicalJSON), the search
 //     options' canonical JSON (search.Options.CanonicalJSON) and the
 //     engine identity (method, the method's registered implementation
-//     version, seed, host cores, noise, input scale, and — for dispatch —
-//     the input classes), so byte-different requests that describe the
-//     same search share one entry, and bumping a method's version orphans
-//     every stale recommendation it ever produced;
+//     version, seed, host cores, noise and input scale), so
+//     byte-different requests that describe the same search share one
+//     entry, and bumping a method's version orphans every stale
+//     recommendation it ever produced;
 //   - a pluggable recommendation Store (internal/store) behind
 //     singleflight admission: N concurrent requests for the same key run
 //     exactly one search, and a store hit answers without constructing a
@@ -40,12 +40,14 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"math"
 	"runtime"
 	"sort"
@@ -151,13 +153,9 @@ type Config struct {
 	CacheDir string
 	// Store, when non-nil, is used as-is (CacheSize, CacheDir and the
 	// breaker/retry wrapping are skipped). The Service takes ownership:
-	// Close closes it.
+	// Close closes it. A Breaker or Retry tier inside it is observed
+	// (Stats, /readyz) through store.StatsOf.
 	Store store.Store
-	// Breaker and Retrier, optional with a caller-built Store, let the
-	// service observe (Stats, /readyz) a breaker and retry wrapper
-	// inside that store. Both are set automatically for CacheDir stores.
-	Breaker *store.Breaker
-	Retrier *store.Retry
 }
 
 // RequestOptions carries the per-request knobs of Configure and Dispatch.
@@ -215,7 +213,7 @@ func (r *Recommendation) ResourceAssignment() resources.Assignment {
 
 // DispatchResult is the serializable outcome of one input-aware dispatch:
 // the class the analyzed input scale fell into and that class's
-// pre-searched configuration.
+// configuration, stored under Fingerprint like any configure's.
 type DispatchResult struct {
 	Fingerprint string                 `json:"fingerprint"`
 	Workflow    string                 `json:"workflow"`
@@ -231,10 +229,10 @@ type Stats struct {
 	Hits           int64          `json:"hits"`              // answered from the store, no search machinery touched
 	Misses         int64          `json:"misses"`            // had to run — or wait on — a search
 	Searches       int64          `json:"searches"`          // underlying searches actually run
-	Evictions      int64          `json:"evictions"`         // entries dropped by a capacity bound (store + engine cache)
+	Evictions      int64          `json:"evictions"`         // entries dropped by the store's capacity bound
 	StoreErrors    int64          `json:"store_errors"`      // store reads/writes that failed and were degraded
 	BatchRuns      int64          `json:"batch_runs"`        // pooled batch search runs (ConfigureBatch)
-	Retries        int64          `json:"retries"`           // store ops recovered (or attempted) by the retry tier
+	Retries        int64          `json:"retries"`           // store ops recovered (or attempted) by the store's retry tier
 	ShedRequests   int64          `json:"shed_requests"`     // cold searches refused by the concurrency cap (HTTP 429)
 	SearchTimeouts int64          `json:"search_timeouts"`   // searches cut off by the server-side deadline
 	Panics         int64          `json:"panics"`            // handler panics recovered into 500s
@@ -245,7 +243,6 @@ type Stats struct {
 	EventsDropped  int64          `json:"events_dropped"`    // events lost to slow subscribers' full buffers
 	BreakerState   string         `json:"breaker_state"`     // closed | open | half-open, or none without a breaker
 	Entries        int            `json:"entries"`           // recommendations currently stored
-	Engines        int            `json:"engines"`           // dispatch engines currently cached (process-private)
 	Store          string         `json:"store"`             // store kind: memory, disk, tiered, custom
 	Tiers          map[string]int `json:"tiers"`             // per-tier entry counts
 }
@@ -257,22 +254,16 @@ type Service struct {
 	flight flightGroup
 	batch  *experiments.Pool // bounds concurrent searches per batched run
 
-	sem     chan struct{}  // MaxConcurrentSearches slots; nil = uncapped
-	breaker *store.Breaker // disk-tier breaker; nil without one
-	retrier *store.Retry   // disk-tier retry wrapper; nil without one
+	sem chan struct{} // MaxConcurrentSearches slots; nil = uncapped
 
-	bus     *event.Bus     // change notifications; publishes on every store mutation
+	bus     *event.Bus     // lifecycle events; published by putStore and Invalidate
 	monitor *drift.Monitor // nil unless DriftInterval > 0
 
 	lifecycleCancel context.CancelFunc // stops the monitor and refresh workers
 	lifecycleWG     sync.WaitGroup
 
-	refreshMu  sync.Mutex
-	refreshing map[string]struct{} // fingerprints mid-refresh: their Puts publish "refreshed"
-
-	mu      sync.Mutex
-	pools   *lruCache // fingerprint -> *entry (process-private runner pools)
-	engines *lruCache // dispatch fingerprint -> *engineEntry (not stored)
+	mu    sync.Mutex
+	pools *lruCache // fingerprint -> *entry (process-private runner pools)
 
 	draining atomic.Bool // BeginDrain/Close flipped; /readyz turns 503
 
@@ -281,7 +272,6 @@ type Service struct {
 	hits           atomic.Int64
 	misses         atomic.Int64
 	searches       atomic.Int64
-	evictions      atomic.Int64
 	storeErrs      atomic.Int64
 	batchRuns      atomic.Int64
 	shedRequests   atomic.Int64
@@ -327,7 +317,6 @@ func New(cfg Config) (*Service, error) {
 		cfg.WatchBuffer = 16
 	}
 	st := cfg.Store
-	breaker, retrier := cfg.Breaker, cfg.Retrier
 	if st == nil {
 		if cfg.CacheDir != "" {
 			disk, err := store.OpenDisk(cfg.CacheDir)
@@ -344,8 +333,7 @@ func New(cfg Config) (*Service, error) {
 				chaos.FailFor(cfg.ChaosDiskDown)
 				slow = chaos
 			}
-			retrier = store.NewRetry(slow, store.RetryConfig{})
-			breaker = store.NewBreaker(retrier, store.BreakerConfig{
+			breaker := store.NewBreaker(store.NewRetry(slow, store.RetryConfig{}), store.BreakerConfig{
 				Threshold: cfg.BreakerThreshold,
 				Cooldown:  cfg.BreakerCooldown,
 				Logf:      log.Printf,
@@ -358,18 +346,12 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	s := &Service{
-		cfg:        cfg,
-		breaker:    breaker,
-		retrier:    retrier,
-		batch:      experiments.NewPool(cfg.BatchWorkers),
-		pools:      newLRUCache(cfg.CacheSize),
-		engines:    newLRUCache(cfg.CacheSize),
-		bus:        event.NewBus(eventRing),
-		refreshing: make(map[string]struct{}),
+		cfg:   cfg,
+		st:    st,
+		batch: experiments.NewPool(cfg.BatchWorkers),
+		pools: newLRUCache(cfg.CacheSize),
+		bus:   event.NewBus(eventRing),
 	}
-	// Outermost store layer: change notifications. Warm-loaded entries
-	// (above, before the wrap) don't publish — only live mutations do.
-	s.st = store.NewNotify(st, s.storeEvent)
 	if cfg.MaxConcurrentSearches > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrentSearches)
 	}
@@ -423,42 +405,29 @@ func (s *Service) BeginDrain() { s.draining.Store(true) }
 
 // Ready reports whether the service should receive new traffic, with a
 // human-readable reason when it should not: false while draining
-// (shutdown in progress) and while the disk-tier breaker is open (the
+// (shutdown in progress) and while the store's breaker is open (the
 // service still serves — memory-only — but is degraded and a balancer
 // with healthy peers should prefer them).
 func (s *Service) Ready() (ok bool, reason string) {
 	if s.draining.Load() {
 		return false, "draining"
 	}
-	if s.breaker != nil && s.breaker.State() == store.BreakerOpen {
+	if store.StatsOf(s.st).Breaker == store.BreakerOpen.String() {
 		return false, "store breaker open"
 	}
 	return true, ""
 }
 
-// BreakerState names the disk-tier breaker's current state ("closed",
-// "open", "half-open"), or "none" when the store has no breaker (memory-
-// only services, caller-built stores without Config.Breaker).
-func (s *Service) BreakerState() string {
-	if s.breaker == nil {
-		return "none"
-	}
-	return s.breaker.State().String()
-}
+// BreakerState names the store's breaker state ("closed", "open",
+// "half-open"), or "none" when the store has no breaker.
+func (s *Service) BreakerState() string { return cmp.Or(store.StatsOf(s.st).Breaker, "none") }
 
 // Methods lists the registered search methods, sorted.
 func (s *Service) Methods() []string { return search.Methods() }
 
 // Stats returns a snapshot of the cache counters.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	engines := s.engines.len()
-	s.mu.Unlock()
 	ss := store.StatsOf(s.st)
-	var retries int64
-	if s.retrier != nil {
-		retries = s.retrier.Retries()
-	}
 	var driftChecks int64
 	if s.monitor != nil {
 		driftChecks = s.monitor.Checks()
@@ -467,10 +436,10 @@ func (s *Service) Stats() Stats {
 		Hits:           s.hits.Load(),
 		Misses:         s.misses.Load(),
 		Searches:       s.searches.Load(),
-		Evictions:      s.evictions.Load() + ss.Evictions,
+		Evictions:      ss.Evictions,
 		StoreErrors:    s.storeErrs.Load(),
 		BatchRuns:      s.batchRuns.Load(),
-		Retries:        retries,
+		Retries:        ss.Retries,
 		ShedRequests:   s.shedRequests.Load(),
 		SearchTimeouts: s.searchTimeouts.Load(),
 		Panics:         s.panics.Load(),
@@ -479,9 +448,8 @@ func (s *Service) Stats() Stats {
 		RefreshFails:   s.refreshFails.Load(),
 		WatchSubs:      s.watchSubs.Load(),
 		EventsDropped:  s.bus.Dropped(),
-		BreakerState:   s.BreakerState(),
+		BreakerState:   cmp.Or(ss.Breaker, "none"),
 		Entries:        s.st.Len(),
-		Engines:        engines,
 		Store:          ss.Kind,
 		Tiers:          ss.Tiers,
 	}
@@ -606,16 +574,6 @@ func (e *entry) runnerPool(shards int) (*runnerPool, error) {
 	return e.pool, e.poolErr
 }
 
-// engineEntry is one cached input-aware engine (Dispatch is read-only and
-// concurrency-safe once configured). Engines hold live searched state per
-// class and are not serialized to the store: they are process-private and
-// re-searched after eviction or restart.
-type engineEntry struct {
-	engine *inputaware.Engine
-	spec   *workflow.Spec
-	method string
-}
-
 // resolved folds a request into the service defaults.
 type resolved struct {
 	method  string
@@ -679,27 +637,24 @@ func capBudgetF(req, cap float64) float64 {
 	return req
 }
 
-// fingerprint builds the content-addressed cache key. classes is non-nil
-// only for dispatch keys, which must not collide with configure keys for
-// the same spec. The method's implementation version is part of the key:
-// bumping a method's registered version changes every fingerprint it
-// produces, so stale entries — including persisted ones — are simply
-// never addressed again.
-func (s *Service) fingerprint(spec *workflow.Spec, r resolved, classes []inputaware.Class) (string, error) {
+// fingerprint builds the content-addressed cache key. The method's
+// implementation version is part of the key: bumping a method's
+// registered version changes every fingerprint it produces, so stale
+// entries — including persisted ones — are simply never addressed again.
+func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (string, error) {
 	specJSON, err := workflow.CanonicalJSON(spec)
 	if err != nil {
 		return "", err
 	}
 	key := struct {
-		Spec          json.RawMessage    `json:"spec"`
-		Search        json.RawMessage    `json:"search"`
-		Method        string             `json:"method"`
-		MethodVersion int                `json:"method_version"`
-		Seed          uint64             `json:"seed"`
-		HostCores     float64            `json:"host_cores"`
-		Noise         bool               `json:"noise"`
-		InputScale    float64            `json:"input_scale"`
-		Classes       []inputaware.Class `json:"classes,omitempty"`
+		Spec          json.RawMessage `json:"spec"`
+		Search        json.RawMessage `json:"search"`
+		Method        string          `json:"method"`
+		MethodVersion int             `json:"method_version"`
+		Seed          uint64          `json:"seed"`
+		HostCores     float64         `json:"host_cores"`
+		Noise         bool            `json:"noise"`
+		InputScale    float64         `json:"input_scale"`
 	}{
 		Spec:          specJSON,
 		Search:        r.sopts.CanonicalJSON(),
@@ -709,7 +664,6 @@ func (s *Service) fingerprint(spec *workflow.Spec, r resolved, classes []inputaw
 		HostCores:     r.ropts.HostCores,
 		Noise:         r.ropts.Noise,
 		InputScale:    r.ropts.InputScale,
-		Classes:       classes,
 	}
 	b, err := json.Marshal(key)
 	if err != nil {
@@ -731,12 +685,16 @@ func (s *Service) getStore(fp string) (store.Entry, bool) {
 	return e, ok
 }
 
-// putStore persists a completed search. Write failures are degraded to a
-// counter: the recommendation was computed and is served regardless.
-func (s *Service) putStore(fp string, e store.Entry) {
+// putStore persists a completed search and, once the write succeeded,
+// publishes kind for fp: put for a search, refreshed for a refresh swap.
+// Write failures are degraded to a counter and publish nothing: the
+// recommendation was computed and is served regardless.
+func (s *Service) putStore(fp string, e store.Entry, kind event.Kind) {
 	if err := s.st.Put(fp, e); err != nil {
 		s.storeErrs.Add(1)
+		return
 	}
+	s.bus.Publish(kind, fp)
 }
 
 // putPool stashes a fingerprint's runtime entry, bounded by CacheSize.
@@ -756,7 +714,7 @@ func (s *Service) configure(ctx context.Context, spec *workflow.Spec, ro Request
 	if err != nil {
 		return "", nil, false, err
 	}
-	fp, err = s.fingerprint(spec, r, nil)
+	fp, err = s.fingerprint(spec, r)
 	if err != nil {
 		return "", nil, false, err
 	}
@@ -816,7 +774,7 @@ func (s *Service) searchMiss(ctx context.Context, fp string, spec *workflow.Spec
 	if err != nil {
 		return nil, err
 	}
-	s.putStore(fp, se)
+	s.putStore(fp, se, event.KindPut)
 	s.putPool(fp, e)
 	return se.Body, nil
 }
@@ -882,13 +840,13 @@ func (s *Service) RecommendationJSON(fp string) ([]byte, error) {
 	return se.Body, nil
 }
 
-// Invalidate removes a fingerprint from every store tier and drops its
-// runner pool; existed reports whether there was an entry to remove. The
-// next Configure for the same content re-searches. Existence is checked
-// against the key index (Keys), not Get: a tiered Get would read the
-// whole body off disk and promote it into memory just to delete it. An
-// absent fingerprint skips the Delete entirely, so no "invalidated"
-// event is published for an entry that was never there.
+// Invalidate removes a fingerprint from every store tier, drops its
+// runner pool and publishes "invalidated"; existed reports whether there
+// was an entry to remove. The next Configure for the same content
+// re-searches. Existence is checked against the key index (Keys), not
+// Get: a tiered Get would read the whole body off disk and promote it
+// into memory just to delete it. An absent fingerprint skips the Delete
+// entirely, and a failed Delete returns its error: neither publishes.
 func (s *Service) Invalidate(fp string) (existed bool, err error) {
 	for _, k := range s.st.Keys() {
 		if k == fp {
@@ -906,6 +864,7 @@ func (s *Service) Invalidate(fp string) (existed bool, err error) {
 	s.mu.Lock()
 	s.pools.remove(fp)
 	s.mu.Unlock()
+	s.bus.Publish(event.KindInvalidated, fp)
 	return existed, nil
 }
 
@@ -1059,12 +1018,14 @@ func (s *Service) entryFor(fp string) (*entry, error) {
 	return e, nil
 }
 
-// Dispatch is the §IV-D online engine over the cache: it configures (or
-// reuses) one search per input class, classifies the request's analyzed
-// input scale, and returns that class's configuration. classes defaults to
-// the paper's Video Analysis classes when empty. Engines are
-// process-private (they hold live searched state per class) and are
-// re-searched after eviction or a restart.
+// Dispatch is the §IV-D online engine over the cache: it classifies the
+// request's analyzed input scale into the smallest class covering it
+// (inputaware.Classify; classes default to the paper's Video Analysis
+// classes) and answers with Configure at that class's input scale, which
+// replaces ro.InputScale. Each class is therefore one ordinary store
+// entry, searched the first time it is dispatched to, with the same
+// admission, deadline, singleflight, persistence, refresh and watch as
+// any configure.
 func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []inputaware.Class, scale float64, ro RequestOptions) (res *DispatchResult, cacheHit bool, err error) {
 	if spec == nil {
 		return nil, false, errors.New("service: Dispatch with nil spec")
@@ -1077,63 +1038,26 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 	}
 	sorted := append([]inputaware.Class(nil), classes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Scale < sorted[j].Scale })
-
-	r, err := s.resolve(spec, ro)
-	if err != nil {
-		return nil, false, err
-	}
-	fp, err := s.fingerprint(spec, r, sorted)
-	if err != nil {
-		return nil, false, err
-	}
-	var v any
-	s.mu.Lock()
-	v, ok := s.engines.get(fp)
-	s.mu.Unlock()
-	if ok {
-		s.hits.Add(1)
-		cacheHit = true
-	} else {
-		s.misses.Add(1)
-		v, err, _ = s.flight.do(ctx, fp, func() (any, error) {
-			s.mu.Lock()
-			cached, ok := s.engines.get(fp)
-			s.mu.Unlock()
-			if ok {
-				return cached, nil
-			}
-			searcher, err := search.New(r.method, r.seed)
-			if err != nil {
-				return nil, err
-			}
-			engine, err := inputaware.Configure(context.WithoutCancel(ctx), spec, r.ropts, searcher, r.sopts, sorted) //aarc:detached engines are shared across requests like cache entries
-			if err != nil {
-				return nil, err
-			}
-			s.searches.Add(int64(len(sorted)))
-			e := &engineEntry{engine: engine, spec: spec, method: searcher.Name()}
-			s.mu.Lock()
-			if _, evicted := s.engines.add(fp, e); evicted {
-				s.evictions.Add(1)
-			}
-			s.mu.Unlock()
-			return e, nil
-		})
-		if err != nil {
-			return nil, false, err
+	for _, c := range sorted {
+		if c.Scale <= 0 {
+			return nil, false, fmt.Errorf("service: class %q has non-positive scale %v", c.Name, c.Scale)
 		}
 	}
-	ee := v.(*engineEntry)
-	cls, a := ee.engine.Dispatch(inputaware.Request{Scale: scale})
+	cls := inputaware.Classify(sorted, scale)
+	ro.InputScale = cls.Scale
+	rec, hit, err := s.Configure(ctx, spec, ro)
+	if err != nil {
+		return nil, hit, err
+	}
 	return &DispatchResult{
-		Fingerprint: fp,
-		Workflow:    ee.spec.Name,
-		Method:      ee.method,
+		Fingerprint: rec.Fingerprint,
+		Workflow:    rec.Workflow,
+		Method:      rec.Method,
 		Class:       cls.Name,
 		ClassScale:  cls.Scale,
 		Scale:       scale,
-		Assignment:  wireAssignment(a),
-	}, cacheHit, nil
+		Assignment:  maps.Clone(rec.Assignment),
+	}, hit, nil
 }
 
 // ErrUnknownFingerprint is returned by Evaluate/Validate and

@@ -409,7 +409,7 @@ func TestDispatchCachesEnginePerClassSet(t *testing.T) {
 			t.Fatalf("dispatcher %d: %v", i, err)
 		}
 	}
-	// One engine = one search per class, shared by all 16 dispatchers.
+	// One store entry per class, shared by all 16 dispatchers.
 	if got := stubSearches.Load() - before; got != 3 {
 		t.Errorf("16 concurrent Dispatch calls ran %d searches, want 3 (one per class)", got)
 	}
@@ -419,13 +419,17 @@ func TestDispatchCachesEnginePerClassSet(t *testing.T) {
 		}
 	}
 
-	// Dispatch and Configure must not collide on the same spec.
-	rec, _, err := svc.Configure(context.Background(), spec, RequestOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Fingerprint == results[0].Fingerprint {
-		t.Error("configure and dispatch share a fingerprint for the same spec")
+	// A class is an ordinary configure at the class's input scale: the
+	// dispatch fingerprint is Configure's, and Configure hits it.
+	for i, r := range results {
+		rec, hit, err := svc.Configure(context.Background(), spec, RequestOptions{InputScale: r.ClassScale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Fingerprint != r.Fingerprint || !hit {
+			t.Errorf("dispatcher %d: Configure at class scale %v = %s (hit=%v), want a hit on %s",
+				i, r.ClassScale, rec.Fingerprint, hit, r.Fingerprint)
+		}
 	}
 }
 
@@ -562,6 +566,10 @@ func TestWarmRestartServesPreviousFingerprints(t *testing.T) {
 	if err := json.Unmarshal(body1, &rec); err != nil {
 		t.Fatal(err)
 	}
+	dispatched, hit, err := first.Dispatch(ctx, spec, nil, 1.4, RequestOptions{})
+	if err != nil || hit {
+		t.Fatalf("first process dispatch: hit=%v err=%v", hit, err)
+	}
 	if err := first.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -579,6 +587,14 @@ func TestWarmRestartServesPreviousFingerprints(t *testing.T) {
 	}
 	if string(body1) != string(body2) {
 		t.Errorf("restart changed the body:\nbefore %s\nafter  %s", body1, body2)
+	}
+	// An already-dispatched class is a persisted entry like any other.
+	redispatched, hit, err := second.Dispatch(ctx, spec, nil, 1.4, RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit || redispatched.Fingerprint != dispatched.Fingerprint {
+		t.Errorf("restarted dispatch = %s (hit=%v), want a hit on %s", redispatched.Fingerprint, hit, dispatched.Fingerprint)
 	}
 	if got := stubSearches.Load() - before; got != 0 {
 		t.Errorf("restarted service ran %d searches, want 0", got)
@@ -659,14 +675,14 @@ func TestMethodVersionFoldsIntoFingerprint(t *testing.T) {
 	if r.version != 1 {
 		t.Fatalf("stub method resolved version %d, want 1", r.version)
 	}
-	fp1, err := svc.fingerprint(spec, r, nil)
+	fp1, err := svc.fingerprint(spec, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The same request under a bumped implementation version must address
 	// a different entry: stale recommendations self-invalidate.
 	r.version = 2
-	fp2, err := svc.fingerprint(spec, r, nil)
+	fp2, err := svc.fingerprint(spec, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,11 @@ import (
 // keeps running — one impatient client never aborts work other clients
 // are waiting on.
 //
-// The group exposes its primitives (claim, wait, finish, abandon) as well
-// as the classic do wrapper: the batched configure path claims many keys
-// up front, runs them on a worker pool, and finishes each flight as its
-// item completes, so singleton callers attached to any one fingerprint
-// are released by that item, not by the whole batch.
+// The group exposes primitives (claim, wait, finish, abandon) because
+// the batched configure path claims many keys up front, runs them on a
+// worker pool, and finishes each flight as its item completes, so
+// singleton callers attached to any one fingerprint are released by that
+// item, not by the whole batch.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
@@ -86,27 +86,10 @@ func (g *flightGroup) finish(key string, c *flightCall, val any, err error) {
 // followers fail cleanly instead of reading an unset (nil, nil) as
 // success. A finished call is left alone. Every leader defers it: the
 // singleton configure leader, ConfigureBatch for each flight it claims,
-// a background refresh, and do.
+// and a background refresh.
 func (g *flightGroup) abandon(key string, c *flightCall) {
 	if c.finished {
 		return
 	}
 	g.finish(key, c, nil, errLeaderPanicked)
-}
-
-// do runs fn once per key among concurrent callers. shared reports whether
-// this caller received a leader's result rather than running fn itself.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)) (val any, err error, shared bool) {
-	c, leader := g.claim(key)
-	if !leader {
-		val, err = g.wait(ctx, c)
-		return val, err, true
-	}
-	// Abandon is deferred so a panicking fn (recovered further up, e.g. by
-	// net/http) publishes the sentinel error instead of leaving followers
-	// a (nil, nil) success or — worse — a never-closed call.
-	defer g.abandon(key, c)
-	val, err = fn()
-	g.finish(key, c, val, err)
-	return val, err, false
 }

@@ -8,6 +8,21 @@ import (
 	"time"
 )
 
+// flightDo drives the group as every production leader does: claim,
+// then wait as a follower or run fn and finish, with abandon deferred.
+// shared reports whether this caller received a leader's result.
+func flightDo(ctx context.Context, g *flightGroup, key string, fn func() (any, error)) (val any, err error, shared bool) {
+	c, leader := g.claim(key)
+	if !leader {
+		val, err = g.wait(ctx, c)
+		return val, err, true
+	}
+	defer g.abandon(key, c)
+	val, err = fn()
+	g.finish(key, c, val, err)
+	return val, err, false
+}
+
 func TestFlightGroupLeaderAndFollowersShareOneRun(t *testing.T) {
 	var g flightGroup
 	var runs int
@@ -20,7 +35,7 @@ func TestFlightGroupLeaderAndFollowersShareOneRun(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], errs[i], _ = g.do(context.Background(), "k", func() (any, error) {
+			vals[i], errs[i], _ = flightDo(context.Background(), &g, "k", func() (any, error) {
 				runs++ // only ever one runner: no lock needed, -race verifies
 				<-release
 				return "result", nil
@@ -47,7 +62,7 @@ func TestFlightGroupFollowerContextCancel(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	go func() {
-		g.do(context.Background(), "k", func() (any, error) {
+		flightDo(context.Background(), &g, "k", func() (any, error) {
 			close(entered)
 			<-release
 			return nil, nil
@@ -56,7 +71,7 @@ func TestFlightGroupFollowerContextCancel(t *testing.T) {
 	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err, shared := g.do(ctx, "k", func() (any, error) {
+	_, err, shared := flightDo(ctx, &g, "k", func() (any, error) {
 		t.Error("cancelled follower became leader")
 		return nil, nil
 	})
@@ -79,10 +94,10 @@ func TestFlightGroupLeaderPanicPublishesSentinel(t *testing.T) {
 		defer close(leaderDone)
 		defer func() {
 			if recover() == nil {
-				t.Error("do swallowed the leader's panic")
+				t.Error("flightDo swallowed the leader's panic")
 			}
 		}()
-		g.do(context.Background(), "k", func() (any, error) {
+		flightDo(context.Background(), &g, "k", func() (any, error) {
 			close(entered)
 			<-release
 			panic("search exploded")

@@ -224,5 +224,10 @@ func (b *Breaker) Len() int { return b.inner.Len() }
 // Close implements Store, always passing through.
 func (b *Breaker) Close() error { return b.inner.Close() }
 
-// Stats implements StatsReporter, delegating to the inner store.
-func (b *Breaker) Stats() Stats { return StatsOf(b.inner) }
+// Stats implements StatsReporter: the inner store's stats plus this
+// breaker's state.
+func (b *Breaker) Stats() Stats {
+	s := StatsOf(b.inner)
+	s.Breaker = b.State().String()
+	return s
+}

@@ -132,5 +132,10 @@ func (r *Retry) Len() int { return r.inner.Len() }
 // Close implements Store.
 func (r *Retry) Close() error { return r.inner.Close() }
 
-// Stats implements StatsReporter, delegating to the inner store.
-func (r *Retry) Stats() Stats { return StatsOf(r.inner) }
+// Stats implements StatsReporter: the inner store's stats plus this
+// wrapper's retry count.
+func (r *Retry) Stats() Stats {
+	s := StatsOf(r.inner)
+	s.Retries += r.Retries()
+	return s
+}

@@ -69,6 +69,12 @@ type Stats struct {
 	// construction (write-through tiers keep evicted entries durable in
 	// the tier below, so a tiered eviction is not data loss).
 	Evictions int64 `json:"evictions"`
+	// Breaker is the state name ("closed", "open", "half-open") of a
+	// Breaker inside the store, or "" when there is none.
+	Breaker string `json:"breaker,omitempty"`
+	// Retries counts the retry attempts spent by Retry tiers inside the
+	// store since construction.
+	Retries int64 `json:"retries,omitempty"`
 }
 
 // StatsReporter is the optional observability extension of Store.

@@ -48,11 +48,6 @@ func implementations(t *testing.T) map[string]func(t *testing.T) store.Store {
 			faulty := store.NewFaulty(store.NewMemory(1024), store.FaultConfig{FailFirstPerKey: true})
 			return store.NewBreaker(store.NewRetry(faulty, store.RetryConfig{}), store.BreakerConfig{})
 		},
-		// The change-notification wrapper must be a transparent
-		// pass-through store-contract-wise (its hook is a side channel).
-		"notify": func(t *testing.T) store.Store {
-			return store.NewNotify(store.NewMemory(1024), func(store.Op, string) {})
-		},
 	}
 }
 

@@ -1,6 +1,9 @@
 package store
 
-import "errors"
+import (
+	"cmp"
+	"errors"
+)
 
 // Tiered layers a fast bounded store (typically Memory) over a durable
 // one (typically Disk):
@@ -118,7 +121,8 @@ func (t *Tiered) Warm(max int) int {
 
 // Stats implements StatsReporter, merging both tiers' stats. Evictions
 // are the fast tier's (the slow tier is unbounded in every shipped
-// configuration).
+// configuration); the breaker state is the slow tier's when both tiers
+// have a breaker.
 func (t *Tiered) Stats() Stats {
 	s := Stats{Kind: "tiered", Tiers: make(map[string]int, 2)}
 	for _, tier := range []Store{t.fast, t.slow} {
@@ -127,6 +131,8 @@ func (t *Tiered) Stats() Stats {
 			s.Tiers[name] += n
 		}
 		s.Evictions += ts.Evictions
+		s.Retries += ts.Retries
+		s.Breaker = cmp.Or(ts.Breaker, s.Breaker)
 	}
 	return s
 }

@@ -11,9 +11,10 @@ import (
 // The serving layer re-exported through the facade: a long-lived Service
 // that answers Configure/Dispatch requests from a fingerprint-keyed
 // recommendation store (one search per unique workload, singleflight under
-// concurrency) and evaluates configured workflows on a sharded runner
-// pool. cmd/aarcd is this service behind HTTP; NewServiceHandler mounts
-// the same API inside another server.
+// concurrency; a Dispatch is the Configure at its input class's scale)
+// and evaluates configured workflows on a sharded runner pool. cmd/aarcd
+// is this service behind HTTP; NewServiceHandler mounts the same API
+// inside another server.
 type (
 	// Service is the long-lived serving layer: store + singleflight +
 	// sharded runner pools. Safe for concurrent use.
@@ -25,10 +26,11 @@ type (
 	// Configure and Dispatch.
 	ServiceRequest = service.RequestOptions
 	// ServiceStats is a snapshot of the service's cache counters,
-	// including per-tier store sizes.
+	// including per-tier store sizes and the store's breaker state.
 	ServiceStats = service.Stats
 	// DispatchResult is the outcome of one input-aware dispatch: the input
-	// class and its pre-searched configuration.
+	// class and its configuration, under the fingerprint of the class's
+	// store entry.
 	DispatchResult = service.DispatchResult
 	// ServiceBatchItem is one configure request inside a
 	// Service.ConfigureBatch call: a spec plus its per-request options.
