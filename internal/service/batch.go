@@ -15,7 +15,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -48,11 +47,7 @@ func (r *BatchResult) Recommendation() (*Recommendation, error) {
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	rec := new(Recommendation)
-	if err := json.Unmarshal(r.Body, rec); err != nil {
-		return nil, fmt.Errorf("service: decoding batch recommendation: %w", err)
-	}
-	return rec, nil
+	return decodeRecommendation(r.Body)
 }
 
 // MaxBatchItems bounds one ConfigureBatch call (and one
@@ -70,10 +65,11 @@ var errNilSpec = errors.New("service: batch item with nil spec")
 // pendingSearch is one claimed miss awaiting a pooled batch run: the
 // flight call it leads, and everything searchMiss needs to run it.
 type pendingSearch struct {
-	fp   string
-	c    *flightCall
-	spec *workflow.Spec
-	r    resolved
+	fp       string
+	c        *flightCall
+	spec     *workflow.Spec
+	specJSON []byte
+	r        resolved
 }
 
 // ConfigureBatch answers a batch of configure requests as one admission:
@@ -84,9 +80,7 @@ type pendingSearch struct {
 // each slot — only for a malformed batch (too many items).
 //
 // Counters: every non-duplicate item is one hit or one miss; duplicates
-// ride along uncounted. As with Configure, the service retains each
-// item's spec for its runner pool, so callers must not mutate specs
-// afterwards.
+// ride along uncounted.
 func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
 	if len(items) > MaxBatchItems {
 		return nil, ErrBatchTooLarge
@@ -125,7 +119,7 @@ func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]Batc
 			results[i].Err = err
 			continue
 		}
-		fp, err := s.fingerprint(it.Spec, r)
+		fp, specJSON, err := s.fingerprint(it.Spec, r)
 		if err != nil {
 			results[i].Err = err
 			continue
@@ -144,7 +138,7 @@ func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]Batc
 		}
 		s.misses.Add(1)
 		if c, leader := s.flight.claim(fp); leader {
-			runs = append(runs, &pendingSearch{fp: fp, c: c, spec: it.Spec, r: r})
+			runs = append(runs, &pendingSearch{fp: fp, c: c, spec: it.Spec, specJSON: specJSON, r: r})
 		} else {
 			waits = append(waits, attached{item: i, c: c})
 		}
@@ -207,6 +201,6 @@ func (s *Service) searchPending(ctx context.Context, p *pendingSearch) {
 			s.flight.finish(p.fp, p.c, nil, fmt.Errorf("service: search for %s panicked: %v", p.fp, r))
 		}
 	}()
-	body, err := s.searchMiss(ctx, p.fp, p.spec, p.r, false)
+	body, err := s.searchMiss(ctx, p.fp, p.spec, p.specJSON, p.r, false)
 	s.flight.finish(p.fp, p.c, body, err)
 }

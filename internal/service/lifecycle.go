@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"log"
 	"runtime/debug"
 	"sort"
@@ -119,8 +118,9 @@ func (s *Service) Recommendations() []RecommendationInfo {
 
 // lifecycleProber adapts the Service to the drift monitor's Prober:
 // fingerprints come from the store's key index, and probes run on the
-// entry's existing sharded runner pool via evaluateN, the same path
-// Evaluate and Validate use.
+// entry's sharded runner pool via evaluateN, the same path Evaluate and
+// Validate use, under the assignment and SLO decoded from the stored
+// body.
 type lifecycleProber struct{ s *Service }
 
 // Keys() order is unspecified; sorted so every sweep probes entries in
@@ -132,15 +132,15 @@ func (p lifecycleProber) Fingerprints() []string {
 }
 
 func (p lifecycleProber) Probe(fp string, runs int) ([]float64, float64, error) {
-	e, err := p.s.entryFor(fp)
+	se, pool, err := p.s.entryFor(fp)
 	if err != nil {
 		return nil, 0, err
 	}
-	pool, err := e.runnerPool(p.s.cfg.Shards)
+	rec, err := decodeRecommendation(se.Body)
 	if err != nil {
 		return nil, 0, err
 	}
-	results, err := pool.evaluateN(e.rec.ResourceAssignment(), runs)
+	results, err := pool.evaluateN(rec.ResourceAssignment(), runs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -148,7 +148,7 @@ func (p lifecycleProber) Probe(fp string, runs int) ([]float64, float64, error) 
 	for i, r := range results {
 		e2e[i] = r.E2EMS
 	}
-	return e2e, e.rec.SLOMS, nil
+	return e2e, rec.SLOMS, nil
 }
 
 // refreshLoop consumes the drift monitor's stale queue until the
@@ -222,17 +222,23 @@ func (s *Service) acquireRefresh(ctx context.Context) error {
 // get the old bytes or the new bytes, never a miss and never a mix —
 // store tiers replace entries atomically under their own locks. The old
 // entry keeps serving for the whole search. Skips cleanly when the
-// entry was invalidated since flagging, or when another flight for the
-// fingerprint is already running.
+// store no longer holds the entry (invalidated or evicted since
+// flagging), or when another flight for the fingerprint is already
+// running.
 func (s *Service) refresh(ctx context.Context, fp string) error {
-	e, err := s.entryFor(fp)
+	se, ok := s.getStore(fp)
+	if !ok {
+		return nil
+	}
+	rec, err := decodeRecommendation(se.Body)
 	if err != nil {
-		if errors.Is(err, ErrUnknownFingerprint) {
-			return nil
-		}
 		return err
 	}
-	r, err := s.refreshResolved(e)
+	m, spec, err := storedSpec(fp, se.Meta)
+	if err != nil {
+		return err
+	}
+	r, err := s.refreshResolved(rec, m)
 	if err != nil {
 		return err
 	}
@@ -251,13 +257,12 @@ func (s *Service) refresh(ctx context.Context, fp string) error {
 	defer s.releaseSearch()
 	// The lifecycle context rides into the search: Close cancels
 	// in-flight refreshes, unlike foreground misses which run detached.
-	ne, se, err := s.runSearch(ctx, fp, e.spec, r)
+	se, err = s.runSearch(ctx, fp, spec, m.Spec, r)
 	if err != nil {
 		s.flight.finish(fp, c, nil, err)
 		return err
 	}
 	s.putStore(fp, se, event.KindRefreshed) // the swap
-	s.putPool(fp, ne)
 	s.refreshes.Add(1)
 	s.flight.finish(fp, c, se.Body, nil)
 	return nil
@@ -267,11 +272,10 @@ func (s *Service) refresh(ctx context.Context, fp string) error {
 // from its persisted meta, falling back — for entries persisted before
 // the lifecycle fields existed — to the recommendation body (method,
 // SLO; the registry lookup is case-insensitive) and the service's caps.
-func (s *Service) refreshResolved(e *entry) (resolved, error) {
-	m := e.meta
+func (s *Service) refreshResolved(rec *Recommendation, m entryMeta) (resolved, error) {
 	method := m.Method
 	if method == "" {
-		method = e.rec.Method
+		method = rec.Method
 	}
 	version, err := search.Version(method)
 	if err != nil {
@@ -283,7 +287,7 @@ func (s *Service) refreshResolved(e *entry) (resolved, error) {
 		MaxSimCostMS: m.MaxSimCostMS,
 	}
 	if sopts.SLOMS <= 0 {
-		sopts.SLOMS = e.rec.SLOMS
+		sopts.SLOMS = rec.SLOMS
 	}
 	if sopts.MaxSamples <= 0 {
 		sopts.MaxSamples = s.cfg.MaxSamples
@@ -294,8 +298,8 @@ func (s *Service) refreshResolved(e *entry) (resolved, error) {
 	return resolved{
 		method:  method,
 		version: version,
-		seed:    e.ropts.Seed,
-		ropts:   e.ropts,
+		seed:    m.Seed,
+		ropts:   m.runnerOptions(),
 		sopts:   sopts,
 	}, nil
 }

@@ -23,12 +23,14 @@
 //     fingerprint call RecommendationJSON (GET /v1/recommendation/{fp})
 //     and skip spec decoding, canonicalization and hashing entirely;
 //     Invalidate (DELETE) is the explicit eviction door;
-//   - a sharded runner pool per configured fingerprint for the
+//   - a sharded runner pool per evaluated fingerprint for the
 //     post-configuration hot path (Validate / Evaluate): Runners are not
 //     concurrency-safe (one-runner-per-goroutine rule, DESIGN.md §3), so
 //     the pool holds one independently-seeded Runner per shard behind its
-//     own mutex. Pools are process-private runtime state, rebuilt on
-//     demand from the store's metadata after a restart.
+//     own mutex. Pools are process-private runtime state, built from the
+//     store's metadata on a fingerprint's first evaluation — a search
+//     leaves nothing behind but the store entry, which stays the only
+//     authority on whether a fingerprint is configured.
 //
 // Searches run detached from the requesting client's context
 // (context.WithoutCancel): a shared cache entry must not be poisoned by
@@ -47,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"maps"
 	"math"
 	"runtime"
 	"sort"
@@ -263,7 +264,7 @@ type Service struct {
 	lifecycleWG     sync.WaitGroup
 
 	mu    sync.Mutex
-	pools *lruCache // fingerprint -> *entry (process-private runner pools)
+	pools *lruCache // fingerprint -> *entry (runner pools of evaluated fingerprints)
 
 	draining atomic.Bool // BeginDrain/Close flipped; /readyz turns 503
 
@@ -521,8 +522,8 @@ func (s *Service) RetryAfterSeconds() int {
 }
 
 // entryMeta is the sidecar persisted with every stored recommendation:
-// everything a process needs to rebuild an evaluation runner pool for a
-// fingerprint it never searched itself, plus — since the lifecycle
+// everything a process needs to build a fingerprint's evaluation runner
+// pool, whether or not it ran the search itself, plus — since the lifecycle
 // subsystem — the full search identity, so a background refresh can
 // re-run the exact search that produced the entry. The search-identity
 // fields are omitempty: entries persisted by older processes decode with
@@ -552,26 +553,52 @@ func (m entryMeta) runnerOptions() workflow.RunnerOptions {
 	}
 }
 
-// entry is the process-private runtime state behind one configured
-// fingerprint: the decoded recommendation plus a lazily-built sharded
-// runner pool. It is rebuilt from the store's entryMeta when absent
-// (after a restart, a pool-cache eviction, or a cross-process share).
-type entry struct {
-	rec   *Recommendation
-	spec  *workflow.Spec
-	ropts workflow.RunnerOptions
-	meta  entryMeta // persisted sidecar; the refresher's search identity
-
-	poolOnce sync.Once
-	pool     *runnerPool
-	poolErr  error
+// storedSpec decodes a stored entry's meta and the canonical spec in it.
+func storedSpec(fp string, meta []byte) (entryMeta, *workflow.Spec, error) {
+	var m entryMeta
+	if err := json.Unmarshal(meta, &m); err != nil {
+		return entryMeta{}, nil, fmt.Errorf("service: stored metadata for %s is unreadable: %w", fp, err)
+	}
+	spec, err := workflow.DecodeCanonicalSpec(m.Spec)
+	if err != nil {
+		return entryMeta{}, nil, fmt.Errorf("service: rebuilding spec for %s: %w", fp, err)
+	}
+	return m, spec, nil
 }
 
-func (e *entry) runnerPool(shards int) (*runnerPool, error) {
-	e.poolOnce.Do(func() {
-		e.pool, e.poolErr = newRunnerPool(e.spec, e.ropts, shards)
-	})
-	return e.pool, e.poolErr
+// decodeRecommendation decodes served bytes into a Recommendation the
+// caller owns.
+func decodeRecommendation(body []byte) (*Recommendation, error) {
+	rec := new(Recommendation)
+	if err := json.Unmarshal(body, rec); err != nil {
+		return nil, fmt.Errorf("service: decoding stored recommendation: %w", err)
+	}
+	return rec, nil
+}
+
+// entry is the process-private runtime state behind one evaluated
+// fingerprint: its sharded runner pool, built from the stored entryMeta
+// by the fingerprint's first Evaluate, Validate or drift probe. The
+// mutex serializes that build, so concurrent first callers compile the
+// runners once; a failed build leaves pool nil and the next call retries.
+type entry struct {
+	mu   sync.Mutex
+	pool *runnerPool
+}
+
+func (e *entry) runnerPool(fp string, meta []byte, shards int) (*runnerPool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.pool == nil {
+		m, spec, err := storedSpec(fp, meta)
+		if err != nil {
+			return nil, err
+		}
+		if e.pool, err = newRunnerPool(spec, m.runnerOptions(), shards); err != nil {
+			return nil, err
+		}
+	}
+	return e.pool, nil
 }
 
 // resolved folds a request into the service defaults.
@@ -641,10 +668,11 @@ func capBudgetF(req, cap float64) float64 {
 // implementation version is part of the key: bumping a method's
 // registered version changes every fingerprint it produces, so stale
 // entries — including persisted ones — are simply never addressed again.
-func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (string, error) {
-	specJSON, err := workflow.CanonicalJSON(spec)
+// It also returns the spec's canonical JSON, which a miss stores as-is.
+func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (fp string, specJSON []byte, err error) {
+	specJSON, err = workflow.CanonicalJSON(spec)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	key := struct {
 		Spec          json.RawMessage `json:"spec"`
@@ -667,9 +695,9 @@ func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (string, error) {
 	}
 	b, err := json.Marshal(key)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(b)), nil
+	return fmt.Sprintf("sha256:%x", sha256.Sum256(b)), specJSON, nil
 }
 
 // getStore reads the store, degrading store errors to misses (a broken
@@ -697,51 +725,6 @@ func (s *Service) putStore(fp string, e store.Entry, kind event.Kind) {
 	s.bus.Publish(kind, fp)
 }
 
-// putPool stashes a fingerprint's runtime entry, bounded by CacheSize.
-func (s *Service) putPool(fp string, e *entry) {
-	s.mu.Lock()
-	s.pools.add(fp, e)
-	s.mu.Unlock()
-}
-
-// configure is the shared Configure path returning the served bytes and
-// the fingerprint they live under.
-func (s *Service) configure(ctx context.Context, spec *workflow.Spec, ro RequestOptions) (fp string, body []byte, cacheHit bool, err error) {
-	if spec == nil {
-		return "", nil, false, errors.New("service: Configure with nil spec")
-	}
-	r, err := s.resolve(spec, ro)
-	if err != nil {
-		return "", nil, false, err
-	}
-	fp, err = s.fingerprint(spec, r)
-	if err != nil {
-		return "", nil, false, err
-	}
-	if se, ok := s.getStore(fp); ok {
-		s.hits.Add(1)
-		return fp, se.Body, true, nil
-	}
-	s.misses.Add(1)
-	c, leader := s.flight.claim(fp)
-	if !leader {
-		// Another caller — a singleton leader or a batch item — is
-		// already searching this fingerprint: wait for its result.
-		body, err = s.flightResult(ctx, c)
-		return fp, body, false, err
-	}
-	// This caller is the leader and searches inline. Abandon is deferred
-	// so a panic publishes a sentinel error to followers (see flightGroup)
-	// instead of an unset result.
-	defer s.flight.abandon(fp, c)
-	body, err = s.searchMiss(ctx, fp, spec, r, true)
-	s.flight.finish(fp, c, body, err)
-	if err != nil {
-		return fp, nil, false, err
-	}
-	return fp, body, false, nil
-}
-
 // flightResult waits on an in-flight call and narrows its value to the
 // served bytes.
 func (s *Service) flightResult(ctx context.Context, c *flightCall) ([]byte, error) {
@@ -754,12 +737,11 @@ func (s *Service) flightResult(ctx context.Context, c *flightCall) ([]byte, erro
 
 // searchMiss is the miss path behind an owned flight claim: re-check the
 // store (a previous leader may have filled it between this caller's miss
-// and its claim), take an admission slot, search, persist, stash the
-// runtime entry. shed selects the saturation policy (see acquireSearch).
-// Failed searches — including shed and timed-out ones — are never
-// written to any tier: the store stays untouched and the next request
-// retries.
-func (s *Service) searchMiss(ctx context.Context, fp string, spec *workflow.Spec, r resolved, shed bool) ([]byte, error) {
+// and its claim), take an admission slot, search, persist. shed selects
+// the saturation policy (see acquireSearch). Failed searches — including
+// shed and timed-out ones — are never written to any tier: the store
+// stays untouched and the next request retries.
+func (s *Service) searchMiss(ctx context.Context, fp string, spec *workflow.Spec, specJSON []byte, r resolved, shed bool) ([]byte, error) {
 	if se, ok := s.getStore(fp); ok {
 		return se.Body, nil
 	}
@@ -770,12 +752,11 @@ func (s *Service) searchMiss(ctx context.Context, fp string, spec *workflow.Spec
 	// Detach from the client's context here — not in runSearch — so the
 	// background refresher can pass its own cancellable lifecycle context
 	// to the same search machinery.
-	e, se, err := s.runSearch(context.WithoutCancel(ctx), fp, spec, r) //aarc:detached shared cache entry must not be poisoned by one client's disconnect
+	se, err := s.runSearch(context.WithoutCancel(ctx), fp, spec, specJSON, r) //aarc:detached shared cache entry must not be poisoned by one client's disconnect
 	if err != nil {
 		return nil, err
 	}
 	s.putStore(fp, se, event.KindPut)
-	s.putPool(fp, e)
 	return se.Body, nil
 }
 
@@ -784,30 +765,15 @@ func (s *Service) searchMiss(ctx context.Context, fp string, spec *workflow.Spec
 // share one search via singleflight, and later callers hit the store
 // without constructing a Runner or Searcher. cacheHit reports whether this
 // call was answered from the store (false for the singleflight leader and
-// the followers that waited on it).
-//
-// The service retains spec (for the fingerprint's lazily-built runner
-// pool), so — as with NewRunner — the caller must not mutate it
-// afterwards. The HTTP layer decodes a fresh spec per request and is
-// unaffected.
+// the followers that waited on it). Every call decodes the served bytes
+// afresh, so the returned Recommendation is the caller's own.
 func (s *Service) Configure(ctx context.Context, spec *workflow.Spec, ro RequestOptions) (rec *Recommendation, cacheHit bool, err error) {
-	fp, body, hit, err := s.configure(ctx, spec, ro)
+	body, hit, err := s.ConfigureJSON(ctx, spec, ro)
 	if err != nil {
 		return nil, hit, err
 	}
-	// The leader stashed its decoded entry in the pools cache; hits in
-	// the same process reuse it rather than re-decoding the body.
-	s.mu.Lock()
-	v, ok := s.pools.get(fp)
-	s.mu.Unlock()
-	if ok {
-		return v.(*entry).rec, hit, nil
-	}
-	rec = new(Recommendation)
-	if err := json.Unmarshal(body, rec); err != nil {
-		return nil, hit, fmt.Errorf("service: decoding stored recommendation: %w", err)
-	}
-	return rec, hit, nil
+	rec, err = decodeRecommendation(body)
+	return rec, hit, err
 }
 
 // ConfigureJSON is Configure returning the stored deterministic JSON
@@ -815,8 +781,36 @@ func (s *Service) Configure(ctx context.Context, spec *workflow.Spec, ro Request
 // this process or a restarted one — is byte-identical. Callers must not
 // mutate the returned slice.
 func (s *Service) ConfigureJSON(ctx context.Context, spec *workflow.Spec, ro RequestOptions) (body []byte, cacheHit bool, err error) {
-	_, body, cacheHit, err = s.configure(ctx, spec, ro)
-	return body, cacheHit, err
+	if spec == nil {
+		return nil, false, errors.New("service: Configure with nil spec")
+	}
+	r, err := s.resolve(spec, ro)
+	if err != nil {
+		return nil, false, err
+	}
+	fp, specJSON, err := s.fingerprint(spec, r)
+	if err != nil {
+		return nil, false, err
+	}
+	if se, ok := s.getStore(fp); ok {
+		s.hits.Add(1)
+		return se.Body, true, nil
+	}
+	s.misses.Add(1)
+	c, leader := s.flight.claim(fp)
+	if !leader {
+		// Another caller — a singleton leader or a batch item — is
+		// already searching this fingerprint: wait for its result.
+		body, err = s.flightResult(ctx, c)
+		return body, false, err
+	}
+	// This caller is the leader and searches inline. Abandon is deferred
+	// so a panic publishes a sentinel error to followers (see flightGroup)
+	// instead of an unset result.
+	defer s.flight.abandon(fp, c)
+	body, err = s.searchMiss(ctx, fp, spec, specJSON, r, true)
+	s.flight.finish(fp, c, body, err)
+	return body, false, err
 }
 
 // RecommendationJSON is the fingerprint-addressed fast path: the stored
@@ -868,23 +862,25 @@ func (s *Service) Invalidate(fp string) (existed bool, err error) {
 	return existed, nil
 }
 
-// runSearch performs one search and builds both the runtime entry and the
-// storable form. It runs detached from the client's context (see the
+// runSearch performs one search and builds its storable form: the served
+// body and the meta that evaluation pools and refreshes are built from,
+// which carries specJSON — the spec's canonical JSON — as given. The
+// caller picks the context: a miss detaches it from the client (see the
 // package comment). Nothing is written to the store here: persisting is
 // the caller's step, taken only on success.
-func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec, r resolved) (*entry, store.Entry, error) {
+func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec, specJSON []byte, r resolved) (store.Entry, error) {
 	searcher, err := search.New(r.method, r.seed)
 	if err != nil {
-		return nil, store.Entry{}, err
+		return store.Entry{}, err
 	}
 	runner, err := workflow.NewRunner(spec, r.ropts)
 	if err != nil {
-		return nil, store.Entry{}, err
+		return store.Entry{}, err
 	}
 	s.searches.Add(1)
 	out, err := s.runSearcher(ctx, searcher, runner, r.sopts)
 	if err != nil {
-		return nil, store.Entry{}, err
+		return store.Entry{}, err
 	}
 	rec := &Recommendation{
 		Fingerprint:     fp,
@@ -904,13 +900,9 @@ func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec,
 	}
 	body, err := json.Marshal(rec)
 	if err != nil {
-		return nil, store.Entry{}, err
+		return store.Entry{}, err
 	}
-	specJSON, err := workflow.CanonicalJSON(spec)
-	if err != nil {
-		return nil, store.Entry{}, err
-	}
-	m := entryMeta{
+	meta, err := json.Marshal(entryMeta{
 		Spec:       specJSON,
 		HostCores:  r.ropts.HostCores,
 		Noise:      r.ropts.Noise,
@@ -923,13 +915,11 @@ func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec,
 		MaxSamples:    r.sopts.MaxSamples,
 		MaxSimCostMS:  r.sopts.MaxSimCostMS,
 		CreatedUnixMS: time.Now().UnixMilli(),
-	}
-	meta, err := json.Marshal(m)
+	})
 	if err != nil {
-		return nil, store.Entry{}, err
+		return store.Entry{}, err
 	}
-	e := &entry{rec: rec, spec: spec, ropts: r.ropts, meta: m}
-	return e, store.Entry{Body: body, Meta: meta}, nil
+	return store.Entry{Body: body, Meta: meta}, nil
 }
 
 // searchOutcome carries a searcher's return across the timeout goroutine,
@@ -987,35 +977,26 @@ func (s *Service) runSearcher(ctx context.Context, searcher search.Searcher, run
 	}
 }
 
-// entryFor returns the runtime entry for a configured fingerprint,
-// rebuilding it from the store's metadata when this process has none
-// (restart, pool-cache eviction, or an entry another process searched).
-func (s *Service) entryFor(fp string) (*entry, error) {
-	s.mu.Lock()
-	v, ok := s.pools.get(fp)
-	s.mu.Unlock()
-	if ok {
-		return v.(*entry), nil
-	}
+// entryFor returns a configured fingerprint's store entry and runner
+// pool. The store is read first and alone decides whether fp is
+// configured: an evicted or invalidated fingerprint is
+// ErrUnknownFingerprint here exactly as it is to RecommendationJSON,
+// whatever the pools still hold. The pool is built from the entry's meta
+// on the fingerprint's first call, outside s.mu.
+func (s *Service) entryFor(fp string) (store.Entry, *runnerPool, error) {
 	se, ok := s.getStore(fp)
 	if !ok {
-		return nil, ErrUnknownFingerprint
+		return store.Entry{}, nil, ErrUnknownFingerprint
 	}
-	var m entryMeta
-	if err := json.Unmarshal(se.Meta, &m); err != nil {
-		return nil, fmt.Errorf("service: stored metadata for %s is unreadable: %w", fp, err)
+	s.mu.Lock()
+	v, ok := s.pools.get(fp)
+	if !ok {
+		v = new(entry)
+		s.pools.add(fp, v)
 	}
-	spec, err := workflow.DecodeCanonicalSpec(m.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("service: rebuilding spec for %s: %w", fp, err)
-	}
-	rec := new(Recommendation)
-	if err := json.Unmarshal(se.Body, rec); err != nil {
-		return nil, fmt.Errorf("service: decoding stored recommendation: %w", err)
-	}
-	e := &entry{rec: rec, spec: spec, ropts: m.runnerOptions(), meta: m}
-	s.putPool(fp, e)
-	return e, nil
+	s.mu.Unlock()
+	pool, err := v.(*entry).runnerPool(fp, se.Meta, s.cfg.Shards)
+	return se, pool, err
 }
 
 // Dispatch is the §IV-D online engine over the cache: it classifies the
@@ -1056,7 +1037,7 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 		Class:       cls.Name,
 		ClassScale:  cls.Scale,
 		Scale:       scale,
-		Assignment:  maps.Clone(rec.Assignment),
+		Assignment:  rec.Assignment,
 	}, hit, nil
 }
 
@@ -1078,11 +1059,12 @@ var ErrTooManyRuns = fmt.Errorf("service: runs exceed the per-request bound %d",
 // Evaluate runs the workflow behind a configured fingerprint n times under
 // an arbitrary assignment (what-if probing), on the fingerprint's sharded
 // runner pool, each run on the next shard (runnerPool.evaluateN). A nil
-// assignment evaluates the stored recommendation itself. Works across
-// restarts when the store is durable: the pool is rebuilt from the stored
-// canonical spec and runner options. On a mid-run error the completed
-// results are returned alongside it, so callers (and the HTTP error body)
-// can report how many runs finished.
+// assignment evaluates the stored recommendation itself, decoded from the
+// stored body at call time. Works across restarts when the store is
+// durable: the pool is built from the stored canonical spec and runner
+// options. On a mid-run error the completed results are returned
+// alongside it, so callers (and the HTTP error body) can report how many
+// runs finished.
 func (s *Service) Evaluate(fp string, a resources.Assignment, n int) ([]search.Result, error) {
 	if n <= 0 {
 		n = 1
@@ -1090,16 +1072,16 @@ func (s *Service) Evaluate(fp string, a resources.Assignment, n int) ([]search.R
 	if n > MaxEvaluateRuns {
 		return nil, ErrTooManyRuns
 	}
-	e, err := s.entryFor(fp)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := e.runnerPool(s.cfg.Shards)
+	se, pool, err := s.entryFor(fp)
 	if err != nil {
 		return nil, err
 	}
 	if a == nil {
-		a = e.rec.ResourceAssignment()
+		rec, err := decodeRecommendation(se.Body)
+		if err != nil {
+			return nil, err
+		}
+		a = rec.ResourceAssignment()
 	}
 	return pool.evaluateN(a, n)
 }

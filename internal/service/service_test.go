@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -675,14 +677,14 @@ func TestMethodVersionFoldsIntoFingerprint(t *testing.T) {
 	if r.version != 1 {
 		t.Fatalf("stub method resolved version %d, want 1", r.version)
 	}
-	fp1, err := svc.fingerprint(spec, r)
+	fp1, _, err := svc.fingerprint(spec, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The same request under a bumped implementation version must address
 	// a different entry: stale recommendations self-invalidate.
 	r.version = 2
-	fp2, err := svc.fingerprint(spec, r)
+	fp2, _, err := svc.fingerprint(spec, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,5 +701,123 @@ func TestConfigureUnknownMethodFailsFast(t *testing.T) {
 	}
 	if svc.Stats().Misses != 0 {
 		t.Error("unknown method was counted as a miss (fingerprinted before failing)")
+	}
+}
+
+// TestStoreIsAuthorityForEvaluate: a fingerprint the store evicted is
+// unknown to Evaluate and Validate exactly as it is to GET, even after an
+// earlier Evaluate built its runner pool. Reading B before configuring C
+// makes A the store's least recently used entry, whether or not Evaluate
+// refreshes A's recency in the store.
+func TestStoreIsAuthorityForEvaluate(t *testing.T) {
+	svc := stubService(t, Config{CacheSize: 2})
+	ctx := context.Background()
+	configure := func(variant int) string {
+		t.Helper()
+		rec, _, err := svc.Configure(ctx, testSpec(t, variant), RequestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Fingerprint
+	}
+	a, b := configure(0), configure(1)
+	if _, err := svc.Evaluate(a, nil, 1); err != nil {
+		t.Fatalf("Evaluate(A) while A is stored: %v", err)
+	}
+	if _, err := svc.RecommendationJSON(b); err != nil {
+		t.Fatal(err)
+	}
+	configure(2)
+
+	if _, err := svc.RecommendationJSON(a); !errors.Is(err, ErrUnknownFingerprint) {
+		t.Fatalf("GET A after configuring C: %v, want the store to have evicted A", err)
+	}
+	if _, err := svc.Evaluate(a, nil, 1); !errors.Is(err, ErrUnknownFingerprint) {
+		t.Errorf("Evaluate(A) after the store evicted A: %v, want ErrUnknownFingerprint", err)
+	}
+	if _, err := svc.Validate(a, 1); !errors.Is(err, ErrUnknownFingerprint) {
+		t.Errorf("Validate(A) after the store evicted A: %v, want ErrUnknownFingerprint", err)
+	}
+}
+
+// TestConfigureHitsDoNotAliasRecommendation: every Configure call decodes
+// its own Recommendation, so a caller writing to the one it got changes
+// neither what later hits return nor what Validate evaluates.
+func TestConfigureHitsDoNotAliasRecommendation(t *testing.T) {
+	svc := stubService(t, Config{})
+	spec, ctx := testSpec(t, 0), context.Background()
+	hit := func() *Recommendation {
+		t.Helper()
+		rec, _, err := svc.Configure(ctx, spec, RequestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	hit() // the miss
+	first, second := hit(), hit()
+	if first == second {
+		t.Error("two Configure hits returned the same *Recommendation")
+	}
+	want := maps.Clone(first.Assignment)
+	clear(first.Assignment) // a caller's write: no group left configured
+
+	if got := hit().Assignment; !maps.Equal(got, want) {
+		t.Errorf("a caller's write leaked into a later hit: %v, want %v", got, want)
+	}
+	if _, err := svc.Validate(first.Fingerprint, 1); err != nil {
+		t.Errorf("a caller's write leaked into Validate: %v", err)
+	}
+}
+
+// TestRetainedHeapPerEntry caps what one configured fingerprint keeps
+// alive: the stored body and meta, and little else. Each spec is
+// generated, configured and dropped inside the loop, so anything the
+// service keeps of it — a decoded spec, a second canonical JSON, a decoded
+// recommendation — counts against the bound. Not parallel: it reads the
+// process's live heap.
+func TestRetainedHeapPerEntry(t *testing.T) {
+	const entries = 64
+	svc := stubService(t, Config{CacheSize: 2 * entries})
+	ctx := context.Background()
+	liveHeap := func() int64 {
+		// Two cycles: the first moves sync.Pool caches to their victim
+		// lists, the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	fps := make([]string, 0, entries)
+	before := liveHeap()
+	for i := 0; i < entries; i++ {
+		spec, err := workloads.Scale(workloads.ScaleOptions{
+			Topology: workloads.Topologies()[i%len(workloads.Topologies())],
+			Nodes:    64,
+			Seed:     uint64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _, err := svc.Configure(ctx, spec, RequestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, rec.Fingerprint)
+	}
+	grown := liveHeap() - before
+
+	var stored int64
+	for _, fp := range fps {
+		se, ok, err := svc.st.Get(fp)
+		if err != nil || !ok {
+			t.Fatalf("entry %s: ok=%v err=%v", fp, ok, err)
+		}
+		stored += int64(len(se.Body) + len(se.Meta))
+	}
+	t.Logf("live heap grew %.1f KiB per entry against %.1f KiB stored", float64(grown)/entries/1024, float64(stored)/entries/1024)
+	if grown > 2*stored {
+		t.Errorf("live heap grew %d bytes for %d entries, more than twice their %d stored bytes", grown, entries, stored)
 	}
 }

@@ -119,8 +119,8 @@ func WithCacheSize(n int) Option {
 	return func(s *settings) { s.cacheSize = n }
 }
 
-// WithShards sets how many Runners NewService pools per cached entry for
-// concurrent Evaluate/Validate (default GOMAXPROCS). Configure and
+// WithShards sets how many Runners NewService pools per evaluated
+// fingerprint for concurrent Evaluate/Validate (default GOMAXPROCS). Configure and
 // ConfigureClasses ignore it.
 func WithShards(n int) Option {
 	return func(s *settings) { s.shards = n }
