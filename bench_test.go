@@ -52,22 +52,23 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkPlatformInvoke measures the simulated platform's per-invocation
-// cost on the steady (warm) path.
-func BenchmarkPlatformInvoke(b *testing.B) {
+// BenchmarkContainerInvoke measures the simulated platform's per-invocation
+// cost on the steady (warm) path of one container.
+func BenchmarkContainerInvoke(b *testing.B) {
 	p := simfaas.New(simfaas.DefaultOptions())
+	var c simfaas.Container
 	prof := perfmodel.Profile{
 		Name: "bench", CPUWorkMS: 1000, ParallelFrac: 0.5,
 		FootprintMB: 512, MinMemMB: 128, PressureK: 1,
 	}
 	cfg := resources.Config{CPU: 2, MemMB: 1024}
-	if _, err := p.Invoke("bench", prof, cfg, 1, nil); err != nil { // warm it
+	if _, err := p.Invoke(&c, prof, cfg, 1, nil); err != nil { // warm it
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Invoke("bench", prof, cfg, 1, nil); err != nil {
+		if _, err := p.Invoke(&c, prof, cfg, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

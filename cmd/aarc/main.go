@@ -187,7 +187,7 @@ func printNodeBreakdown(spec *aarc.Spec, res aarc.Result) {
 	fmt.Printf("  %-14s %-10s %9s %9s %9s %7s %10s %s\n",
 		"node", "group", "start_s", "finish_s", "dur_s", "cold_s", "cost_k", "config")
 	for _, id := range topo {
-		nr := res.Nodes[id]
+		nr := res.Node(id)
 		if nr.Skipped {
 			fmt.Printf("  %-14s %-10s %9s %9s %9s %7s %10s %s\n",
 				id, nr.Group, "-", "-", "-", "-", "-", "skipped")

@@ -1,8 +1,9 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Subpath is a detour branch that leaves the critical path at Start and
@@ -43,9 +44,9 @@ func (s Subpath) String() string {
 //
 // The result is ordered for the scheduler: descending interior weight (the
 // heaviest, most SLO-threatening branch first), then by the anchors'
-// position on the critical path. Overlapping branches that share interior
-// nodes each appear; Algorithm 1's scheduled flags make the overlap safe
-// (a function is only ever configured once).
+// position on the critical path, then in discovery order. Overlapping
+// branches that share interior nodes each appear; Algorithm 1's scheduled
+// flags make the overlap safe (a function is only ever configured once).
 func FindDetourSubpaths(g *Graph, critical []string, weights map[string]float64) ([]Subpath, error) {
 	onCP := make(map[string]bool, len(critical))
 	cpIndex := make(map[string]int, len(critical))
@@ -60,7 +61,15 @@ func FindDetourSubpaths(g *Graph, critical []string, weights map[string]float64)
 		cpIndex[id] = i
 	}
 
-	var out []Subpath
+	// Each subpath's sort key is computed once, when it is found: its
+	// interior weight (PathWeight over the trail, the interior in order)
+	// and its anchors' critical-path indices.
+	type keyed struct {
+		weight     float64
+		start, end int
+		sp         Subpath
+	}
+	var found []keyed
 	var walk func(anchor string, node string, trail []string)
 	walk = func(anchor, node string, trail []string) {
 		for _, next := range g.succ[node] {
@@ -79,7 +88,12 @@ func FindDetourSubpaths(g *Graph, critical []string, weights map[string]float64)
 					nodes = append(nodes, anchor)
 					nodes = append(nodes, trail...)
 					nodes = append(nodes, next)
-					out = append(out, Subpath{Start: anchor, End: next, Nodes: nodes})
+					found = append(found, keyed{
+						weight: PathWeight(trail, weights),
+						start:  cpIndex[anchor],
+						end:    cpIndex[next],
+						sp:     Subpath{Start: anchor, End: next, Nodes: nodes},
+					})
 				}
 				continue
 			}
@@ -101,17 +115,13 @@ func FindDetourSubpaths(g *Graph, critical []string, weights map[string]float64)
 		walk(anchor, anchor, nil)
 	}
 
-	sort.SliceStable(out, func(i, j int) bool {
-		wi := PathWeight(out[i].Interior(), weights)
-		wj := PathWeight(out[j].Interior(), weights)
-		if wi != wj {
-			return wi > wj
-		}
-		if cpIndex[out[i].Start] != cpIndex[out[j].Start] {
-			return cpIndex[out[i].Start] < cpIndex[out[j].Start]
-		}
-		return cpIndex[out[i].End] < cpIndex[out[j].End]
+	slices.SortStableFunc(found, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(b.weight, a.weight), a.start-b.start, a.end-b.end)
 	})
+	out := make([]Subpath, len(found))
+	for i := range found {
+		out[i] = found[i].sp
+	}
 	return out, nil
 }
 

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"aarc/internal/resources"
 )
@@ -44,13 +45,72 @@ type NodeResult struct {
 	Skipped     bool // true when an upstream OOM aborted the workflow first
 }
 
+// Layout names the entries of a Result's Nodes: the node ID of each entry,
+// and the reverse index. An evaluator builds one when it compiles a workflow
+// and shares it, read-only, with every Result it returns.
+type Layout struct {
+	ids   []string
+	index map[string]int32
+}
+
+// NewLayout returns the layout whose entry i is node ids[i]. The IDs must be
+// distinct; the layout keeps the slice, which the caller must not mutate.
+func NewLayout(ids []string) *Layout {
+	index := make(map[string]int32, len(ids))
+	for i, id := range ids {
+		index[id] = int32(i)
+	}
+	return &Layout{ids: ids, index: index}
+}
+
+// Index returns the entry index of a node ID.
+func (l *Layout) Index(id string) (int, bool) {
+	i, ok := l.index[id]
+	return int(i), ok
+}
+
 // Result is the outcome of one end-to-end workflow execution.
 type Result struct {
 	E2EMS float64 // makespan of the (possibly aborted) execution
 	Cost  float64 // total cost over all executed invocations
-	Nodes map[string]NodeResult
-	OOM   bool   // some invocation was OOM-killed
-	Fail  string // ID of the first failed node, if any
+	// Nodes holds one entry per workflow node; Layout names them. Node
+	// looks one up by ID.
+	Nodes  []NodeResult
+	Layout *Layout
+	OOM    bool   // some invocation was OOM-killed
+	Fail   string // ID of the first failed node, if any
+
+	// weights memoizes NodeWeights (nil: build on every call). Copies of a
+	// Result share it, so NewResult's map is built at most once per
+	// execution, however often it is asked for.
+	weights *weightsMemo
+}
+
+type weightsMemo struct {
+	once sync.Once
+	w    map[string]float64
+}
+
+// NewResult returns an execution result over layout l, with one zero entry
+// per node, whose NodeWeights map is built at most once and then shared by
+// every copy of the Result. Evaluators fill in the entries and totals
+// before handing the Result out; nothing may change an entry's runtime
+// after the first NodeWeights call.
+func NewResult(l *Layout) Result {
+	return Result{Nodes: make([]NodeResult, len(l.ids)), Layout: l, weights: new(weightsMemo)}
+}
+
+// Node returns the result of the node with the given ID; the zero
+// NodeResult when the execution has no such node.
+func (r Result) Node(id string) NodeResult {
+	if r.Layout == nil {
+		return NodeResult{}
+	}
+	i, ok := r.Layout.index[id]
+	if !ok {
+		return NodeResult{}
+	}
+	return r.Nodes[i]
 }
 
 // PathRuntimeMS sums the runtimes of the listed nodes (a path through the
@@ -58,12 +118,13 @@ type Result struct {
 func (r Result) PathRuntimeMS(path []string) float64 {
 	s := 0.0
 	for _, id := range path {
-		s += r.Nodes[id].RuntimeMS
+		s += r.Node(id).RuntimeMS
 	}
 	return s
 }
 
-// GroupCost sums the cost of every node in the given configuration group.
+// GroupCost sums the cost of every node in the given configuration group,
+// in Layout order.
 func (r Result) GroupCost(group string) float64 {
 	s := 0.0
 	for _, nr := range r.Nodes {
@@ -75,10 +136,10 @@ func (r Result) GroupCost(group string) float64 {
 }
 
 // GroupSteadyCost sums the steady-state cost of a group: the billed cost
-// with each node's cold-start portion removed pro rata. Configuration
-// searchers compare steady-state costs so that the one-off cold start a
-// configuration change triggers does not masquerade as a recurring cost
-// increase.
+// with each node's cold-start portion removed pro rata, in Layout order.
+// Configuration searchers compare steady-state costs so that the one-off
+// cold start a configuration change triggers does not masquerade as a
+// recurring cost increase.
 func (r Result) GroupSteadyCost(group string) float64 {
 	s := 0.0
 	for _, nr := range r.Nodes {
@@ -98,11 +159,22 @@ func (r Result) GroupSteadyCost(group string) float64 {
 }
 
 // NodeWeights returns runtime weights per node ID, for critical-path
-// extraction over the executed DAG.
+// extraction over the executed DAG. On a Result built by NewResult every
+// call, on any copy, returns the same map, so callers must treat it as
+// read-only.
 func (r Result) NodeWeights() map[string]float64 {
+	if r.weights == nil {
+		return r.buildWeights()
+	}
+	m := r.weights
+	m.once.Do(func() { m.w = r.buildWeights() })
+	return m.w
+}
+
+func (r Result) buildWeights() map[string]float64 {
 	w := make(map[string]float64, len(r.Nodes))
-	for id, nr := range r.Nodes {
-		w[id] = nr.RuntimeMS
+	for i, nr := range r.Nodes {
+		w[r.Layout.ids[i]] = nr.RuntimeMS
 	}
 	return w
 }

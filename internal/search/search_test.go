@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"aarc/internal/resources"
@@ -12,10 +13,11 @@ func sampleResult(e2e, cost float64) Result {
 	return Result{
 		E2EMS: e2e,
 		Cost:  cost,
-		Nodes: map[string]NodeResult{
-			"a": {Group: "g1", RuntimeMS: e2e / 2, Cost: cost / 2},
-			"b": {Group: "g2", RuntimeMS: e2e / 2, Cost: cost / 2},
+		Nodes: []NodeResult{
+			{Group: "g1", RuntimeMS: e2e / 2, Cost: cost / 2},
+			{Group: "g2", RuntimeMS: e2e / 2, Cost: cost / 2},
 		},
+		Layout: NewLayout([]string{"a", "b"}),
 	}
 }
 
@@ -77,11 +79,12 @@ func TestTraceCSV(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	r := Result{
-		Nodes: map[string]NodeResult{
-			"a": {Group: "g", RuntimeMS: 100, ColdStartMS: 20, Cost: 50},
-			"b": {Group: "g", RuntimeMS: 200, Cost: 80},
-			"c": {Group: "h", RuntimeMS: 300, Cost: 10},
+		Nodes: []NodeResult{
+			{Group: "g", RuntimeMS: 100, ColdStartMS: 20, Cost: 50},
+			{Group: "g", RuntimeMS: 200, Cost: 80},
+			{Group: "h", RuntimeMS: 300, Cost: 10},
 		},
+		Layout: NewLayout([]string{"a", "b", "c"}),
 	}
 	if got := r.PathRuntimeMS([]string{"a", "c"}); got != 400 {
 		t.Errorf("PathRuntimeMS = %v", got)
@@ -97,14 +100,74 @@ func TestResultHelpers(t *testing.T) {
 	if w["b"] != 200 || len(w) != 3 {
 		t.Errorf("NodeWeights = %v", w)
 	}
+	if got := r.Node("c"); got.Group != "h" || got.RuntimeMS != 300 {
+		t.Errorf("Node(c) = %+v", got)
+	}
+	if got := r.Node("zz"); got != (NodeResult{}) {
+		t.Errorf("Node of an unknown ID = %+v, want zero", got)
+	}
+	if got := (Result{}).Node("a"); got != (NodeResult{}) {
+		t.Errorf("Node on a layout-less result = %+v, want zero", got)
+	}
+}
+
+// TestNodeWeightsSharedByCopies: a NewResult's weights map is built once
+// and every later call, on any copy, returns that same map without
+// allocating.
+func TestNodeWeightsSharedByCopies(t *testing.T) {
+	r := NewResult(NewLayout([]string{"a", "b", "c"}))
+	for i := range r.Nodes {
+		r.Nodes[i].RuntimeMS = float64(100 * (i + 1))
+	}
+	w := r.NodeWeights()
+	if len(w) != 3 || w["a"] != 100 || w["c"] != 300 {
+		t.Fatalf("NodeWeights = %v", w)
+	}
+	cp := r
+	if allocs := testing.AllocsPerRun(100, func() { _ = cp.NodeWeights() }); allocs != 0 {
+		t.Errorf("NodeWeights on a copy allocates %v times, want 0", allocs)
+	}
+	w["probe"] = 1
+	if _, ok := cp.NodeWeights()["probe"]; !ok {
+		t.Error("a copy of the Result built its own weights map")
+	}
+	// Without the memo (a hand-built Result) every call builds afresh.
+	bare := Result{Nodes: r.Nodes, Layout: r.Layout}
+	if _, ok := bare.NodeWeights()["probe"]; ok {
+		t.Error("a Result without the memo returned a shared map")
+	}
+}
+
+// TestNodeWeightsConcurrentFirstCalls: racing first calls on copies of one
+// Result all get the one map (run under -race).
+func TestNodeWeightsConcurrentFirstCalls(t *testing.T) {
+	r := NewResult(NewLayout([]string{"a", "b", "c", "d"}))
+	const callers = 8
+	got := make([]map[string]float64, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int, r Result) {
+			defer wg.Done()
+			got[i] = r.NodeWeights()
+		}(i, r)
+	}
+	wg.Wait()
+	got[0]["probe"] = 1
+	for i := range got {
+		if _, ok := got[i]["probe"]; !ok || len(got[i]) != 5 {
+			t.Fatalf("caller %d got a different weights map", i)
+		}
+	}
 }
 
 func TestGroupSteadyCostEdgeCases(t *testing.T) {
 	r := Result{
-		Nodes: map[string]NodeResult{
-			"z": {Group: "g", RuntimeMS: 0, Cost: 5},                   // zero runtime
-			"o": {Group: "g", RuntimeMS: 10, ColdStartMS: 50, Cost: 5}, // cold > runtime
+		Nodes: []NodeResult{
+			{Group: "g", RuntimeMS: 0, Cost: 5},                   // zero runtime
+			{Group: "g", RuntimeMS: 10, ColdStartMS: 50, Cost: 5}, // cold > runtime
 		},
+		Layout: NewLayout([]string{"z", "o"}),
 	}
 	if got := r.GroupSteadyCost("g"); got != 0 {
 		t.Errorf("degenerate steady cost = %v, want 0", got)

@@ -42,12 +42,14 @@
 package service
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"runtime"
@@ -530,11 +532,18 @@ func (s *Service) RetryAfterSeconds() int {
 // them zero and the refresher falls back to the recommendation body
 // (method, SLO) and the service caps (budgets).
 type entryMeta struct {
-	Spec       json.RawMessage `json:"spec"` // canonical spec JSON
-	HostCores  float64         `json:"host_cores"`
-	Noise      bool            `json:"noise"`
-	Seed       uint64          `json:"seed"`
-	InputScale float64         `json:"input_scale"`
+	Spec json.RawMessage `json:"spec"` // canonical spec JSON
+	metaFields
+}
+
+// metaFields is entryMeta after the spec. runSearch marshals only these
+// and splices the spec in front (writeSpecObject); encoding/json flattens
+// the embedded struct, so the stored bytes are entryMeta's either way.
+type metaFields struct {
+	HostCores  float64 `json:"host_cores"`
+	Noise      bool    `json:"noise"`
+	Seed       uint64  `json:"seed"`
+	InputScale float64 `json:"input_scale"`
 
 	Method        string  `json:"method,omitempty"` // registry name, not display name
 	MethodVersion int     `json:"method_version,omitempty"`
@@ -543,6 +552,23 @@ type entryMeta struct {
 	MaxSimCostMS  float64 `json:"max_sim_cost_ms,omitempty"`
 	CreatedUnixMS int64   `json:"created_unix_ms,omitempty"`
 }
+
+// writeSpecObject writes the JSON object {"spec":<specJSON>,<members of
+// rest>}: the bytes json.Marshal writes for a struct whose first field is
+// the spec as a json.RawMessage and whose other fields marshal to rest,
+// without the second scan and compaction of the whole spec that the
+// RawMessage costs. specJSON must be json.Marshal output (CanonicalJSON's
+// is), and rest a marshaled object with at least one member.
+func writeSpecObject(w io.Writer, specJSON, rest []byte) {
+	w.Write(specObjectOpen)
+	w.Write(specJSON)
+	w.Write(specObjectSep)
+	w.Write(rest[1:])
+}
+
+// The spliced bytes, as slices that passing to an io.Writer does not
+// allocate.
+var specObjectOpen, specObjectSep = []byte(`{"spec":`), []byte{','}
 
 func (m entryMeta) runnerOptions() workflow.RunnerOptions {
 	return workflow.RunnerOptions{
@@ -674,8 +700,8 @@ func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (fp string, specJ
 	if err != nil {
 		return "", nil, err
 	}
-	key := struct {
-		Spec          json.RawMessage `json:"spec"`
+	// The key is {"spec": specJSON, then these fields}; see writeSpecObject.
+	rest, err := json.Marshal(struct {
 		Search        json.RawMessage `json:"search"`
 		Method        string          `json:"method"`
 		MethodVersion int             `json:"method_version"`
@@ -684,7 +710,6 @@ func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (fp string, specJ
 		Noise         bool            `json:"noise"`
 		InputScale    float64         `json:"input_scale"`
 	}{
-		Spec:          specJSON,
 		Search:        r.sopts.CanonicalJSON(),
 		Method:        r.method,
 		MethodVersion: r.version,
@@ -692,12 +717,13 @@ func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (fp string, specJ
 		HostCores:     r.ropts.HostCores,
 		Noise:         r.ropts.Noise,
 		InputScale:    r.ropts.InputScale,
-	}
-	b, err := json.Marshal(key)
+	})
 	if err != nil {
 		return "", nil, err
 	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(b)), specJSON, nil
+	h := sha256.New()
+	writeSpecObject(h, specJSON, rest)
+	return fmt.Sprintf("sha256:%x", h.Sum(nil)), specJSON, nil
 }
 
 // getStore reads the store, degrading store errors to misses (a broken
@@ -902,8 +928,17 @@ func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec,
 	if err != nil {
 		return store.Entry{}, err
 	}
-	meta, err := json.Marshal(entryMeta{
-		Spec:       specJSON,
+	meta, err := entryMetaJSON(specJSON, r, time.Now().UnixMilli())
+	if err != nil {
+		return store.Entry{}, err
+	}
+	return store.Entry{Body: body, Meta: meta}, nil
+}
+
+// entryMetaJSON encodes the entryMeta of a search: specJSON, the spec's
+// canonical JSON, spliced in front of r's runner options and identity.
+func entryMetaJSON(specJSON []byte, r resolved, createdUnixMS int64) ([]byte, error) {
+	rest, err := json.Marshal(metaFields{
 		HostCores:  r.ropts.HostCores,
 		Noise:      r.ropts.Noise,
 		Seed:       r.ropts.Seed,
@@ -914,12 +949,15 @@ func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec,
 		SLOMS:         r.sopts.SLOMS,
 		MaxSamples:    r.sopts.MaxSamples,
 		MaxSimCostMS:  r.sopts.MaxSimCostMS,
-		CreatedUnixMS: time.Now().UnixMilli(),
+		CreatedUnixMS: createdUnixMS,
 	})
 	if err != nil {
-		return store.Entry{}, err
+		return nil, err
 	}
-	return store.Entry{Body: body, Meta: meta}, nil
+	var b bytes.Buffer
+	b.Grow(len(specObjectOpen) + len(specJSON) + len(rest))
+	writeSpecObject(&b, specJSON, rest)
+	return b.Bytes(), nil
 }
 
 // searchOutcome carries a searcher's return across the timeout goroutine,

@@ -1,8 +1,12 @@
 // Package simfaas simulates the serverless platform substrate the paper runs
 // on (Docker containers with decoupled cpuset/cgroup limits on a 96-core
 // host): per-function containers keyed by their resource configuration,
-// cold versus warm starts, OOM kills, keep-alive pools, and platform-level
-// invocation metrics.
+// cold versus warm starts, OOM kills and keep-alive.
+//
+// A Platform is the immutable model: cold-start latency and OOM detection.
+// The mutable keep-alive state lives in Containers, one per function slot,
+// owned by whoever drives the invocations (a workflow runner holds one per
+// plan node), so an invocation takes no lock and hashes no key.
 //
 // The simulator is deliberately clock-free at this layer: Invoke returns the
 // duration an invocation would take; the workflow engine assembles durations
@@ -10,10 +14,8 @@
 package simfaas
 
 import (
-	"container/list"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"aarc/internal/perfmodel"
 	"aarc/internal/resources"
@@ -33,9 +35,6 @@ type Options struct {
 	// OOMDetectMS is how long a container runs before the OOM killer fires
 	// on an under-provisioned invocation.
 	OOMDetectMS float64
-	// MaxWarmContainers caps the keep-alive pool; when full, the least
-	// recently used container is evicted to make room (0 = unlimited).
-	MaxWarmContainers int
 }
 
 // DefaultOptions mirrors typical container platforms: ~400 ms provisioning,
@@ -49,19 +48,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// Metrics aggregates platform counters.
+// Metrics aggregates a container's invocation counters.
 type Metrics struct {
 	Invocations int
 	ColdStarts  int
 	WarmStarts  int
-	OOMKills    int
-	Evictions   int
-}
-
-// FunctionMetrics aggregates per-container-key counters.
-type FunctionMetrics struct {
-	Invocations int
-	ColdStarts  int
 	OOMKills    int
 }
 
@@ -73,84 +64,28 @@ type Invocation struct {
 	OOM         bool
 }
 
-// warmContainer is one keep-alive pool entry; entries live on the LRU list
-// with the most recently used container at the front.
-type warmContainer struct {
-	key string
-	cfg resources.Config
-}
-
-// Platform is a simulated FaaS substrate. It is safe for concurrent use.
+// Platform is a simulated FaaS substrate: the cold-start and OOM model
+// every invocation runs under. It is immutable, so any number of
+// goroutines may invoke through one Platform, each on its own Containers.
 type Platform struct {
 	opts Options
-
-	mu      sync.Mutex
-	warm    map[string]*list.Element // container key -> LRU list element
-	lru     *list.List               // of *warmContainer, front = most recent
-	metrics Metrics
-	perFunc map[string]*FunctionMetrics
 }
 
 // New returns a platform with the given options.
 func New(opts Options) *Platform {
-	return &Platform{
-		opts:    opts,
-		warm:    make(map[string]*list.Element),
-		lru:     list.New(),
-		perFunc: make(map[string]*FunctionMetrics),
-	}
+	return &Platform{opts: opts}
 }
 
-// warmConfigLocked returns the resident warm config for key. Callers hold
-// p.mu.
-func (p *Platform) warmConfigLocked(key string) (resources.Config, bool) {
-	el, ok := p.warm[key]
-	if !ok {
-		return resources.Config{}, false
-	}
-	return el.Value.(*warmContainer).cfg, true
+// Container is one function's container slot: the configuration of its
+// warm container, if it has one, and its counters. The zero value is a
+// slot with no container yet. A Container is not safe for concurrent use.
+type Container struct {
+	warm    resources.Config // zero (an invalid config): nothing warm
+	metrics Metrics
 }
 
-// storeWarmLocked records key as warm at cfg and stamps it most recently
-// used, evicting the least recently used containers (list back) when the
-// pool is over capacity. O(1) per operation versus the former full-pool
-// scan. Callers hold p.mu.
-func (p *Platform) storeWarmLocked(key string, cfg resources.Config) {
-	if el, ok := p.warm[key]; ok {
-		el.Value.(*warmContainer).cfg = cfg
-		p.lru.MoveToFront(el)
-		return
-	}
-	if p.opts.MaxWarmContainers > 0 {
-		for p.lru.Len() >= p.opts.MaxWarmContainers {
-			victim := p.lru.Back()
-			p.lru.Remove(victim)
-			delete(p.warm, victim.Value.(*warmContainer).key)
-			p.metrics.Evictions++
-		}
-	}
-	p.warm[key] = p.lru.PushFront(&warmContainer{key: key, cfg: cfg})
-}
-
-// dropWarmLocked removes a (dead) container from the pool without counting
-// an eviction. Callers hold p.mu.
-func (p *Platform) dropWarmLocked(key string) {
-	if el, ok := p.warm[key]; ok {
-		p.lru.Remove(el)
-		delete(p.warm, key)
-	}
-}
-
-// funcMetricsLocked returns (allocating) the per-key metrics. Callers hold
-// p.mu.
-func (p *Platform) funcMetricsLocked(key string) *FunctionMetrics {
-	fm, ok := p.perFunc[key]
-	if !ok {
-		fm = &FunctionMetrics{}
-		p.perFunc[key] = fm
-	}
-	return fm
-}
+// Metrics returns the container's counters.
+func (c *Container) Metrics() Metrics { return c.metrics }
 
 // ColdStartMS returns the provisioning latency for a container of the given
 // memory size.
@@ -158,39 +93,26 @@ func (p *Platform) ColdStartMS(cfg resources.Config) float64 {
 	return p.opts.ColdStartBaseMS + p.opts.ColdStartPerGBMS*cfg.MemMB/1024
 }
 
-// Invoke runs one invocation of prof at cfg and input scale, using key to
-// identify the container slot (scatter instances of the same function pass
-// distinct keys so each gets its own container). A nil rng disables
-// measurement noise. OOM kills are reported in-band via the OOM flag (the
-// partial duration is still billed); only misuse returns an error.
-func (p *Platform) Invoke(key string, prof perfmodel.Profile, cfg resources.Config, scale float64, rng *rand.Rand) (Invocation, error) {
+// Invoke runs one invocation of prof at cfg and input scale in container c:
+// warm when c holds a kept-alive container at exactly cfg, cold otherwise.
+// A nil rng disables measurement noise. OOM kills are reported in-band via
+// the OOM flag (the partial duration is still billed, and the container
+// dies); only misuse returns an error.
+func (p *Platform) Invoke(c *Container, prof perfmodel.Profile, cfg resources.Config, scale float64, rng *rand.Rand) (Invocation, error) {
 	if err := prof.Validate(); err != nil {
 		return Invocation{}, err
 	}
 	if !cfg.Valid() {
 		return Invocation{}, fmt.Errorf("simfaas: invalid config %v for %s", cfg, prof.Name)
 	}
-	if key == "" {
-		key = prof.Name
-	}
 
-	p.mu.Lock()
-	cold := true
-	if p.opts.KeepAlive {
-		if w, ok := p.warmConfigLocked(key); ok && w == cfg {
-			cold = false
-		}
-	}
-	p.metrics.Invocations++
-	fm := p.funcMetricsLocked(key)
-	fm.Invocations++
+	cold := !p.opts.KeepAlive || c.warm != cfg
+	c.metrics.Invocations++
 	if cold {
-		p.metrics.ColdStarts++
-		fm.ColdStarts++
+		c.metrics.ColdStarts++
 	} else {
-		p.metrics.WarmStarts++
+		c.metrics.WarmStarts++
 	}
-	p.mu.Unlock()
 
 	var coldMS float64
 	if cold {
@@ -200,11 +122,8 @@ func (p *Platform) Invoke(key string, prof perfmodel.Profile, cfg resources.Conf
 	t, err := prof.Runtime(cfg, scale, rng)
 	if err != nil {
 		if perfmodel.IsOOM(err) {
-			p.mu.Lock()
-			p.metrics.OOMKills++
-			p.funcMetricsLocked(key).OOMKills++
-			p.dropWarmLocked(key) // the container died
-			p.mu.Unlock()
+			c.metrics.OOMKills++
+			c.warm = resources.Config{} // the container died
 			partial := prof.OOMPartialMS(cfg, scale)
 			if partial < p.opts.OOMDetectMS {
 				partial = p.opts.OOMDetectMS
@@ -220,45 +139,11 @@ func (p *Platform) Invoke(key string, prof perfmodel.Profile, cfg resources.Conf
 	}
 
 	if p.opts.KeepAlive {
-		p.mu.Lock()
-		p.storeWarmLocked(key, cfg)
-		p.mu.Unlock()
+		c.warm = cfg
 	}
 	return Invocation{
 		RuntimeMS:   coldMS + t,
 		ColdStartMS: coldMS,
 		Cold:        cold,
 	}, nil
-}
-
-// Metrics returns a snapshot of the platform counters.
-func (p *Platform) Metrics() Metrics {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.metrics
-}
-
-// WarmCount returns the number of warm containers currently held.
-func (p *Platform) WarmCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.warm)
-}
-
-// FunctionMetricsFor returns a snapshot of one container key's counters.
-func (p *Platform) FunctionMetricsFor(key string) FunctionMetrics {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if fm, ok := p.perFunc[key]; ok {
-		return *fm
-	}
-	return FunctionMetrics{}
-}
-
-// Flush evicts all warm containers (e.g. between independent experiments).
-func (p *Platform) Flush() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.warm = make(map[string]*list.Element)
-	p.lru = list.New()
 }

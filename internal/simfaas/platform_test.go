@@ -17,9 +17,10 @@ func prof() perfmodel.Profile {
 
 func TestColdThenWarm(t *testing.T) {
 	p := New(DefaultOptions())
+	var c Container
 	cfg := resources.Config{CPU: 2, MemMB: 1024}
 
-	inv1, err := p.Invoke("k", prof(), cfg, 1, nil)
+	inv1, err := p.Invoke(&c, prof(), cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestColdThenWarm(t *testing.T) {
 		t.Errorf("cold start = %v, want %v", inv1.ColdStartMS, wantCold)
 	}
 
-	inv2, err := p.Invoke("k", prof(), cfg, 1, nil)
+	inv2, err := p.Invoke(&c, prof(), cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestColdThenWarm(t *testing.T) {
 		t.Error("warm run should be faster than cold run")
 	}
 
-	m := p.Metrics()
+	m := c.Metrics()
 	if m.Invocations != 2 || m.ColdStarts != 1 || m.WarmStarts != 1 {
 		t.Errorf("metrics = %+v", m)
 	}
@@ -50,12 +51,13 @@ func TestColdThenWarm(t *testing.T) {
 
 func TestConfigChangeForcesCold(t *testing.T) {
 	p := New(DefaultOptions())
+	var c Container
 	a := resources.Config{CPU: 2, MemMB: 1024}
 	b := resources.Config{CPU: 2, MemMB: 2048}
-	if _, err := p.Invoke("k", prof(), a, 1, nil); err != nil {
+	if _, err := p.Invoke(&c, prof(), a, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	inv, err := p.Invoke("k", prof(), b, 1, nil)
+	inv, err := p.Invoke(&c, prof(), b, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,31 +68,22 @@ func TestConfigChangeForcesCold(t *testing.T) {
 
 func TestDistinctKeysDistinctContainers(t *testing.T) {
 	p := New(DefaultOptions())
+	var c1, c2 Container
 	cfg := resources.Config{CPU: 2, MemMB: 1024}
-	if _, err := p.Invoke("k1", prof(), cfg, 1, nil); err != nil {
+	if _, err := p.Invoke(&c1, prof(), cfg, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	inv, err := p.Invoke("k2", prof(), cfg, 1, nil)
+	inv, err := p.Invoke(&c2, prof(), cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !inv.Cold {
-		t.Error("different key should have its own (cold) container")
+		t.Error("a different container should start cold")
 	}
-	if p.WarmCount() != 2 {
-		t.Errorf("WarmCount = %d, want 2", p.WarmCount())
-	}
-}
-
-func TestEmptyKeyDefaultsToName(t *testing.T) {
-	p := New(DefaultOptions())
-	cfg := resources.Config{CPU: 2, MemMB: 1024}
-	if _, err := p.Invoke("", prof(), cfg, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	inv, _ := p.Invoke("f", prof(), cfg, 1, nil)
-	if inv.Cold {
-		t.Error("empty key should map to the profile name")
+	for i, c := range []*Container{&c1, &c2} {
+		if inv, _ := p.Invoke(c, prof(), cfg, 1, nil); inv.Cold {
+			t.Errorf("container %d should be kept warm", i+1)
+		}
 	}
 }
 
@@ -98,21 +91,23 @@ func TestKeepAliveDisabled(t *testing.T) {
 	opts := DefaultOptions()
 	opts.KeepAlive = false
 	p := New(opts)
+	var c Container
 	cfg := resources.Config{CPU: 2, MemMB: 1024}
-	p.Invoke("k", prof(), cfg, 1, nil)
-	inv, _ := p.Invoke("k", prof(), cfg, 1, nil)
+	p.Invoke(&c, prof(), cfg, 1, nil)
+	inv, _ := p.Invoke(&c, prof(), cfg, 1, nil)
 	if !inv.Cold {
 		t.Error("with keep-alive off every invocation is cold")
 	}
-	if p.WarmCount() != 0 {
-		t.Error("no warm containers should be held")
+	if m := c.Metrics(); m.WarmStarts != 0 || m.ColdStarts != 2 {
+		t.Errorf("no warm container should be held: %+v", m)
 	}
 }
 
 func TestOOMKill(t *testing.T) {
 	p := New(DefaultOptions())
+	var c Container
 	cfg := resources.Config{CPU: 2, MemMB: 128} // below the 256 floor
-	inv, err := p.Invoke("k", prof(), cfg, 1, nil)
+	inv, err := p.Invoke(&c, prof(), cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +117,10 @@ func TestOOMKill(t *testing.T) {
 	if inv.RuntimeMS <= inv.ColdStartMS {
 		t.Error("OOM run should consume some partial runtime")
 	}
-	if p.Metrics().OOMKills != 1 {
-		t.Errorf("OOMKills = %d", p.Metrics().OOMKills)
+	if c.Metrics().OOMKills != 1 {
+		t.Errorf("OOMKills = %d", c.Metrics().OOMKills)
 	}
-	if p.WarmCount() != 0 {
+	if again, _ := p.Invoke(&c, prof(), cfg, 1, nil); !again.Cold {
 		t.Error("OOM-killed container must not stay warm")
 	}
 	// Partial runtime reflects the would-be execution, not just detection.
@@ -135,112 +130,66 @@ func TestOOMKill(t *testing.T) {
 	}
 }
 
+func TestOOMKillsWarmContainer(t *testing.T) {
+	p := New(DefaultOptions())
+	var c Container
+	good := resources.Config{CPU: 2, MemMB: 1024}
+	if _, err := p.Invoke(&c, prof(), good, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if inv, _ := p.Invoke(&c, prof(), resources.Config{CPU: 2, MemMB: 128}, 1, nil); !inv.OOM {
+		t.Fatal("expected OOM")
+	}
+	if inv, _ := p.Invoke(&c, prof(), good, 1, nil); !inv.Cold {
+		t.Error("an OOM kill must take the kept-alive container with it")
+	}
+}
+
 func TestInvokeErrors(t *testing.T) {
 	p := New(DefaultOptions())
-	if _, err := p.Invoke("k", prof(), resources.Config{}, 1, nil); err == nil {
+	var c Container
+	if _, err := p.Invoke(&c, prof(), resources.Config{}, 1, nil); err == nil {
 		t.Error("invalid config should error")
 	}
 	bad := prof()
 	bad.Name = ""
-	if _, err := p.Invoke("k", bad, resources.Config{CPU: 1, MemMB: 512}, 1, nil); err == nil {
+	if _, err := p.Invoke(&c, bad, resources.Config{CPU: 1, MemMB: 512}, 1, nil); err == nil {
 		t.Error("invalid profile should error")
 	}
-}
-
-func TestFlush(t *testing.T) {
-	p := New(DefaultOptions())
-	cfg := resources.Config{CPU: 2, MemMB: 1024}
-	p.Invoke("k", prof(), cfg, 1, nil)
-	p.Flush()
-	if p.WarmCount() != 0 {
-		t.Error("Flush should evict all containers")
-	}
-	inv, _ := p.Invoke("k", prof(), cfg, 1, nil)
-	if !inv.Cold {
-		t.Error("post-flush invocation should be cold")
+	if m := c.Metrics(); m != (Metrics{}) {
+		t.Errorf("rejected invocations were counted: %+v", m)
 	}
 }
 
+// TestConcurrentInvoke drives one shared Platform from four goroutines,
+// each invoking its own Container eight times.
 func TestConcurrentInvoke(t *testing.T) {
 	p := New(DefaultOptions())
 	cfg := resources.Config{CPU: 1, MemMB: 512}
+	var cs [4]Container
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for i := range cs {
 		wg.Add(1)
-		go func(i int) {
+		go func(c *Container) {
 			defer wg.Done()
-			key := string(rune('a' + i%4))
-			if _, err := p.Invoke(key, prof(), cfg, 1, nil); err != nil {
-				t.Errorf("concurrent invoke: %v", err)
+			for k := 0; k < 8; k++ {
+				if _, err := p.Invoke(c, prof(), cfg, 1, nil); err != nil {
+					t.Errorf("concurrent invoke: %v", err)
+				}
 			}
-		}(i)
+		}(&cs[i])
 	}
 	wg.Wait()
-	if got := p.Metrics().Invocations; got != 32 {
-		t.Errorf("Invocations = %d, want 32", got)
+	total := 0
+	for i := range cs {
+		m := cs[i].Metrics()
+		total += m.Invocations
+		if m.ColdStarts != 1 || m.WarmStarts != 7 {
+			t.Errorf("container %d: %+v, want one cold start, then warm", i, m)
+		}
 	}
-	if p.WarmCount() != 4 {
-		t.Errorf("WarmCount = %d, want 4", p.WarmCount())
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MaxWarmContainers = 2
-	p := New(opts)
-	cfg := resources.Config{CPU: 1, MemMB: 512}
-
-	p.Invoke("k1", prof(), cfg, 1, nil)
-	p.Invoke("k2", prof(), cfg, 1, nil)
-	// Touch k1 so k2 becomes the LRU victim.
-	p.Invoke("k1", prof(), cfg, 1, nil)
-	p.Invoke("k3", prof(), cfg, 1, nil) // evicts k2
-
-	if p.WarmCount() != 2 {
-		t.Fatalf("WarmCount = %d, want 2", p.WarmCount())
-	}
-	if p.Metrics().Evictions != 1 {
-		t.Errorf("Evictions = %d, want 1", p.Metrics().Evictions)
-	}
-	inv1, _ := p.Invoke("k1", prof(), cfg, 1, nil)
-	if inv1.Cold {
-		t.Error("k1 was recently used and must still be warm")
-	}
-	inv2, _ := p.Invoke("k2", prof(), cfg, 1, nil)
-	if !inv2.Cold {
-		t.Error("k2 should have been evicted (cold)")
-	}
-}
-
-func TestLRUReinvocationDoesNotEvict(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MaxWarmContainers = 1
-	p := New(opts)
-	cfg := resources.Config{CPU: 1, MemMB: 512}
-	p.Invoke("k", prof(), cfg, 1, nil)
-	p.Invoke("k", prof(), cfg, 1, nil)
-	if p.Metrics().Evictions != 0 {
-		t.Errorf("re-invoking the resident key must not evict: %d", p.Metrics().Evictions)
-	}
-}
-
-func TestPerFunctionMetrics(t *testing.T) {
-	p := New(DefaultOptions())
-	cfg := resources.Config{CPU: 1, MemMB: 512}
-	p.Invoke("a", prof(), cfg, 1, nil)
-	p.Invoke("a", prof(), cfg, 1, nil)
-	p.Invoke("b", prof(), resources.Config{CPU: 1, MemMB: 128}, 1, nil) // OOM
-
-	a := p.FunctionMetricsFor("a")
-	if a.Invocations != 2 || a.ColdStarts != 1 || a.OOMKills != 0 {
-		t.Errorf("a metrics = %+v", a)
-	}
-	b := p.FunctionMetricsFor("b")
-	if b.Invocations != 1 || b.OOMKills != 1 {
-		t.Errorf("b metrics = %+v", b)
-	}
-	if z := p.FunctionMetricsFor("zz"); z != (FunctionMetrics{}) {
-		t.Errorf("unknown key metrics = %+v", z)
+	if total != 32 {
+		t.Errorf("Invocations = %d, want 32", total)
 	}
 }
 

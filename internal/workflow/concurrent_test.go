@@ -1,43 +1,49 @@
 package workflow
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
+	"aarc/internal/search"
 	"aarc/internal/simfaas"
 )
 
 // TestConcurrentRunnersSharedPlatform exercises the documented concurrency
 // contract under the race detector: one Runner per goroutine (each with its
-// own scratch arena and RNG), all invoking one shared simfaas.Platform.
+// own scratch arena, containers and RNG), all invoking one shared, immutable
+// simfaas.Platform. Sharing the platform must not couple the runners: each
+// goroutine's results equal those of a runner with the same seed that ran
+// alone.
 func TestConcurrentRunnersSharedPlatform(t *testing.T) {
 	spec := fanSpec()
 	platform := simfaas.New(simfaas.DefaultOptions())
 
 	const goroutines = 8
 	const evals = 50
+	run := func(seed uint64, platform *simfaas.Platform) ([]search.Result, error) {
+		r, err := NewRunner(spec, RunnerOptions{
+			HostCores: 96, Noise: true, Seed: seed, Platform: platform,
+		})
+		if err != nil {
+			return nil, err
+		}
+		out := make([]search.Result, evals)
+		for i := range out {
+			if out[i], err = r.Evaluate(spec.Base); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
-	results := make([]float64, goroutines)
+	results := make([][]search.Result, goroutines)
 	wg.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
-			r, err := NewRunner(spec, RunnerOptions{
-				HostCores: 96, Noise: true, Seed: uint64(g), Platform: platform,
-			})
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			for i := 0; i < evals; i++ {
-				res, err := r.Evaluate(spec.Base)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				results[g] = res.E2EMS
-			}
+			results[g], errs[g] = run(uint64(g), platform)
 		}(g)
 	}
 	wg.Wait()
@@ -46,14 +52,21 @@ func TestConcurrentRunnersSharedPlatform(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	for g, e2e := range results {
-		if e2e <= 0 {
-			t.Errorf("goroutine %d: degenerate E2E %v", g, e2e)
+	for g, got := range results {
+		want, err := run(uint64(g), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	m := platform.Metrics()
-	if m.Invocations != goroutines*evals*spec.G.NumNodes() {
-		t.Errorf("platform invocations = %d, want %d", m.Invocations, goroutines*evals*spec.G.NumNodes())
+		for i := range got {
+			if got[i].E2EMS <= 0 {
+				t.Fatalf("goroutine %d eval %d: degenerate E2E %v", g, i, got[i].E2EMS)
+			}
+			if got[i].E2EMS != want[i].E2EMS || got[i].Cost != want[i].Cost ||
+				!slices.Equal(got[i].Nodes, want[i].Nodes) {
+				t.Fatalf("goroutine %d eval %d: E2E %v cost %v, sequential runner %v %v",
+					g, i, got[i].E2EMS, got[i].Cost, want[i].E2EMS, want[i].Cost)
+			}
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 // per-evaluation mutable state lives in the runner's scratch arena.
 type plan struct {
 	ids      []string            // dense node ID -> spec node ID, topo order
+	layout   *search.Layout      // names ids for the Results the runner returns
 	groups   []string            // dense node ID -> group name
 	groupIdx []int32             // dense node ID -> dense group index
 	profiles []perfmodel.Profile // dense node ID -> performance profile
@@ -35,10 +36,7 @@ func compilePlan(spec *Spec) (*plan, error) {
 		return nil, err
 	}
 	n := len(topo)
-	idx := make(map[string]int32, n)
-	for i, id := range topo {
-		idx[id] = int32(i)
-	}
+	layout := search.NewLayout(topo)
 
 	groupNames := spec.FunctionGroups()
 	gidx := make(map[string]int32, len(groupNames))
@@ -48,6 +46,7 @@ func compilePlan(spec *Spec) (*plan, error) {
 
 	p := &plan{
 		ids:        topo,
+		layout:     layout,
 		groups:     make([]string, n),
 		groupIdx:   make([]int32, n),
 		profiles:   make([]perfmodel.Profile, n),
@@ -69,7 +68,8 @@ func compilePlan(spec *Spec) (*plan, error) {
 		if len(succ) > 0 {
 			ds := make([]int32, len(succ))
 			for j, s := range succ {
-				ds[j] = idx[s]
+				k, _ := layout.Index(s)
+				ds[j] = int32(k)
 			}
 			p.succs[i] = ds
 		}
@@ -144,16 +144,14 @@ func (h *runHeap) pop() runItem {
 
 // scratch is the reusable per-runner arena: every slice is sized to the plan
 // on first use and only reset (never reallocated) on subsequent evaluations,
-// so a steady-state Evaluate performs no heap allocations beyond the result
-// map it hands back to the caller. The arena is what makes a Runner unsafe
-// for concurrent use.
+// so a steady-state Evaluate allocates only the Result it hands back to the
+// caller. The arena is what makes a Runner unsafe for concurrent use.
 type scratch struct {
-	indeg   []int32 // remaining predecessor count per node
-	state   []uint8 // execution state per node
-	nodeRes []search.NodeResult
-	ready   []int32 // ready nodes, ascending topo index
-	heap    runHeap
-	cfgs    []resources.Config // resolved config per dense group index
+	indeg []int32 // remaining predecessor count per node
+	state []uint8 // execution state per node
+	ready []int32 // ready nodes, ascending topo index
+	heap  runHeap
+	cfgs  []resources.Config // resolved config per dense group index
 }
 
 func (s *scratch) reset(p *plan) {
@@ -161,14 +159,11 @@ func (s *scratch) reset(p *plan) {
 	if cap(s.indeg) < n {
 		s.indeg = make([]int32, n)
 		s.state = make([]uint8, n)
-		s.nodeRes = make([]search.NodeResult, n)
 	}
 	s.indeg = s.indeg[:n]
 	copy(s.indeg, p.indeg0)
 	s.state = s.state[:n]
 	clear(s.state)
-	s.nodeRes = s.nodeRes[:n]
-	clear(s.nodeRes)
 	s.ready = s.ready[:0]
 	s.heap = s.heap[:0]
 	s.cfgs = s.cfgs[:0]

@@ -31,19 +31,22 @@ type RunnerOptions struct {
 
 // Runner executes a Spec on the simulated platform and implements
 // search.Evaluator. It compiles the spec into a dense execution plan at
-// construction and reuses a scratch arena across evaluations, so it is NOT
-// safe for concurrent use: create one runner per goroutine (runners may
-// share a Platform, which is concurrency-safe).
+// construction, owns one simfaas.Container per plan node (the keep-alive
+// state that carries warm starts from one evaluation to the next) and
+// reuses a scratch arena across evaluations, so it is NOT safe for
+// concurrent use: create one runner per goroutine (runners may share a
+// Platform, which is immutable).
 type Runner struct {
-	spec     *Spec
-	plan     *plan
-	platform *simfaas.Platform
-	price    pricing.Model
-	cores    float64
-	noise    bool
-	scale    float64
-	rng      *rand.Rand
-	scratch  scratch
+	spec       *Spec
+	plan       *plan
+	platform   *simfaas.Platform
+	containers []simfaas.Container // per dense node ID
+	price      pricing.Model
+	cores      float64
+	noise      bool
+	scale      float64
+	rng        *rand.Rand
+	scratch    scratch
 }
 
 // NewRunner validates the spec and builds a runner.
@@ -76,6 +79,7 @@ func NewRunner(spec *Spec, opts RunnerOptions) (*Runner, error) {
 		return nil, err
 	}
 	r.plan = p
+	r.containers = make([]simfaas.Container, len(p.ids))
 	return r, nil
 }
 
@@ -88,7 +92,7 @@ func (r *Runner) Graph() *dag.Graph { return r.spec.G }
 // GroupOf returns the configuration group of a DAG node.
 func (r *Runner) GroupOf(node string) string { return r.spec.GroupOf(node) }
 
-// Platform exposes the simulated platform (for metrics inspection).
+// Platform returns the simulated platform model the runner invokes on.
 func (r *Runner) Platform() *simfaas.Platform { return r.platform }
 
 // Price returns the active pricing model.
@@ -149,19 +153,20 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 	p := r.plan
 	s := &r.scratch
 	s.reset(p)
-	var res search.Result
 
 	// Resolve the assignment once per group instead of once per node.
 	for gi, g := range p.groupNames {
 		cfg, ok := a[g]
 		if !ok {
-			return res, fmt.Errorf("workflow %s: assignment missing group %q (node %q)", r.spec.Name, g, p.groupNode[gi])
+			return search.Result{}, fmt.Errorf("workflow %s: assignment missing group %q (node %q)", r.spec.Name, g, p.groupNode[gi])
 		}
 		if !cfg.Valid() {
-			return res, fmt.Errorf("workflow %s: invalid config %v for group %q", r.spec.Name, cfg, g)
+			return search.Result{}, fmt.Errorf("workflow %s: invalid config %v for group %q", r.spec.Name, cfg, g)
 		}
 		s.cfgs = append(s.cfgs, cfg)
 	}
+	// The node entries are written in place: plan order is the layout.
+	res := search.NewResult(p.layout)
 
 	for i, d := range p.indeg0 {
 		if d == 0 {
@@ -178,11 +183,11 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 		if !failed {
 			for _, ni := range s.ready {
 				cfg := s.cfgs[p.groupIdx[ni]]
-				inv, err := r.platform.Invoke(p.ids[ni], p.profiles[ni], cfg, scale, rng)
+				inv, err := r.platform.Invoke(&r.containers[ni], p.profiles[ni], cfg, scale, rng)
 				if err != nil {
-					return res, err
+					return search.Result{}, err
 				}
-				nr := &s.nodeRes[ni]
+				nr := &res.Nodes[ni]
 				nr.Group = p.groups[ni]
 				nr.Config = cfg
 				nr.ColdStartMS = inv.ColdStartMS
@@ -216,7 +221,7 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 		// drain as one batch, in topo order via the heap tie-break).
 		for len(s.heap) > 0 && s.heap[0].deadline <= vw+1e-9 {
 			ni := s.heap.pop().node
-			nr := &s.nodeRes[ni]
+			nr := &res.Nodes[ni]
 			nr.FinishMS = now
 			nr.RuntimeMS = now - nr.StartMS
 			nr.Cost = r.price.Invocation(nr.RuntimeMS, nr.Config)
@@ -245,13 +250,10 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 		}
 	}
 
-	// Hand back string-keyed results; never-started nodes report as skipped.
-	res.Nodes = make(map[string]search.NodeResult, len(p.ids))
-	for i := range p.ids {
-		if s.state[i] == stFinished {
-			res.Nodes[p.ids[i]] = s.nodeRes[i]
-		} else {
-			res.Nodes[p.ids[i]] = search.NodeResult{Group: p.groups[i], Skipped: true}
+	// Never-started nodes report as skipped.
+	for i, st := range s.state {
+		if st != stFinished {
+			res.Nodes[i] = search.NodeResult{Group: p.groups[i], Skipped: true}
 		}
 	}
 	return res, nil

@@ -46,8 +46,8 @@ func TestMultiSourceJoin(t *testing.T) {
 	if !within(res.E2EMS, 6000, 1e-6) {
 		t.Errorf("E2E = %v, want 6000 (max(1000,5000)+1000)", res.E2EMS)
 	}
-	if !within(res.Nodes["c"].StartMS, 5000, 1e-6) {
-		t.Errorf("join start = %v", res.Nodes["c"].StartMS)
+	if !within(res.Node("c").StartMS, 5000, 1e-6) {
+		t.Errorf("join start = %v", res.Node("c").StartMS)
 	}
 }
 
@@ -106,15 +106,15 @@ func TestOOMParallelSiblingFinishes(t *testing.T) {
 	}
 	// The sibling p2 was already in flight and completes; downstream t is
 	// skipped because the workflow aborted.
-	if res.Nodes["p2"].Skipped || res.Nodes["p2"].RuntimeMS == 0 {
+	if res.Node("p2").Skipped || res.Node("p2").RuntimeMS == 0 {
 		t.Error("in-flight sibling should finish")
 	}
-	if !res.Nodes["t"].Skipped {
+	if !res.Node("t").Skipped {
 		t.Error("downstream of the failure must be skipped")
 	}
 	// E2E covers the sibling's full duration.
-	if res.E2EMS < res.Nodes["p2"].FinishMS {
-		t.Errorf("E2E %v < p2 finish %v", res.E2EMS, res.Nodes["p2"].FinishMS)
+	if res.E2EMS < res.Node("p2").FinishMS {
+		t.Errorf("E2E %v < p2 finish %v", res.E2EMS, res.Node("p2").FinishMS)
 	}
 }
 

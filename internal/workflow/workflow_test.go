@@ -147,7 +147,7 @@ func TestSerialChainMakespan(t *testing.T) {
 		t.Errorf("unexpected failure: %+v", res)
 	}
 	// Node timing bookkeeping.
-	b := res.Nodes["b"]
+	b := res.Node("b")
 	if !within(b.StartMS, 1000, 1e-6) || !within(b.FinishMS, 3000, 1e-6) {
 		t.Errorf("b timing = %+v", b)
 	}
@@ -177,7 +177,7 @@ func TestParallelMakespan(t *testing.T) {
 	if !within(res.E2EMS, 6000, 1e-6) {
 		t.Errorf("E2E = %v, want 6000 (parallel branches overlap)", res.E2EMS)
 	}
-	p1, p2 := res.Nodes["p1"], res.Nodes["p2"]
+	p1, p2 := res.Node("p1"), res.Node("p2")
 	if !within(p1.StartMS, p2.StartMS, 1e-6) {
 		t.Error("parallel branches should start together")
 	}
@@ -207,8 +207,8 @@ func TestContentionStretch(t *testing.T) {
 		t.Errorf("contended E2E = %v, want ~%v", res.E2EMS, want)
 	}
 	// Billed durations stretch too.
-	if res.Nodes["p1"].RuntimeMS < 7999 {
-		t.Errorf("stretched runtime = %v", res.Nodes["p1"].RuntimeMS)
+	if res.Node("p1").RuntimeMS < 7999 {
+		t.Errorf("stretched runtime = %v", res.Node("p1").RuntimeMS)
 	}
 
 	// Without contention (96 cores) the same assignment is faster.
@@ -234,10 +234,10 @@ func TestOOMAbort(t *testing.T) {
 	if !res.OOM || res.Fail != "b" {
 		t.Fatalf("expected OOM at b: %+v", res)
 	}
-	if !res.Nodes["c"].Skipped {
+	if !res.Node("c").Skipped {
 		t.Error("downstream node c should be skipped")
 	}
-	if res.Nodes["a"].Skipped || res.Nodes["a"].RuntimeMS == 0 {
+	if res.Node("a").Skipped || res.Node("a").RuntimeMS == 0 {
 		t.Error("upstream node a should have completed")
 	}
 	if res.E2EMS <= 0 || res.Cost <= 0 {
@@ -338,7 +338,7 @@ func TestGroupCostAndWeights(t *testing.T) {
 	r := noColdRunner(t, s, 96)
 	res, _ := r.Evaluate(s.Base)
 	pCost := res.GroupCost("p")
-	if !within(pCost, res.Nodes["p1"].Cost+res.Nodes["p2"].Cost, 1e-9) {
+	if !within(pCost, res.Node("p1").Cost+res.Node("p2").Cost, 1e-9) {
 		t.Errorf("GroupCost = %v", pCost)
 	}
 	w := res.NodeWeights()
@@ -358,10 +358,10 @@ func TestColdStartAppearsOnce(t *testing.T) {
 	}
 	res1, _ := r.Evaluate(s.Base)
 	res2, _ := r.Evaluate(s.Base)
-	if res1.Nodes["a"].ColdStartMS == 0 {
+	if res1.Node("a").ColdStartMS == 0 {
 		t.Error("first run should be cold")
 	}
-	if res2.Nodes["a"].ColdStartMS != 0 {
+	if res2.Node("a").ColdStartMS != 0 {
 		t.Error("second identical run should be warm")
 	}
 	if res2.E2EMS >= res1.E2EMS {
