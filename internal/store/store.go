@@ -10,9 +10,12 @@
 //   - Memory: the serving layer's original bounded LRU, extracted. Fast,
 //     process-private, dies with the process.
 //   - Disk: one atomically-renamed file per fingerprint under a
-//     directory. The index is rebuilt by scanning the directory on open,
-//     so a restarted process serves everything its predecessor stored;
-//     corrupt or truncated files degrade to misses, never errors.
+//     directory; a write or delete fsyncs the directory after its rename
+//     or unlink. Open reads and verifies every file on GOMAXPROCS
+//     workers and rebuilds the index from them, so a restarted process
+//     serves everything its predecessor stored. The reader accepts
+//     exactly the bytes Put writes; anything else — corrupt, truncated,
+//     or in another layout — degrades to a miss, never an error.
 //   - Tiered: Memory over Disk with write-through on Put and
 //     promote-on-hit on Get — the serving default when a cache directory
 //     is configured.
