@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -97,8 +98,13 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"methods": methods})
 	})
 	mux.HandleFunc("POST /v1/configure", func(w http.ResponseWriter, r *http.Request) {
-		var req configureRequest
-		if err := readJSON(w, r, &req); err != nil {
+		raw, err := readBody(w, r)
+		if err != nil {
+			writeError(w, bodyStatus(err), err)
+			return
+		}
+		req, err := decodeConfigure(raw)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -115,8 +121,13 @@ func NewHandler(s *Service) http.Handler {
 		writeCached(w, body, hit)
 	})
 	mux.HandleFunc("POST /v1/configure:batch", func(w http.ResponseWriter, r *http.Request) {
-		var req batchConfigureRequest
-		if err := readJSON(w, r, &req); err != nil {
+		raw, err := readBody(w, r)
+		if err != nil {
+			writeError(w, bodyStatus(err), err)
+			return
+		}
+		req, err := decodeBatch(raw)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -276,7 +287,7 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("POST /v1/dispatch", func(w http.ResponseWriter, r *http.Request) {
 		var req dispatchRequest
 		if err := readJSON(w, r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, bodyStatus(err), err)
 			return
 		}
 		spec, err := req.spec()
@@ -299,7 +310,7 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("POST /v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
 		var req evaluateRequest
 		if err := readJSON(w, r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, bodyStatus(err), err)
 			return
 		}
 		if req.Fingerprint == "" {
@@ -336,6 +347,15 @@ func NewHandler(s *Service) http.Handler {
 			out.MeanE2EMS /= n
 			out.MeanCost /= n
 		}
+		// A vanishing CPU share or an astronomic memory size overflows the
+		// simulated runtime or cost, which JSON cannot carry.
+		if !finite(out.MeanE2EMS) || !finite(out.MeanCost) {
+			writeJSON(w, http.StatusBadRequest, map[string]any{
+				"error":          "evaluate: the assignment's runtime or cost overflows",
+				"completed_runs": len(results),
+			})
+			return
+		}
 		writeJSON(w, http.StatusOK, out)
 	})
 	return recoverPanics(s, mux)
@@ -369,17 +389,22 @@ func recoverPanics(s *Service, next http.Handler) http.Handler {
 
 // specSource is the shared spec half of the POST bodies: exactly one of a
 // built-in workload name or an inline spec in the DecodeSpec JSON format.
+// The inline spec is the strict reader's doc, or when encoding/json read
+// the body, its raw bytes.
 type specSource struct {
 	Workload string          `json:"workload,omitempty"`
 	Spec     json.RawMessage `json:"spec,omitempty"`
+	doc      *workflow.Doc
 }
 
 func (ss specSource) spec() (*workflow.Spec, error) {
 	switch {
-	case ss.Workload != "" && len(ss.Spec) > 0:
+	case ss.Workload != "" && (ss.doc != nil || len(ss.Spec) > 0):
 		return nil, errors.New("request: give either \"workload\" or \"spec\", not both")
 	case ss.Workload != "":
 		return workloads.ByName(ss.Workload)
+	case ss.doc != nil:
+		return ss.doc.Spec()
 	case len(ss.Spec) > 0:
 		return workflow.DecodeSpec(bytes.NewReader(ss.Spec))
 	default:
@@ -413,10 +438,88 @@ type configureRequest struct {
 	requestKnobs
 }
 
+// configureKeys are configureRequest's members, promoted from its two
+// halves.
+var configureKeys = []string{"workload", "spec", "method", "seed", "slo_ms", "max_samples", "max_sim_cost_ms", "input_scale"}
+
+// read reads a configure object with the strict reader.
+func (req *configureRequest) read(sr *workflow.StrictReader) {
+	var seen uint64
+	sr.Expect('{')
+	for n := 0; sr.More('}', n); n++ {
+		switch sr.Key(&seen, configureKeys) {
+		case "workload":
+			req.Workload = sr.Text()
+		case "spec":
+			req.doc = sr.Spec()
+		case "method":
+			req.Method = sr.Text()
+		case "seed":
+			seed := sr.Uint()
+			req.Seed = &seed
+		case "slo_ms":
+			req.SLOMS = sr.Float()
+		case "max_samples":
+			req.MaxSamples = sr.Int()
+		case "max_sim_cost_ms":
+			req.MaxSimCostMS = sr.Float()
+		case "input_scale":
+			req.InputScale = sr.Float()
+		}
+	}
+}
+
 // batchConfigureRequest is the wire form of POST /v1/configure:batch: a
 // list of ordinary configure requests, answered as one admission.
 type batchConfigureRequest struct {
 	Requests []configureRequest `json:"requests"`
+}
+
+var batchKeys = []string{"requests"}
+
+// strictConfigure reads a configure body in one pass with the strict
+// reader; ok is false when the reader declined.
+func strictConfigure(body []byte) (req configureRequest, ok bool) {
+	sr := workflow.NewStrictReader(body)
+	req.read(sr)
+	return req, sr.End()
+}
+
+// strictBatch is strictConfigure for a batch body.
+func strictBatch(body []byte) (req batchConfigureRequest, ok bool) {
+	sr := workflow.NewStrictReader(body)
+	var seen uint64
+	sr.Expect('{')
+	for n := 0; sr.More('}', n); n++ {
+		if sr.Key(&seen, batchKeys) == "requests" {
+			req.Requests = []configureRequest{}
+			sr.Expect('[')
+			for m := 0; sr.More(']', m); m++ {
+				req.Requests = append(req.Requests, configureRequest{})
+				req.Requests[m].read(sr)
+			}
+		}
+	}
+	return req, sr.End()
+}
+
+// decodeConfigure decodes a configure body: with the strict reader, or
+// when it declines, with encoding/json on the same bytes.
+func decodeConfigure(body []byte) (configureRequest, error) {
+	if req, ok := strictConfigure(body); ok {
+		return req, nil
+	}
+	var req configureRequest
+	return req, decodeBody(body, &req)
+}
+
+// decodeBatch is decodeConfigure for a batch body.
+func decodeBatch(body []byte) (batchConfigureRequest, error) {
+	if req, ok := strictBatch(body); ok {
+		return req, nil
+	}
+	var req batchConfigureRequest
+	return req, decodeBody(body, &req)
 }
 
 // batchItemResponse is one slot of a batch response, index-aligned with
@@ -468,6 +571,38 @@ func readJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	return nil
 }
 
+// readBody reads a whole request body of at most maxRequestBody bytes, in
+// one allocation when the client sent its length.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxRequestBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody)); err != nil {
+		return nil, fmt.Errorf("request: decoding body: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeBody decodes a body read by readBody as readJSON would have read
+// it: encoding/json's first value, the rest ignored.
+func decodeBody(body []byte, dst any) error {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(dst); err != nil {
+		return fmt.Errorf("request: decoding body: %w", err)
+	}
+	return nil
+}
+
+// bodyStatus is the status for a body that could not be read or decoded:
+// 413 past maxRequestBody, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -500,6 +635,8 @@ func writeServiceError(s *Service, w http.ResponseWriter, err error) {
 	writeError(w, statusOf(err), err)
 }
 
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
 func cacheHeader(hit bool) string {
 	if hit {
 		return "hit"
@@ -511,7 +648,8 @@ func statusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownFingerprint):
 		return http.StatusNotFound
-	case errors.Is(err, ErrTooManyRuns), errors.Is(err, ErrBatchTooLarge), errors.Is(err, errNilSpec):
+	case errors.Is(err, ErrTooManyRuns), errors.Is(err, ErrBatchTooLarge), errors.Is(err, errNilSpec),
+		errors.As(err, new(requestError)), errors.As(err, new(workflow.AssignmentError)):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests

@@ -643,7 +643,7 @@ func (s *Service) resolve(spec *workflow.Spec, ro RequestOptions) (resolved, err
 	}
 	version, err := search.Version(r.method)
 	if err != nil {
-		return resolved{}, err
+		return resolved{}, requestError{err}
 	}
 	r.version = version
 	if ro.Seed != nil {
@@ -1050,7 +1050,7 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 		return nil, false, errors.New("service: Dispatch with nil spec")
 	}
 	if scale <= 0 {
-		return nil, false, fmt.Errorf("service: Dispatch with non-positive input scale %v", scale)
+		return nil, false, requestError{fmt.Errorf("service: Dispatch with non-positive input scale %v", scale)}
 	}
 	if len(classes) == 0 {
 		classes = inputaware.DefaultVideoClasses()
@@ -1059,7 +1059,7 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Scale < sorted[j].Scale })
 	for _, c := range sorted {
 		if c.Scale <= 0 {
-			return nil, false, fmt.Errorf("service: class %q has non-positive scale %v", c.Name, c.Scale)
+			return nil, false, requestError{fmt.Errorf("service: class %q has non-positive scale %v", c.Name, c.Scale)}
 		}
 	}
 	cls := inputaware.Classify(sorted, scale)
@@ -1078,6 +1078,13 @@ func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []i
 		Assignment:  rec.Assignment,
 	}, hit, nil
 }
+
+// A requestError is a request the caller got wrong in a way only the
+// service can tell, such as an unknown method or a non-positive dispatch
+// scale. The HTTP layer answers it 400.
+type requestError struct{ error }
+
+func (e requestError) Unwrap() error { return e.error }
 
 // ErrUnknownFingerprint is returned by Evaluate/Validate and
 // RecommendationJSON when the fingerprint has no stored entry (never

@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -78,15 +79,48 @@ type limitsJSON struct {
 	MemStepMB float64 `json:"mem_step_mb"`
 }
 
-// DecodeSpec parses a JSON workflow definition and validates it.
+// DecodeSpec reads a JSON workflow definition whole and validates it. A
+// StrictReader reads the bytes in one pass; when it declines, encoding/json
+// decodes the same bytes as it always has (its first value, unknown members
+// refused), so every input decodes to the same Spec, or fails with the same
+// error, either way.
 func DecodeSpec(r io.Reader) (*Spec, error) {
-	var sj specJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sj); err != nil {
+	var buf bytes.Buffer
+	if lr, ok := r.(interface{ Len() int }); ok { // bytes and strings readers: one allocation
+		buf.Grow(lr.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("workflow: decoding spec: %w", err)
 	}
+	if d, ok := strictDoc(buf.Bytes()); ok {
+		return d.Spec()
+	}
+	d, err := jsonDoc(buf.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("workflow: decoding spec: %w", err)
+	}
+	return d.Spec()
+}
 
+// strictDoc reads b with a StrictReader; ok is false when it declined.
+func strictDoc(b []byte) (d *Doc, ok bool) {
+	sr := NewStrictReader(b)
+	d = sr.Spec()
+	return d, sr.End()
+}
+
+// jsonDoc decodes b with encoding/json: its first value, unknown members
+// refused.
+func jsonDoc(b []byte) (*Doc, error) {
+	d := new(Doc)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return d, dec.Decode(&d.sj)
+}
+
+// buildSpec builds a definition into a Spec — graph, profiles, groups, the
+// uniform base and the limits — and validates it.
+func buildSpec(sj *specJSON) (*Spec, error) {
 	g := dag.New()
 	profiles := make(map[string]perfmodel.Profile, len(sj.Nodes))
 	groups := make(map[string]string)

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -113,5 +114,29 @@ func TestEncodeSpecRejectsInvalid(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeSpec(&buf, spec); err == nil {
 		t.Error("invalid spec should not encode")
+	}
+}
+
+// TestStrictKeysMatchTags holds the strict reader's member names to the
+// json tags of the structs encoding/json decodes the same documents into.
+func TestStrictKeysMatchTags(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		keys []string
+	}{
+		{specJSON{}, specKeys},
+		{nodeJSON{}, nodeKeys},
+		{profileJSON{}, profileKeys},
+		{configJSON{}, configKeys},
+		{limitsJSON{}, limitsKeys},
+	} {
+		typ := reflect.TypeOf(c.v)
+		var tags []string
+		for i := 0; i < typ.NumField(); i++ {
+			tags = append(tags, strings.Split(typ.Field(i).Tag.Get("json"), ",")[0])
+		}
+		if !reflect.DeepEqual(tags, c.keys) {
+			t.Errorf("%s: strict reader keys %v, json tags %v", typ.Name(), c.keys, tags)
+		}
 	}
 }

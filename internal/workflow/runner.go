@@ -83,6 +83,13 @@ func NewRunner(spec *Spec, opts RunnerOptions) (*Runner, error) {
 	return r, nil
 }
 
+// An AssignmentError is an assignment the runner cannot execute: it leaves
+// a group without a configuration or gives one an invalid configuration.
+// It is the caller's input at fault, not the runner.
+type AssignmentError string
+
+func (e AssignmentError) Error() string { return string(e) }
+
 // Spec returns the workflow specification the runner executes.
 func (r *Runner) Spec() *Spec { return r.spec }
 
@@ -158,10 +165,10 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 	for gi, g := range p.groupNames {
 		cfg, ok := a[g]
 		if !ok {
-			return search.Result{}, fmt.Errorf("workflow %s: assignment missing group %q (node %q)", r.spec.Name, g, p.groupNode[gi])
+			return search.Result{}, AssignmentError(fmt.Sprintf("workflow %s: assignment missing group %q (node %q)", r.spec.Name, g, p.groupNode[gi]))
 		}
 		if !cfg.Valid() {
-			return search.Result{}, fmt.Errorf("workflow %s: invalid config %v for group %q", r.spec.Name, cfg, g)
+			return search.Result{}, AssignmentError(fmt.Sprintf("workflow %s: invalid config %v for group %q", r.spec.Name, cfg, g))
 		}
 		s.cfgs = append(s.cfgs, cfg)
 	}

@@ -7,7 +7,9 @@
 package aarc_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -138,10 +140,13 @@ func BenchmarkServiceConfigureBatch(b *testing.B) {
 }
 
 // BenchmarkServiceFingerprintGet measures the fingerprint-addressed fast
-// path against the POST-configure hit path it bypasses. Direct is the
-// store lookup itself (no HTTP); HTTPGet and HTTPPostHit drive the
-// handler, so their difference is exactly what skipping the spec body —
-// decode, canonicalize, hash — buys per hit.
+// path against the POST-configure hit paths it bypasses. Direct is the
+// store lookup itself (no HTTP); HTTPGet, HTTPPostHit and
+// HTTPPostHitInline drive the handler. HTTPPostHit names a built-in
+// workload, so it skips the spec decode; HTTPPostHitInline posts a
+// 32-node Scale spec inline, compacted as aarcload sends it, so its
+// difference from HTTPGet is what the spec body — read, build,
+// canonicalize, hash — costs per hit.
 func BenchmarkServiceFingerprintGet(b *testing.B) {
 	svc := benchService(b)
 	ts := httptest.NewServer(aarc.NewServiceHandler(svc))
@@ -174,8 +179,7 @@ func BenchmarkServiceFingerprintGet(b *testing.B) {
 			}
 		}
 	})
-	b.Run("HTTPPostHit", func(b *testing.B) {
-		body := `{"workload": "chatbot"}`
+	postHit := func(b *testing.B, body string) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -184,10 +188,30 @@ func BenchmarkServiceFingerprintGet(b *testing.B) {
 				b.Fatal(err)
 			}
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("status %d", resp.StatusCode)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Aarc-Cache") != "hit" {
+				b.Fatalf("status %d, X-Aarc-Cache %q", resp.StatusCode, resp.Header.Get("X-Aarc-Cache"))
 			}
 		}
+	}
+	b.Run("HTTPPostHit", func(b *testing.B) {
+		postHit(b, `{"workload": "chatbot"}`)
+	})
+	b.Run("HTTPPostHitInline", func(b *testing.B) {
+		scale, err := aarc.ScaleWorkload(aarc.ScaleOptions{Topology: "layered", Nodes: 32, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := svc.Configure(context.Background(), scale, aarc.ServiceRequest{}); err != nil {
+			b.Fatal(err)
+		}
+		var pretty, compact bytes.Buffer
+		if err := aarc.EncodeSpec(&pretty, scale); err != nil {
+			b.Fatal(err)
+		}
+		if err := json.Compact(&compact, pretty.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		postHit(b, `{"spec":`+compact.String()+`}`)
 	})
 }
 
