@@ -20,15 +20,6 @@
 // batch, and all remaining misses searched by one -batch-workers-wide
 // pooled run with per-item error isolation.
 //
-// -drift-interval turns on the recommendation lifecycle: a background
-// monitor re-validates every cached entry on its evaluation pool, flags
-// the ones whose rolling p99 crossed -drift-threshold of their SLO
-// (with hysteresis), and -refresh-workers re-search them in the
-// background — the refreshed entry is swapped atomically while the old
-// one keeps serving, and the swap is announced to GET /v1/watch/{fp}
-// subscribers as a "refreshed" event. Refreshes always yield admission
-// slots to foreground misses.
-//
 // The daemon degrades rather than fails: the disk tier (when present)
 // sits behind a retry wrapper and a circuit breaker, so a failing disk
 // opens the breaker after -breaker-threshold consecutive errors and the
@@ -51,7 +42,7 @@
 //	GET    /v1/recommendation/{fp}  fingerprint-addressed fast path (no spec body)
 //	DELETE /v1/recommendation/{fp}  explicit invalidation across all tiers
 //	GET    /v1/recommendations      stored-entry listing (watcher bootstrap)
-//	GET    /v1/watch/{fp}           SSE lifecycle events: put | refreshed | invalidated
+//	GET    /v1/watch/{fp}           SSE lifecycle events: put | invalidated
 //	POST   /v1/dispatch             {"workload":"video-analysis","scale":1.4} -> class + config
 //	POST   /v1/evaluate             {"fingerprint":"sha256:...","runs":10} -> what-if runs
 package main
@@ -69,15 +60,6 @@ import (
 
 	"aarc"
 )
-
-// effectiveDriftThreshold mirrors the service default for the startup
-// log line: 0 means "take the default 0.9".
-func effectiveDriftThreshold(t float64) float64 {
-	if t <= 0 {
-		return 0.9
-	}
-	return t
-}
 
 func main() {
 	log.SetFlags(0)
@@ -102,10 +84,6 @@ func main() {
 		breakerCool   = flag.Duration("breaker-cooldown", 15*time.Second, "how long an open breaker waits before its half-open probe")
 		chaosDiskDown = flag.Duration("chaos-disk-down", 0, "chaos drill: fail every disk op for this long after start, then recover (0 = off)")
 
-		driftInterval  = flag.Duration("drift-interval", 0, "re-validate cached entries this often for SLO drift (0 = lifecycle off)")
-		driftThreshold = flag.Float64("drift-threshold", 0, "staleness watermark as a fraction of each entry's SLO (0 = default 0.9)")
-		refreshWorkers = flag.Int("refresh-workers", 0, "concurrent background refreshes of stale entries (0 = default 1)")
-
 		readTimeout  = flag.Duration("read-timeout", time.Minute, "http.Server ReadTimeout: full request (headers+body) read deadline")
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "http.Server WriteTimeout: response write deadline; bounds a request's total service time")
 		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout: keep-alive connection idle deadline")
@@ -125,8 +103,6 @@ func main() {
 		aarc.WithMaxConcurrentSearches(*maxSearches),
 		aarc.WithBreaker(*breakerK, *breakerCool),
 		aarc.WithChaosDiskOutage(*chaosDiskDown),
-		aarc.WithDrift(*driftInterval, *driftThreshold),
-		aarc.WithRefreshWorkers(*refreshWorkers),
 		aarc.WithBudget(aarc.Budget{
 			MaxSamples: *maxSamples,
 			// Scale before converting: time.Duration(*maxSimMS) would
@@ -166,9 +142,6 @@ func main() {
 	stats := svc.Stats()
 	if *cacheDir != "" {
 		log.Printf("durable store %s: warmed %d entries from %s", stats.Store, stats.Tiers["memory"], *cacheDir)
-	}
-	if *driftInterval > 0 {
-		log.Printf("lifecycle on: drift sweep every %s, refresh on p99 >= %g of SLO", *driftInterval, effectiveDriftThreshold(*driftThreshold))
 	}
 	log.Printf("serving on %s (method=%s store=%s cache=%d shards=%s)", *addr, *method, stats.Store, *cacheSize, shardsDesc)
 

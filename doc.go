@@ -67,19 +67,13 @@
 // 500s, and WithChaosDiskOutage is a built-in chaos drill that fails
 // the disk tier for a window at startup. See DESIGN.md section 10.
 //
-// Cached recommendations have a lifecycle. WithDrift starts a
-// background monitor that re-validates every stored entry on its
-// runner pool and flags the ones whose rolling validation p99 crept
-// past a fraction of their SLO (with hysteresis, so borderline entries
-// do not flap); flagged entries are re-searched by WithRefreshWorkers
-// background workers — always yielding admission slots to foreground
-// misses — and the refreshed recommendation is swapped into the store
-// atomically while the old one keeps serving. Every mutation is
-// published as a ServiceEvent ("put", "refreshed", "invalidated"):
-// subscribe in-process with Service.Watch, over HTTP as Server-Sent
-// Events via GET /v1/watch/{fingerprint} (with Last-Event-ID resume),
-// and bootstrap from the GET /v1/recommendations listing. See DESIGN.md
-// section 11.
+// A Service writes its store only when a request does: a search's
+// result is put, DELETE invalidates, and nothing runs in the background
+// between requests. Every write is published as a ServiceEvent ("put",
+// "invalidated"): subscribe in-process with Service.Watch, over HTTP as
+// Server-Sent Events via GET /v1/watch/{fingerprint} (with
+// Last-Event-ID resume), and bootstrap from the GET /v1/recommendations
+// listing. See DESIGN.md section 11.
 //
 // The invariants all of the above rests on — fingerprints that are pure
 // functions of content, contexts threaded through the request path, no

@@ -2,13 +2,11 @@
 // invariant (DESIGN.md §7/§11): request-path code must thread the
 // caller's context, and detaching from it — context.WithoutCancel, or
 // minting a fresh root with context.Background/TODO — is legal only at
-// blessed sites carrying an //aarc:detached <reason> marker. The
-// blessed sites are load-bearing: the singleflight miss path detaches
-// so a client disconnect cannot poison the shared cache entry, and the
-// refresh workers detach so background re-searches outlive any request.
-// An unmarked detachment is either a bug (a cancellation that should
-// propagate and doesn't) or an undocumented invariant; both should
-// fail vet.
+// blessed sites carrying an //aarc:detached <reason> marker. The one
+// blessed site is load-bearing: the singleflight miss path detaches so
+// a client disconnect cannot poison the shared cache entry. An unmarked
+// detachment is either a bug (a cancellation that should propagate and
+// doesn't) or an undocumented invariant; both should fail vet.
 package ctxflow
 
 import (
@@ -33,7 +31,6 @@ var requestPath = map[string]bool{
 	"service":    true,
 	"search":     true,
 	"store":      true,
-	"drift":      true,
 	"event":      true,
 	"inputaware": true,
 	"core":       true,

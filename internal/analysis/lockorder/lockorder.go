@@ -14,8 +14,8 @@
 //
 // Lock order: the whole-program lock-acquisition graph has no cycles —
 // the static form of the deadlock-freedom claim DESIGN.md makes for the
-// serving stack's mutexes (service shards, flightGroup, event bus, drift
-// monitor). The graph is built from non-test code only. It is
+// serving stack's mutexes (service shards, flightGroup, event bus).
+// The graph is built from non-test code only. It is
 // interprocedural: each package exports, as a unitchecker fact, the set
 // of locks every function may transitively acquire and the
 // acquired-while-held edges observed so far; importing packages

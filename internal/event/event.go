@@ -3,16 +3,12 @@
 // and watchers subscribe from, instead of broadcast RPCs.
 //
 // Topics are fingerprints — the serving layer's content-addressed cache
-// keys — and the three event kinds are the complete lifecycle vocabulary
-// (this is the one place they are defined):
+// keys — and the two event kinds are the complete lifecycle vocabulary
+// (this is the one place they are defined). Only a request writes the
+// store, so each event answers one:
 //
-//   - "put": a recommendation was stored for the fingerprint for the
-//     first time, or re-stored by an ordinary (non-refresh) search —
-//     every successful store Put that is not a background refresh;
-//   - "refreshed": the background refresher re-ran the search for a
-//     drifted entry and atomically swapped the stored bytes — the entry
-//     is still addressable under the same fingerprint, its contents are
-//     new;
+//   - "put": a search's recommendation was stored for the fingerprint —
+//     every successful store Put the serving layer makes;
 //   - "invalidated": the entry was explicitly removed (DELETE
 //     /v1/recommendation/{fp}); the next configure for the same content
 //     re-searches.
@@ -21,7 +17,7 @@
 // bounded buffer, and a publish that finds the buffer full drops the
 // event for that subscriber and counts it (Bus.Dropped, per-subscription
 // Dropped) rather than blocking the publisher — a slow SSE client must
-// never stall the refresher or a configure request. The bus also keeps a
+// never stall a configure or invalidate request. The bus also keeps a
 // small ring of recent events so a reconnecting subscriber can resume
 // from a last-seen sequence number (Replay; the SSE layer maps this to
 // Last-Event-ID).
@@ -34,15 +30,13 @@ import (
 	"time"
 )
 
-// Kind names a lifecycle event. The complete set is KindPut,
-// KindRefreshed and KindInvalidated (see the package comment).
+// Kind names a lifecycle event. The complete set is KindPut and
+// KindInvalidated (see the package comment).
 type Kind string
 
 const (
-	// KindPut: an entry was stored by an ordinary (non-refresh) search.
+	// KindPut: an entry was stored by a search.
 	KindPut Kind = "put"
-	// KindRefreshed: a background refresh swapped the entry in place.
-	KindRefreshed Kind = "refreshed"
 	// KindInvalidated: the entry was explicitly removed.
 	KindInvalidated Kind = "invalidated"
 )

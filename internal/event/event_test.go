@@ -66,7 +66,7 @@ func TestSlowSubscriberDropsWithCounterWithoutBlocking(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 10; i++ {
-			b.Publish(KindRefreshed, "fp")
+			b.Publish(KindPut, "fp")
 		}
 		close(done)
 	}()
@@ -95,7 +95,7 @@ func TestReplayFiltersTopicAndCursor(t *testing.T) {
 	defer b.Close()
 	b.Publish(KindPut, "a")         // seq 1
 	b.Publish(KindPut, "b")         // seq 2
-	b.Publish(KindRefreshed, "a")   // seq 3
+	b.Publish(KindPut, "a")         // seq 3
 	b.Publish(KindInvalidated, "a") // seq 4
 
 	got := b.Replay("a", 1)

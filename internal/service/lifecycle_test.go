@@ -2,68 +2,22 @@ package service
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"aarc/internal/event"
-	"aarc/internal/search"
 	"aarc/internal/store"
+	"aarc/internal/testutil"
 )
-
-// Two independently-gated methods for the refresh-priority test: the
-// channels carry no identity, so the test tells a refresh search apart
-// from a foreground one by which method it was configured under.
-var (
-	lgateStarted  chan struct{}
-	lgateRelease  chan struct{}
-	lgate2Started chan struct{}
-	lgate2Release chan struct{}
-)
-
-type lgateSearcher struct{}
-
-func (lgateSearcher) Name() string { return "LGate" }
-
-func (lgateSearcher) Search(ctx context.Context, ev search.Evaluator, opts search.Options) (search.Outcome, error) {
-	lgateStarted <- struct{}{}
-	<-lgateRelease
-	return stubSearcher{}.Search(ctx, ev, opts)
-}
-
-type lgate2Searcher struct{}
-
-func (lgate2Searcher) Name() string { return "LGate2" }
-
-func (lgate2Searcher) Search(ctx context.Context, ev search.Evaluator, opts search.Options) (search.Outcome, error) {
-	lgate2Started <- struct{}{}
-	<-lgate2Release
-	return stubSearcher{}.Search(ctx, ev, opts)
-}
-
-// rerunPanics switches the "rerun" method from stub to panicky, so a test
-// configures an entry cleanly and then makes its refresh explode.
-var rerunPanics atomic.Bool
-
-func init() {
-	search.Register("lgate", 1, func(seed uint64) search.Searcher { return lgateSearcher{} })
-	search.Register("lgate2", 1, func(seed uint64) search.Searcher { return lgate2Searcher{} })
-	search.Register("rerun", 1, func(seed uint64) search.Searcher {
-		if rerunPanics.Load() {
-			return panickySearcher{}
-		}
-		return stubSearcher{}
-	})
-}
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -78,136 +32,51 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestDriftRefreshSwapEndToEnd is the acceptance path: a configured
-// entry is flagged by the drift monitor (threshold set so any latency
-// counts as stale), re-searched in the background, and atomically
-// swapped — while concurrent readers observe neither a miss nor a torn
-// entry, and a watch subscriber receives the "refreshed" event.
-func TestDriftRefreshSwapEndToEnd(t *testing.T) {
+// TestIdleServiceRunsNothing: with every option that could start work of
+// its own turned on, a Service that has served configures, validations,
+// a batch and an invalidation runs no goroutine between requests. Only a
+// request can write its store, so the invalidated entry stays gone.
+func TestIdleServiceRunsNothing(t *testing.T) {
+	check := testutil.CheckNoLeaks(t)
 	svc := stubService(t, Config{
-		DriftInterval:  time.Hour, // sweeps driven manually via DriftSweep
-		DriftThreshold: 1e-9,      // any measured latency counts as stale
+		CacheDir:              t.TempDir(),
+		CacheSize:             2,
+		MaxConcurrentSearches: 2,
+		SearchTimeout:         time.Second,
+		ChaosDiskDown:         time.Millisecond,
+		BreakerThreshold:      1,
+		BreakerCooldown:       time.Millisecond,
 	})
-	spec := testSpec(t, 0)
-	rec, _, err := svc.Configure(context.Background(), spec, RequestOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := rec.Fingerprint
-
-	events, cancel, err := svc.Watch(context.Background(), fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-
-	// Readers hammer the fingerprint for the whole refresh: the swap
-	// contract is that they always get a complete entry, old or new.
-	stop := make(chan struct{})
-	var readerErr atomic.Value
-	var readers sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				body, err := svc.RecommendationJSON(fp)
-				if err != nil {
-					readerErr.Store(fmt.Errorf("reader observed a miss mid-refresh: %w", err))
-					return
-				}
-				var got Recommendation
-				if err := json.Unmarshal(body, &got); err != nil {
-					readerErr.Store(fmt.Errorf("reader observed torn bytes: %w", err))
-					return
-				}
-				if got.Fingerprint != fp {
-					readerErr.Store(fmt.Errorf("reader observed foreign entry %s", got.Fingerprint))
-					return
-				}
-			}
-		}()
-	}
-
-	svc.DriftSweep(context.Background())
-
-	select {
-	case ev := <-events:
-		if ev.Kind != event.KindRefreshed {
-			t.Fatalf("first watched event = %q, want %q", ev.Kind, event.KindRefreshed)
+	ctx := context.Background()
+	fps := make([]string, 4)
+	for i := range fps {
+		rec, _, err := svc.Configure(ctx, testSpec(t, i), RequestOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.Fingerprint != fp {
-			t.Fatalf("event fingerprint = %s, want %s", ev.Fingerprint, fp)
+		fps[i] = rec.Fingerprint
+		if _, err := svc.Validate(fps[i], 2); err != nil {
+			t.Fatalf("Validate %d: %v", i, err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no refreshed event after the sweep flagged the entry")
 	}
-
-	waitFor(t, "refresh counter", func() bool { return svc.Stats().Refreshes == 1 })
-	close(stop)
-	readers.Wait()
-	if err := readerErr.Load(); err != nil {
-		t.Fatal(err)
-	}
-
-	st := svc.Stats()
-	if st.DriftChecks == 0 {
-		t.Fatal("drift_checks = 0 after a sweep")
-	}
-	if st.RefreshFails != 0 {
-		t.Fatalf("refresh_failures = %d", st.RefreshFails)
-	}
-	// The refreshed entry still serves, identical search identity and
-	// seed, so the bytes match the original deterministic encoding.
-	body, err := svc.RecommendationJSON(fp)
+	items := []BatchItem{{Spec: testSpec(t, 4)}, {Spec: testSpec(t, 4)}, {Spec: testSpec(t, 0)}}
+	results, err := svc.ConfigureBatch(ctx, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Recommendation
-	if err := json.Unmarshal(body, &got); err != nil {
-		t.Fatal(err)
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("batch item %d: %v", i, r.Err)
+		}
 	}
-	if got.Fingerprint != fp {
-		t.Fatalf("post-refresh fingerprint = %s, want %s", got.Fingerprint, fp)
-	}
-}
-
-// TestRefreshPanicKeepsServing: a search that panics in a background
-// refresh is a counted refresh failure, not a dead process: the old
-// entry still serves, and the worker goes on to the next stale entry.
-func TestRefreshPanicKeepsServing(t *testing.T) {
-	svc := stubService(t, Config{DriftInterval: time.Hour, DriftThreshold: 1e-9})
-	t.Cleanup(func() { rerunPanics.Store(false) })
-	ro, ctx := RequestOptions{Method: "rerun"}, context.Background()
-	body, _, err := svc.ConfigureJSON(ctx, testSpec(t, 0), ro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec Recommendation
-	if err := json.Unmarshal(body, &rec); err != nil {
-		t.Fatal(err)
+	if existed, err := svc.Invalidate(fps[3]); err != nil || !existed {
+		t.Fatalf("Invalidate: existed=%v err=%v", existed, err)
 	}
 
-	rerunPanics.Store(true)
-	svc.DriftSweep(ctx)
-	waitFor(t, "the panicked refresh to be counted", func() bool { return svc.Stats().RefreshFails == 1 })
-	rerunPanics.Store(false)
-	if got, err := svc.RecommendationJSON(rec.Fingerprint); err != nil || !bytes.Equal(got, body) {
-		t.Fatalf("after a panicked refresh the entry serves %q, %v; want the original bytes", got, err)
-	}
+	check() // before Close: nothing the service started may still run
 
-	if _, _, err := svc.Configure(ctx, testSpec(t, 1), ro); err != nil {
-		t.Fatal(err)
-	}
-	svc.DriftSweep(ctx)
-	waitFor(t, "the next stale entry to be refreshed", func() bool { return svc.Stats().Refreshes == 1 })
-	if got := svc.Stats().RefreshFails; got != 1 {
-		t.Fatalf("refresh_failures = %d, want 1", got)
+	if _, err := svc.RecommendationJSON(fps[3]); !errors.Is(err, ErrUnknownFingerprint) {
+		t.Fatalf("invalidated entry answers %v, want ErrUnknownFingerprint", err)
 	}
 }
 
@@ -351,93 +220,6 @@ func TestSlowWatcherDropsWithoutBlocking(t *testing.T) {
 	if dropped := svc.Stats().EventsDropped; dropped == 0 {
 		t.Fatal("events_dropped = 0 after flooding a one-slot subscriber")
 	}
-}
-
-// TestRefreshYieldsToForegroundMiss proves the admission priority: with
-// one admission slot, a pending background refresh must not take it
-// while a foreground miss is waiting — the foreground search starts
-// first, every time, and the refresh runs only once the slot is idle.
-func TestRefreshYieldsToForegroundMiss(t *testing.T) {
-	lgateStarted = make(chan struct{}, 8)
-	lgateRelease = make(chan struct{}, 8)
-	lgate2Started = make(chan struct{}, 8)
-	lgate2Release = make(chan struct{}, 8)
-
-	svc := stubService(t, Config{
-		MaxConcurrentSearches: 1,
-		DriftInterval:         time.Hour,
-		DriftThreshold:        1e-9,
-	})
-
-	// Entry A, configured under the gated "lgate2" method: its eventual
-	// background refresh re-runs lgate2, so lgate2Started firing later
-	// identifies the refresh search.
-	specA := testSpec(t, 0)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := svc.Configure(context.Background(), specA, RequestOptions{Method: "lgate2"})
-		done <- err
-	}()
-	<-lgate2Started
-	lgate2Release <- struct{}{}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	// Foreground search F1 (lgate) takes the only admission slot and
-	// parks in flight.
-	f1done := make(chan error, 1)
-	go func() {
-		_, _, err := svc.Configure(context.Background(), testSpec(t, 1), RequestOptions{Method: "lgate"})
-		f1done <- err
-	}()
-	<-lgateStarted
-
-	// Flag A stale: the refresh worker picks it up and starts polling
-	// for a slot it cannot have.
-	svc.DriftSweep(context.Background())
-
-	// Foreground search F2 (lgate) arrives and waits for the slot. A
-	// deadline makes acquireSearch wait instead of shedding.
-	f2ctx, f2cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer f2cancel()
-	f2done := make(chan error, 1)
-	go func() {
-		_, _, err := svc.Configure(f2ctx, testSpec(t, 2), RequestOptions{Method: "lgate"})
-		f2done <- err
-	}()
-	waitFor(t, "foreground waiter", func() bool { return svc.searchWaiters.Load() == 1 })
-
-	// Release F1. The freed slot must go to the waiting F2, not the
-	// polling refresh: F2's search starts, the refresh search does not.
-	lgateRelease <- struct{}{}
-	if err := <-f1done; err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-lgateStarted: // F2 in flight
-	case <-time.After(10 * time.Second):
-		t.Fatal("foreground search F2 never started after the slot freed")
-	}
-	select {
-	case <-lgate2Started:
-		t.Fatal("refresh took the admission slot while a foreground miss was waiting")
-	default:
-	}
-
-	// Release F2; with the slot idle and no waiters, the refresh finally
-	// gets its turn.
-	lgateRelease <- struct{}{}
-	if err := <-f2done; err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-lgate2Started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("refresh never ran after the foreground load drained")
-	}
-	lgate2Release <- struct{}{}
-	waitFor(t, "refresh completion", func() bool { return svc.Stats().Refreshes == 1 })
 }
 
 // readSSE reads frames off a live SSE stream, returning each non-empty
@@ -636,7 +418,7 @@ func TestRecommendationsListing(t *testing.T) {
 // readable off the request path (this test is the -race vehicle for the
 // counter audit).
 func TestHealthzConcurrentWithConfigure(t *testing.T) {
-	svc := stubService(t, Config{DriftInterval: 5 * time.Millisecond, DriftThreshold: 1e-9})
+	svc := stubService(t, Config{})
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
@@ -726,41 +508,13 @@ func BenchmarkWatchFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkDriftSweep measures one monitor sweep over a populated store
-// — the background cost the drift interval is traded against.
-//
-//	go test ./internal/service -bench=BenchmarkDriftSweep -benchtime=10x -run='^$'
-func BenchmarkDriftSweep(b *testing.B) {
-	for _, entries := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
-			svc, err := New(Config{Method: "stub", CacheSize: entries * 2, DriftInterval: time.Hour})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer svc.Close()
-			for i := 0; i < entries; i++ {
-				if _, _, err := svc.Configure(context.Background(), testSpec(b, i), RequestOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				svc.DriftSweep(context.Background())
-			}
-		})
-	}
-}
-
-// BenchmarkServiceConfigure measures the foreground configure hot path
-// (a store hit) with the lifecycle idle and with a tight drift loop
-// refreshing in the background — the "refresh must sit within noise"
-// acceptance measurement.
+// BenchmarkServiceConfigure measures the foreground configure hot path:
+// a store hit on an idle service.
 //
 //	go test ./internal/service -bench=BenchmarkServiceConfigure -run='^$'
 func BenchmarkServiceConfigure(b *testing.B) {
-	bench := func(b *testing.B, cfg Config) {
-		cfg.Method = "stub"
-		svc, err := New(cfg)
+	b.Run("Idle", func(b *testing.B) {
+		svc, err := New(Config{Method: "stub"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -776,9 +530,5 @@ func BenchmarkServiceConfigure(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("Idle", func(b *testing.B) { bench(b, Config{}) })
-	b.Run("RefreshingBackground", func(b *testing.B) {
-		bench(b, Config{DriftInterval: time.Millisecond, DriftThreshold: 1e-9})
 	})
 }

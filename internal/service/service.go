@@ -58,7 +58,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aarc/internal/drift"
 	"aarc/internal/event"
 	"aarc/internal/experiments"
 	"aarc/internal/inputaware"
@@ -71,7 +70,8 @@ import (
 // Config sets a Service's defaults. Per-request values (RequestOptions)
 // override Method, Seed, SLOMS and InputScale; MaxSamples and MaxSimCostMS
 // act as server-side caps — a request may tighten a budget, never loosen
-// it past the cap.
+// it past the cap. No field starts work of its own: a Service runs no
+// goroutine between requests, so only a request writes the store.
 type Config struct {
 	Method       string  // search method; default "aarc"
 	Seed         uint64  // simulator+searcher seed; default 42
@@ -112,25 +112,6 @@ type Config struct {
 	// closing it and re-opening. Defaults 5 and 15s.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-
-	// DriftInterval, when positive, enables the recommendation lifecycle:
-	// every interval a drift monitor (internal/drift) re-validates each
-	// stored entry on its sharded runner pool and compares the rolling
-	// p99 against DriftThreshold×SLO with hysteresis; entries that cross
-	// it are re-searched in the background by RefreshWorkers workers and
-	// atomically swapped in the store — old bytes serve until the swap,
-	// no request ever sees a miss. Zero (the default) disables the
-	// monitor and the refresher; the event bus and watch API work either
-	// way.
-	DriftInterval time.Duration
-	// DriftThreshold is the staleness watermark as a fraction of each
-	// entry's SLO (default 0.9: flag entries creeping toward the SLO
-	// before they breach it).
-	DriftThreshold float64
-	// RefreshWorkers bounds concurrent background refreshes (default 1).
-	// Refreshes always yield to foreground misses: they take admission
-	// slots only when no foreground search is waiting for one.
-	RefreshWorkers int
 
 	// WatchHeartbeat is the SSE keep-alive interval of GET /v1/watch/{fp}
 	// (default 15s): a comment line per interval so idle streams survive
@@ -239,9 +220,6 @@ type Stats struct {
 	ShedRequests   int64          `json:"shed_requests"`     // cold searches refused by the concurrency cap (HTTP 429)
 	SearchTimeouts int64          `json:"search_timeouts"`   // searches cut off by the server-side deadline
 	Panics         int64          `json:"panics"`            // handler panics recovered into 500s
-	DriftChecks    int64          `json:"drift_checks"`      // drift-monitor probes performed
-	Refreshes      int64          `json:"refreshes"`         // background re-searches swapped into the store
-	RefreshFails   int64          `json:"refresh_failures"`  // background re-searches that errored (old entry kept)
 	WatchSubs      int64          `json:"watch_subscribers"` // live watch subscriptions (SSE streams + facade Watch)
 	EventsDropped  int64          `json:"events_dropped"`    // events lost to slow subscribers' full buffers
 	BreakerState   string         `json:"breaker_state"`     // closed | open | half-open, or none without a breaker
@@ -259,18 +237,12 @@ type Service struct {
 
 	sem chan struct{} // MaxConcurrentSearches slots; nil = uncapped
 
-	bus     *event.Bus     // lifecycle events; published by putStore and Invalidate
-	monitor *drift.Monitor // nil unless DriftInterval > 0
-
-	lifecycleCancel context.CancelFunc // stops the monitor and refresh workers
-	lifecycleWG     sync.WaitGroup
+	bus *event.Bus // lifecycle events; published by putStore and Invalidate
 
 	mu    sync.Mutex
 	pools *lruCache // fingerprint -> *entry (runner pools of evaluated fingerprints)
 
 	draining atomic.Bool // BeginDrain/Close flipped; /readyz turns 503
-
-	searchWaiters atomic.Int64 // foreground misses blocked on an admission slot
 
 	hits           atomic.Int64
 	misses         atomic.Int64
@@ -280,8 +252,6 @@ type Service struct {
 	shedRequests   atomic.Int64
 	searchTimeouts atomic.Int64
 	panics         atomic.Int64
-	refreshes      atomic.Int64
-	refreshFails   atomic.Int64
 	watchSubs      atomic.Int64
 }
 
@@ -306,12 +276,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 15 * time.Second
-	}
-	if cfg.DriftThreshold <= 0 {
-		cfg.DriftThreshold = 0.9
-	}
-	if cfg.RefreshWorkers <= 0 {
-		cfg.RefreshWorkers = 1
 	}
 	if cfg.WatchHeartbeat <= 0 {
 		cfg.WatchHeartbeat = 15 * time.Second
@@ -358,43 +322,15 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxConcurrentSearches > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrentSearches)
 	}
-	if cfg.DriftInterval > 0 {
-		// The lifecycle context is the service's own root: drift sweeps
-		// and refresh workers live until Close, not until any request.
-		ctx, cancel := context.WithCancel(context.Background()) //aarc:detached lifecycle root; Close cancels it
-		s.lifecycleCancel = cancel
-		s.monitor = drift.New(lifecycleProber{s}, drift.Config{
-			Interval:  cfg.DriftInterval,
-			Threshold: cfg.DriftThreshold,
-		})
-		s.lifecycleWG.Add(1)
-		go func() {
-			defer s.lifecycleWG.Done()
-			s.monitor.Run(ctx)
-		}()
-		for i := 0; i < cfg.RefreshWorkers; i++ {
-			s.lifecycleWG.Add(1)
-			go func() {
-				defer s.lifecycleWG.Done()
-				s.refreshLoop(ctx)
-			}()
-		}
-	}
 	return s, nil
 }
 
 // Close releases the backing store (flushing nothing: durable tiers are
 // written through at Put time, so shutdown has no persistence step). The
-// lifecycle goroutines — drift monitor and refresh workers — are
-// cancelled and joined first, so no background re-search races the
-// store's close; the event bus closes last, terminating every watch
-// subscription.
+// service owns no goroutine to stop; the event bus closes last,
+// terminating every watch subscription.
 func (s *Service) Close() error {
 	s.draining.Store(true)
-	if s.lifecycleCancel != nil {
-		s.lifecycleCancel()
-		s.lifecycleWG.Wait()
-	}
 	err := s.st.Close()
 	s.bus.Close()
 	return err
@@ -431,10 +367,6 @@ func (s *Service) Methods() []string { return search.Methods() }
 // Stats returns a snapshot of the cache counters.
 func (s *Service) Stats() Stats {
 	ss := store.StatsOf(s.st)
-	var driftChecks int64
-	if s.monitor != nil {
-		driftChecks = s.monitor.Checks()
-	}
 	return Stats{
 		Hits:           s.hits.Load(),
 		Misses:         s.misses.Load(),
@@ -446,9 +378,6 @@ func (s *Service) Stats() Stats {
 		ShedRequests:   s.shedRequests.Load(),
 		SearchTimeouts: s.searchTimeouts.Load(),
 		Panics:         s.panics.Load(),
-		DriftChecks:    driftChecks,
-		Refreshes:      s.refreshes.Load(),
-		RefreshFails:   s.refreshFails.Load(),
 		WatchSubs:      s.watchSubs.Load(),
 		EventsDropped:  s.bus.Dropped(),
 		BreakerState:   cmp.Or(ss.Breaker, "none"),
@@ -489,10 +418,6 @@ func (s *Service) acquireSearch(ctx context.Context, shed bool) error {
 			return ErrOverloaded
 		}
 	}
-	// Count the blocked wait: background refreshes poll this gauge and
-	// yield their slots whenever a foreground miss is queued here.
-	s.searchWaiters.Add(1)
-	defer s.searchWaiters.Add(-1)
 	select {
 	case s.sem <- struct{}{}:
 		return nil
@@ -525,12 +450,13 @@ func (s *Service) RetryAfterSeconds() int {
 
 // entryMeta is the sidecar persisted with every stored recommendation:
 // everything a process needs to build a fingerprint's evaluation runner
-// pool, whether or not it ran the search itself, plus — since the lifecycle
-// subsystem — the full search identity, so a background refresh can
-// re-run the exact search that produced the entry. The search-identity
-// fields are omitempty: entries persisted by older processes decode with
-// them zero and the refresher falls back to the recommendation body
-// (method, SLO) and the service caps (budgets).
+// pool, whether or not it ran the search itself, plus the search identity
+// (method, version, SLO, budgets, creation time). Of the identity, only
+// method_version and created_unix_ms are read back, by the
+// Recommendations listing; the rest is still written so that the
+// persisted bytes, and every existing cache directory, keep one format.
+// The identity fields are omitempty: entries persisted by older
+// processes decode with them zero.
 type entryMeta struct {
 	Spec json.RawMessage `json:"spec"` // canonical spec JSON
 	metaFields
@@ -604,9 +530,9 @@ func decodeRecommendation(body []byte) (*Recommendation, error) {
 
 // entry is the process-private runtime state behind one evaluated
 // fingerprint: its sharded runner pool, built from the stored entryMeta
-// by the fingerprint's first Evaluate, Validate or drift probe. The
-// mutex serializes that build, so concurrent first callers compile the
-// runners once; a failed build leaves pool nil and the next call retries.
+// by the fingerprint's first Evaluate or Validate. The mutex serializes
+// that build, so concurrent first callers compile the runners once; a
+// failed build leaves pool nil and the next call retries.
 type entry struct {
 	mu   sync.Mutex
 	pool *runnerPool
@@ -740,15 +666,15 @@ func (s *Service) getStore(fp string) (store.Entry, bool) {
 }
 
 // putStore persists a completed search and, once the write succeeded,
-// publishes kind for fp: put for a search, refreshed for a refresh swap.
-// Write failures are degraded to a counter and publish nothing: the
-// recommendation was computed and is served regardless.
-func (s *Service) putStore(fp string, e store.Entry, kind event.Kind) {
+// publishes put for fp. Write failures are degraded to a counter and
+// publish nothing: the recommendation was computed and is served
+// regardless.
+func (s *Service) putStore(fp string, e store.Entry) {
 	if err := s.st.Put(fp, e); err != nil {
 		s.storeErrs.Add(1)
 		return
 	}
-	s.bus.Publish(kind, fp)
+	s.bus.Publish(event.KindPut, fp)
 }
 
 // flightResult waits on an in-flight call and narrows its value to the
@@ -775,14 +701,14 @@ func (s *Service) searchMiss(ctx context.Context, fp string, spec *workflow.Spec
 		return nil, err
 	}
 	defer s.releaseSearch()
-	// Detach from the client's context here — not in runSearch — so the
-	// background refresher can pass its own cancellable lifecycle context
-	// to the same search machinery.
+	// Detach from the client's context here, at the one blessed site,
+	// and hand runSearch the detached context: the search keeps the
+	// request's values and runSearcher layers the server deadline on top.
 	se, err := s.runSearch(context.WithoutCancel(ctx), fp, spec, specJSON, r) //aarc:detached shared cache entry must not be poisoned by one client's disconnect
 	if err != nil {
 		return nil, err
 	}
-	s.putStore(fp, se, event.KindPut)
+	s.putStore(fp, se)
 	return se.Body, nil
 }
 
@@ -889,11 +815,11 @@ func (s *Service) Invalidate(fp string) (existed bool, err error) {
 }
 
 // runSearch performs one search and builds its storable form: the served
-// body and the meta that evaluation pools and refreshes are built from,
-// which carries specJSON — the spec's canonical JSON — as given. The
-// caller picks the context: a miss detaches it from the client (see the
-// package comment). Nothing is written to the store here: persisting is
-// the caller's step, taken only on success.
+// body and the meta that evaluation pools are built from, which carries
+// specJSON — the spec's canonical JSON — as given. The caller passes the
+// context already detached from the client (see the package comment).
+// Nothing is written to the store here: persisting is the caller's step,
+// taken only on success.
 func (s *Service) runSearch(ctx context.Context, fp string, spec *workflow.Spec, specJSON []byte, r resolved) (store.Entry, error) {
 	searcher, err := search.New(r.method, r.seed)
 	if err != nil {
@@ -973,10 +899,10 @@ type searchOutcome struct {
 // runSearcher executes one search under the server-side SearchTimeout
 // when one is configured. Detaching from the client's context is the
 // caller's job: the miss path passes context.WithoutCancel (see the
-// package comment) while the background refresher passes the lifecycle
-// context, so Close cancels in-flight refresh searches. The deadline is
-// enforced twice over: cooperatively — the searcher sees a timed
-// context and a well-behaved one returns context.DeadlineExceeded
+// package comment), and the server deadline is derived from that
+// detached context, so it still carries the request's values. The
+// deadline is enforced twice over: cooperatively — the searcher sees a
+// timed context and a well-behaved one returns context.DeadlineExceeded
 // itself — and unconditionally, by selecting the result channel against
 // the deadline, so even a searcher that ignores its context releases
 // the caller (and with it the singleflight claim and the admission
@@ -1043,8 +969,8 @@ func (s *Service) entryFor(fp string) (store.Entry, *runnerPool, error) {
 // classes) and answers with Configure at that class's input scale, which
 // replaces ro.InputScale. Each class is therefore one ordinary store
 // entry, searched the first time it is dispatched to, with the same
-// admission, deadline, singleflight, persistence, refresh and watch as
-// any configure.
+// admission, deadline, singleflight, persistence and watch as any
+// configure.
 func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []inputaware.Class, scale float64, ro RequestOptions) (res *DispatchResult, cacheHit bool, err error) {
 	if spec == nil {
 		return nil, false, errors.New("service: Dispatch with nil spec")

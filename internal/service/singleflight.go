@@ -85,8 +85,8 @@ func (g *flightGroup) finish(key string, c *flightCall, val any, err error) {
 // finished — the leader's fn panicked — it publishes errLeaderPanicked so
 // followers fail cleanly instead of reading an unset (nil, nil) as
 // success. A finished call is left alone. Every leader defers it: the
-// singleton configure leader, ConfigureBatch for each flight it claims,
-// and a background refresh.
+// singleton configure leader and ConfigureBatch for each flight it
+// claims.
 func (g *flightGroup) abandon(key string, c *flightCall) {
 	if c.finished {
 		return

@@ -101,7 +101,10 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 // its checksum, so mutations need not fix the sum up: of such a file,
 // encoding/json must read the same key, body and meta, and reach the
 // same checksum verdict. The reader compares the sum verbatim, so a sum
-// that is not even a JSON string fails both.
+// that is not even a JSON string fails both. The one allowed split is
+// DESIGN §8's contract, under which any layout other than Put's is
+// corrupt: a sum written with a JSON escape, which the reader refuses
+// and encoding/json unescapes, provided Put never writes that file.
 //
 //	go test -fuzz=FuzzDiskEnvelope -fuzztime=20s -run '^$' ./internal/store
 func FuzzDiskEnvelope(f *testing.F) {
@@ -163,8 +166,19 @@ func FuzzDiskEnvelope(f *testing.F) {
 			t.Fatalf("%q: reader read %+v, encoding/json %+v", b, got, want)
 		}
 		sum := envelopeSum(want.Body, want.Meta)
-		if jsonIntact := want.Sum == hex.EncodeToString(sum[:]); intact != jsonIntact {
+		jsonIntact := want.Sum == hex.EncodeToString(sum[:])
+		if intact == jsonIntact {
+			return
+		}
+		if intact || bytes.IndexByte(env.sum, '\\') < 0 {
 			t.Fatalf("%q: reader's checksum verdict %v, encoding/json's %v", b, intact, jsonIntact)
+		}
+		put, err := encodeEnvelope(want.Key, Entry{Body: want.Body, Meta: want.Meta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(put, b) {
+			t.Fatalf("%q: Put writes an escaped sum the reader calls corrupt", b)
 		}
 	})
 }

@@ -11,15 +11,14 @@ import (
 // CheckNoLeaks snapshots the live goroutines and returns a function
 // that, called at test end (normally via t.Cleanup through
 // VerifyNoLeaks), fails the test if goroutines created since the
-// snapshot are still running. It exists to back the Service lifecycle
-// contract: Close must stop the drift monitor, the refresh workers,
-// the watch fan-out, and every singleflight leader it owns — a
-// background goroutine outliving Close is a leak, not a scheduling
-// artifact.
+// snapshot are still running. It exists to back the Service contract:
+// a Service runs no goroutine of its own between requests, and Close
+// must end the watch fan-out and every singleflight leader it owns — a
+// goroutine outliving Close is a leak, not a scheduling artifact.
 //
-// Shutdown is asynchronous (workers observe a cancelled context at
-// their next select), so the check retries with backoff for up to
-// five seconds before declaring a leak.
+// Shutdown is asynchronous (watchers observe a cancelled context or a
+// closed channel at their next select), so the check retries with
+// backoff for up to five seconds before declaring a leak.
 func CheckNoLeaks(t testing.TB) func() {
 	t.Helper()
 	before := goroutineIDs()

@@ -31,10 +31,6 @@ type settings struct {
 	breakerThreshold int           // NewService: 0 = default 5
 	breakerCooldown  time.Duration // NewService: 0 = default 15s
 	chaosDiskDown    time.Duration // NewService: 0 = no chaos drill
-
-	driftInterval  time.Duration // NewService: 0 = lifecycle monitor off
-	driftThreshold float64       // NewService: 0 = default 0.9
-	refreshWorkers int           // NewService: 0 = default 1
 }
 
 func defaultSettings() settings {
@@ -188,31 +184,6 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 // -chaos-disk-down); zero (the default) injects nothing.
 func WithChaosDiskOutage(d time.Duration) Option {
 	return func(s *settings) { s.chaosDiskDown = d }
-}
-
-// WithDrift turns on NewService's recommendation lifecycle: every
-// interval a background monitor re-validates each stored entry on its
-// sharded runner pool, flags the ones whose rolling validation p99
-// crossed threshold×SLO (with hysteresis, so entries oscillating around
-// the watermark do not flap), and re-searches them in the background —
-// the refreshed recommendation is swapped into the store atomically and
-// announced on the watch API, while the old one serves until the swap.
-// threshold 0 takes the default 0.9; interval 0 (the default) leaves
-// the lifecycle off. Configure, ConfigureBatch and ConfigureClasses
-// ignore it.
-func WithDrift(interval time.Duration, threshold float64) Option {
-	return func(s *settings) {
-		s.driftInterval = interval
-		s.driftThreshold = threshold
-	}
-}
-
-// WithRefreshWorkers bounds how many stale entries a WithDrift service
-// refreshes concurrently (default 1). Refreshes always yield admission
-// slots to foreground misses, so more workers trade idle-time refresh
-// throughput, never foreground latency. Ignored without WithDrift.
-func WithRefreshWorkers(n int) Option {
-	return func(s *settings) { s.refreshWorkers = n }
 }
 
 // WithStore plugs a caller-built recommendation store (see the Store

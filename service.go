@@ -41,8 +41,7 @@ type (
 	ServiceBatchResult = service.BatchResult
 	// ServiceEvent is one recommendation lifecycle notification as
 	// delivered by Service.Watch and GET /v1/watch/{fp}: kind "put"
-	// (stored for the first time or re-stored), "refreshed" (swapped by a
-	// background drift refresh), or "invalidated" (deleted).
+	// (stored by a search) or "invalidated" (deleted).
 	ServiceEvent = service.Event
 	// ServiceRecommendationInfo is one stored entry's line in the
 	// Service.Recommendations listing (GET /v1/recommendations).
@@ -79,13 +78,12 @@ func NewTieredStore(fast, slow Store) Store { return store.NewTiered(fast, slow)
 // WithInputScale) plus the service-specific WithCacheSize, WithShards,
 // WithCacheDir, WithStore and WithBatchWorkers, the resilience knobs
 // WithSearchTimeout, WithMaxConcurrentSearches, WithBreaker and
-// WithChaosDiskOutage, and the lifecycle knobs WithDrift and
-// WithRefreshWorkers (background staleness detection and atomic
-// refresh, observable via Service.Watch and GET /v1/watch/{fp}).
-// A WithBudget budget becomes the server-side cap: requests may tighten
-// it, never exceed it. The error is the backing store's (opening a cache
-// directory can fail; a memory-only service cannot). Close the service
-// to release the store.
+// WithChaosDiskOutage. The service starts no background work: only a
+// request writes its store, and Service.Watch and GET /v1/watch/{fp}
+// report each write. A WithBudget budget becomes the server-side cap:
+// requests may tighten it, never exceed it. The error is the backing
+// store's (opening a cache directory can fail; a memory-only service
+// cannot). Close the service to release the store.
 func NewService(opts ...Option) (*Service, error) {
 	s := newSettings(opts)
 	return service.New(service.Config{
@@ -108,10 +106,6 @@ func NewService(opts ...Option) (*Service, error) {
 		BreakerThreshold:      s.breakerThreshold,
 		BreakerCooldown:       s.breakerCooldown,
 		ChaosDiskDown:         s.chaosDiskDown,
-
-		DriftInterval:  s.driftInterval,
-		DriftThreshold: s.driftThreshold,
-		RefreshWorkers: s.refreshWorkers,
 	})
 }
 
