@@ -1,21 +1,17 @@
-// Command aarcvet is the project's vet suite: nine analyzers that
+// Command aarcvet is the project's vet suite: eight analyzers that
 // machine-check the serving stack's cache, concurrency and determinism
-// invariants (DESIGN.md §13–§14), plus a local shadow check. Run it
-// through cmd/go:
+// invariants (DESIGN.md §13–§14), one of them a local shadow check. Run
+// it through cmd/go:
 //
 //	go build -o bin/aarcvet ./cmd/aarcvet
 //	go vet -vettool=$PWD/bin/aarcvet ./...
 //
-// run it directly on package patterns (it re-execs go vet):
+// or run it directly on package patterns (it re-execs go vet):
 //
 //	bin/aarcvet ./...
 //
-// or regenerate the regversion manifest after bumping a method version:
-//
-//	bin/aarcvet -fix ./...
-//
-// Five of the analyzers are purely syntactic/type-based (ctxflow,
-// detcanon, regversion, shadow, tierorder). The other four —
+// Four of the analyzers are purely syntactic/type-based (ctxflow,
+// detcanon, shadow, tierorder). The other four —
 // lockorder, nilness, goleak, hotalloc — are built on
 // internal/analysis/flow, a stdlib-only CFG/dataflow layer that stands
 // in for the golang.org/x/tools SSA packages this offline build cannot
@@ -43,7 +39,6 @@ import (
 	"aarc/internal/analysis/hotalloc"
 	"aarc/internal/analysis/lockorder"
 	"aarc/internal/analysis/nilness"
-	"aarc/internal/analysis/regversion"
 	"aarc/internal/analysis/shadow"
 	"aarc/internal/analysis/tierorder"
 	"aarc/internal/analysis/unitchecker"
@@ -57,25 +52,18 @@ func suite() []*analysis.Analyzer {
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
 		nilness.Analyzer,
-		regversion.Analyzer,
 		shadow.Analyzer,
 		tierorder.Analyzer,
 	}
 }
 
 func main() {
-	// Standalone conveniences in front of the vet protocol: "-fix"
-	// regenerates the regversion manifest, and bare package patterns
-	// re-exec through go vet. A trailing .cfg argument (or the
-	// -flags/-V handshakes) means cmd/go is driving us.
+	// A standalone convenience in front of the vet protocol: bare
+	// package patterns re-exec through go vet. A trailing .cfg argument
+	// (or the -flags/-V handshakes) means cmd/go is driving us.
 	args := os.Args[1:]
-	if len(args) > 0 {
-		switch {
-		case args[0] == "-fix" || args[0] == "--fix":
-			os.Exit(regversion.Fix(args[1:], os.Stdout, os.Stderr))
-		case !strings.HasPrefix(args[0], "-") && !strings.HasSuffix(args[len(args)-1], ".cfg"):
-			os.Exit(execGoVet(args))
-		}
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") && !strings.HasSuffix(args[len(args)-1], ".cfg") {
+		os.Exit(execGoVet(args))
 	}
 	unitchecker.Main(suite()...)
 }

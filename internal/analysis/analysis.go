@@ -18,9 +18,9 @@
 // keeps the encoding trivial.
 //
 // Deliberately omitted relative to x/tools: Requires/ResultOf (no
-// analyzer depends on another), SuggestedFixes (aarcvet -fix handles
-// the one generated artifact, the regversion manifest), and the
-// inspector (packages are small; ast.Inspect is fine).
+// analyzer depends on another), SuggestedFixes (no analyzer proposes
+// an edit), and the inspector (packages are small; ast.Inspect is
+// fine).
 package analysis
 
 import (
@@ -42,8 +42,8 @@ type Analyzer struct {
 	Doc string
 
 	// Run applies the check to one package. Diagnostics go through
-	// pass.Report; the error return is for operational failures
-	// (cannot read a manifest, not "found a violation").
+	// pass.Report; the error return is for operational failures,
+	// not "found a violation".
 	Run func(*Pass) error
 
 	// Facts declares that this analyzer exports a per-package summary
@@ -62,15 +62,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Dir is the package's directory on disk.
-	Dir string
-
-	// ModuleRoot is the nearest ancestor of Dir containing go.mod,
-	// or "" when unknown (analysistest fixtures). Analyzers that read
-	// repo-level artifacts (regversion's version.lock) resolve paths
-	// against it, falling back to Dir.
-	ModuleRoot string
 
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)

@@ -57,7 +57,6 @@ type loadedPkg struct {
 	pkg      *types.Package
 	info     *types.Info
 	files    []*ast.File
-	dir      string
 	testdata string // the testdata root the fixture was loaded from
 	err      error
 }
@@ -90,7 +89,7 @@ func loadLocked(t *testing.T, dir, name string) *loadedPkg {
 	if lp, ok := pkgs[abs]; ok {
 		return lp
 	}
-	lp := &loadedPkg{dir: abs, testdata: dir}
+	lp := &loadedPkg{testdata: dir}
 	pkgs[abs] = lp
 
 	entries, err := os.ReadDir(abs)
@@ -179,15 +178,13 @@ func fixtureFacts(t *testing.T, a *analysis.Analyzer, dir, name string) map[stri
 		mergeFacts(facts, fixtureFacts(t, a, dir, imp.Path()))
 	}
 	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      lp.files,
-		Pkg:        lp.pkg,
-		TypesInfo:  lp.info,
-		Dir:        lp.dir,
-		ModuleRoot: lp.dir,
-		Report:     func(analysis.Diagnostic) {},
-		Facts:      facts,
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     lp.files,
+		Pkg:       lp.pkg,
+		TypesInfo: lp.info,
+		Report:    func(analysis.Diagnostic) {},
+		Facts:     facts,
 	}
 	pass.ExportFact = func(v any) {
 		if raw, err := json.Marshal(v); err == nil {
@@ -218,14 +215,12 @@ func runOne(t *testing.T, a *analysis.Analyzer, lp *loadedPkg, name string) {
 
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      lp.files,
-		Pkg:        lp.pkg,
-		TypesInfo:  lp.info,
-		Dir:        lp.dir,
-		ModuleRoot: lp.dir,
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     lp.files,
+		Pkg:       lp.pkg,
+		TypesInfo: lp.info,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if a.Facts {
 		// Emulate the unitchecker's cross-package fact flow: run the

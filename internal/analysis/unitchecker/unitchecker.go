@@ -137,7 +137,7 @@ func Main(analyzers ...*analysis.Analyzer) {
 
 	args := flag.Args()
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
-		log.Fatalf(`invoking %s directly is unsupported; use "go vet -vettool=$(which %s)" or "go run ./cmd/aarcvet -- [-fix] ./..."`, progname, progname)
+		log.Fatalf(`invoking %s directly is unsupported; use "go vet -vettool=$(which %s)" or "go run ./cmd/aarcvet ./..."`, progname, progname)
 	}
 	os.Exit(Run(args[0], run, *jsonOut, os.Stdout, os.Stderr))
 }
@@ -205,15 +205,13 @@ func runFacts(factAnalyzers []*analysis.Analyzer, facts factMap, cfg *Config,
 	fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) {
 	for _, a := range factAnalyzers {
 		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      files,
-			Pkg:        pkg,
-			TypesInfo:  info,
-			Dir:        cfg.Dir,
-			ModuleRoot: findModuleRoot(cfg.Dir),
-			Report:     func(analysis.Diagnostic) {},
-			Facts:      facts[a.Name],
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Report:    func(analysis.Diagnostic) {},
+			Facts:     facts[a.Name],
 		}
 		name := a.Name
 		pass.ExportFact = func(v any) {
@@ -292,13 +290,11 @@ func Run(cfgFile string, analyzers []*analysis.Analyzer, jsonOut bool, stdout, s
 	exit := 0
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      files,
-			Pkg:        pkg,
-			TypesInfo:  info,
-			Dir:        cfg.Dir,
-			ModuleRoot: findModuleRoot(cfg.Dir),
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
 		}
 		name := a.Name
 		pass.Report = func(d analysis.Diagnostic) {

@@ -15,7 +15,10 @@ import (
 )
 
 // Version is the MAFF implementation version folded into serving-layer
-// fingerprints; bump on any result-affecting change.
+// fingerprints. internal/search/version.lock decides when it moves: bump
+// it when TestMethodPins reports that maff's stored bodies moved. A change
+// that moves a search trace but no stored body only re-records core's
+// searchTraceDigest.
 const Version = 1
 
 func init() {

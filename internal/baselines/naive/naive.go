@@ -15,7 +15,11 @@ import (
 )
 
 // Version is the naive baselines' implementation version folded into
-// serving-layer fingerprints; bump on any result-affecting change.
+// serving-layer fingerprints, for random and grid alike.
+// internal/search/version.lock decides when it moves: bump it when
+// TestMethodPins reports that either method's stored bodies moved, and
+// both lock lines change. A change that moves a search trace but no
+// stored body only re-records core's searchTraceDigest.
 const Version = 1
 
 func init() {

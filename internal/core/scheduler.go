@@ -10,9 +10,14 @@ import (
 )
 
 // Version is the AARC implementation version folded into serving-layer
-// fingerprints. Bump it when a change alters which samples the search
-// takes or which assignment it returns: cached recommendations from the
-// old implementation then self-invalidate.
+// fingerprints. internal/search/version.lock decides when it moves: it
+// pins aarc's version with a digest of the bodies the service stores for
+// a fixed corpus, and TestMethodPins fails when that digest moves at an
+// unchanged version. Bump it then, and cached recommendations from the
+// old implementation self-invalidate. A deliberate change that moves a
+// search trace re-records searchTraceDigest in digest_test.go; if it
+// moves no stored body (a sample note's format, say), that is all it
+// needs.
 const Version = 1
 
 func init() {
@@ -84,7 +89,7 @@ func (a *AARC) Search(ctx context.Context, ev search.Evaluator, opts search.Opti
 		return search.Outcome{}, err
 	}
 	if res.OOM {
-		return search.Outcome{}, fmt.Errorf("core: base configuration OOMs at node %q; raise the base config", res.Fail)
+		return search.Outcome{}, search.InfeasibleError(fmt.Sprintf("core: base configuration OOMs at node %q; raise the base config", res.Fail))
 	}
 	st.curRes = res
 	if err := st.trace.Record(st.cur, res, true, "init"); err != nil {
@@ -92,7 +97,7 @@ func (a *AARC) Search(ctx context.Context, ev search.Evaluator, opts search.Opti
 	}
 	if res.E2EMS > st.effSLO(sloMS) {
 		return search.Outcome{Best: st.cur, Trace: st.trace, Final: st.curRes},
-			fmt.Errorf("core: base configuration misses the SLO (%.0f ms > %.0f ms); the workflow cannot be configured", res.E2EMS, sloMS)
+			search.InfeasibleError(fmt.Sprintf("core: base configuration misses the SLO (%.0f ms > %.0f ms); the workflow cannot be configured", res.E2EMS, sloMS))
 	}
 
 	// Line 6: critical path on the runtime-weighted DAG.

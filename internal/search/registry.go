@@ -29,10 +29,13 @@ var (
 // identity: the serving layer folds it into recommendation fingerprints,
 // so bumping it when a method's behavior changes makes every previously
 // cached (possibly persisted) recommendation self-invalidate — old
-// entries simply stop being addressed. Method packages self-register
-// from init, so importing a package (directly or blank) is what makes
-// its methods resolvable. Register panics on a duplicate or empty name
-// or a non-positive version: all are programmer errors.
+// entries simply stop being addressed. version.lock, next to this file,
+// pins each built-in method's version with a digest of the bodies the
+// service stores for a fixed corpus; TestMethodPins in internal/core
+// fails when a digest moves at an unchanged version. Method packages
+// self-register from init, so importing a package (directly or blank) is
+// what makes its methods resolvable. Register panics on a duplicate or
+// empty name or a non-positive version: all are programmer errors.
 func Register(name string, version int, f Factory) {
 	key := strings.ToLower(strings.TrimSpace(name))
 	if key == "" {

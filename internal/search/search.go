@@ -244,6 +244,13 @@ func StopCause(err error) error {
 	return err
 }
 
+// An InfeasibleError is a searcher's refusal of its input: the workflow
+// cannot be configured as submitted (AARC's base configuration OOMs or
+// misses the SLO). It is the caller's input at fault, not the searcher.
+type InfeasibleError string
+
+func (e InfeasibleError) Error() string { return string(e) }
+
 // Sample is one probe of the configuration space.
 type Sample struct {
 	Index      int

@@ -649,7 +649,8 @@ func statusOf(err error) int {
 	case errors.Is(err, ErrUnknownFingerprint):
 		return http.StatusNotFound
 	case errors.Is(err, ErrTooManyRuns), errors.Is(err, ErrBatchTooLarge), errors.Is(err, errNilSpec),
-		errors.As(err, new(requestError)), errors.As(err, new(workflow.AssignmentError)):
+		errors.As(err, new(requestError)), errors.As(err, new(workflow.AssignmentError)),
+		errors.As(err, new(search.InfeasibleError)):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests

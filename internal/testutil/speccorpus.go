@@ -58,6 +58,16 @@ func OneNodeSpec() *workflow.Spec {
 	return spec
 }
 
+// OOMSpec is OneNodeSpec with its memory floor raised above the 512 MB base
+// memory, so the base configuration is OOM-killed and AARC refuses the spec.
+func OOMSpec() *workflow.Spec {
+	spec := OneNodeSpec()
+	p := spec.Profiles["solo"]
+	p.MinMemMB, p.FootprintMB = 1024, 2048
+	spec.Profiles["solo"] = p
+	return spec
+}
+
 // ScaleSpec generates a workloads.Scale spec or fails the test.
 func ScaleSpec(t testing.TB, topo workloads.Topology, nodes int, seed uint64) *workflow.Spec {
 	t.Helper()

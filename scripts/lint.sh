@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static-analysis gate.
 #
-# Builds aarcvet (the project's go/analysis suite: detcanon, ctxflow,
-# tierorder, regversion, shadow, plus the flow-sensitive lockorder,
-# nilness, goleak and hotalloc) and runs it over the whole tree through
-# the `go vet -vettool` protocol, alongside stock go vet and a gofmt
-# check. Any finding fails; there is no baseline file — designed
-# exceptions are waived in-source with //aarc: markers, so the tree is
-# always clean or red, never "known dirty". The aarcvet step prints its
-# wall time: about 3 s for the full tree on a warm build cache.
+# Builds aarcvet (the project's go/analysis suite of eight analyzers:
+# detcanon, ctxflow, tierorder, shadow, plus the flow-sensitive
+# lockorder, nilness, goleak and hotalloc) and runs it over the whole
+# tree through the `go vet -vettool` protocol, alongside stock go vet
+# and a gofmt check. Any finding fails; there is no baseline file —
+# designed exceptions are waived in-source with //aarc: markers, so the
+# tree is always clean or red, never "known dirty". The aarcvet step
+# prints its wall time: about 3 s for the full tree on a warm build cache.
+# Search-method versions are pinned by a test, not here: TestMethodPins
+# in internal/core checks internal/search/version.lock.
 #
 # The binary lands in bin/aarcvet (gitignored) so CI can cache it
 # between the lint and test jobs; `go build` is itself incremental, so
