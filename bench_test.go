@@ -62,13 +62,13 @@ func BenchmarkContainerInvoke(b *testing.B) {
 		FootprintMB: 512, MinMemMB: 128, PressureK: 1,
 	}
 	cfg := resources.Config{CPU: 2, MemMB: 1024}
-	if _, err := p.Invoke(&c, prof, cfg, 1, nil); err != nil { // warm it
+	if _, err := p.Invoke(&c, &prof, cfg, 1, nil); err != nil { // warm it
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Invoke(&c, prof, cfg, 1, nil); err != nil {
+		if _, err := p.Invoke(&c, &prof, cfg, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"aarc/internal/resources"
 	"aarc/internal/search"
@@ -12,15 +13,39 @@ import (
 // Scheduler and the Priority Configurator: the currently accepted
 // assignment, its last measurement, the sampling trace and the set of
 // already-scheduled function groups.
+//
+// curRes and cand are the two result buffers the evaluator writes into: a
+// probe is measured into cand, and an accepted probe swaps the two.
 type state struct {
 	ev        Evaluator
 	lim       resources.Limits
 	opts      Options
 	cur       resources.Assignment
 	curRes    search.Result
+	cand      search.Result
 	trace     *search.Trace
 	scheduled map[string]bool
 	e2eSLO    float64
+}
+
+// measure evaluates st.cur into st.cand and, on success, makes it st.curRes.
+func (st *state) measure() error {
+	if err := st.ev.EvaluateInto(st.cur, &st.cand); err != nil {
+		return err
+	}
+	st.curRes, st.cand = st.cand, st.curRes
+	return nil
+}
+
+// unscheduled reports whether a node's group is still to be configured.
+func (st *state) unscheduled(node string) bool { return !st.scheduled[st.ev.GroupOf(node)] }
+
+// note formats a probe's sample note, only for a trace that keeps it.
+func (st *state) note(verb string, o *op) string {
+	if !st.trace.KeepsSamples() {
+		return ""
+	}
+	return fmt.Sprintf("%s %s/%s", verb, o.group, o.typ)
 }
 
 // effSLO applies the safety margin to a latency bound.
@@ -76,6 +101,11 @@ func (st *state) stepFloor(o *op) bool {
 // the latency budget for that path (the end-to-end SLO for the critical
 // path, the runtime_sum window for detour sub-paths). The function mutates
 // st.cur in place and marks every touched group as scheduled.
+//
+// Each probe shrinks one group of st.cur in place and measures it into
+// st.cand; a reject, an error or a halt puts the group's configuration
+// back, so st.cur and st.curRes always describe the last accepted
+// configuration outside a probe.
 func (st *state) configurePath(pathNodes []string, pathSLO float64) error {
 	// Deduplicate configuration groups while preserving path order
 	// (scatter siblings on the same path share one configuration).
@@ -97,20 +127,37 @@ func (st *state) configurePath(pathNodes []string, pathSLO float64) error {
 		}
 	}
 
+	// The result entries the path's runtime and each group's cost sum
+	// over, resolved once: the path's nodes in path order, each group's
+	// nodes in Layout order (the orders PathRuntimeMS and GroupSteadyCost
+	// add in). A node outside the layout adds nothing to either.
+	var pathIdx []int32
+	for _, n := range pathNodes {
+		if i, ok := st.curRes.Layout.Index(n); ok {
+			pathIdx = append(pathIdx, int32(i))
+		}
+	}
+	groupIdx := make([][]int32, len(groups))
+	for i := range st.curRes.Nodes {
+		if k := slices.Index(groups, st.curRes.Nodes[i].Group); k >= 0 {
+			groupIdx[k] = append(groupIdx[k], int32(i))
+		}
+	}
+
 	// Algorithm 2 lines 2–10: one cpu op and one mem op per function,
 	// initial priority ∞ so every op is probed at least once.
 	pq := newOpQueue(st.opts.FIFO)
-	for _, g := range groups {
-		types := []resources.ResourceType{resources.CPU, resources.Memory}
-		if st.opts.CoupledOnly {
-			types = []resources.ResourceType{resources.Memory}
-		}
+	types := opTypes
+	if st.opts.CoupledOnly {
+		types = opTypes[1:]
+	}
+	for k, g := range groups {
 		for _, typ := range types {
 			step := st.opts.CPUStep0
 			if typ == resources.Memory {
 				step = st.opts.MemStep0
 			}
-			pq.push(&op{group: g, typ: typ, step: step, trial: st.opts.FuncTrial}, math.Inf(1))
+			pq.push(&op{group: g, gi: k, typ: typ, step: step, trial: st.opts.FuncTrial}, math.Inf(1))
 		}
 	}
 
@@ -135,20 +182,20 @@ func (st *state) configurePath(pathNodes []string, pathSLO float64) error {
 		}
 
 		// deallocate(op): apply tentatively and measure.
-		candidate := st.cur.Clone()
-		candidate[o.group] = nextCfg
-		res, err := st.ev.Evaluate(candidate)
-		if err != nil {
+		st.cur[o.group] = nextCfg
+		if err := st.ev.EvaluateInto(st.cur, &st.cand); err != nil {
+			st.cur[o.group] = curCfg
 			return err
 		}
+		res := &st.cand
 
-		pathRuntime := res.PathRuntimeMS(pathNodes)
+		pathRuntime := res.SumRuntimeMS(pathIdx)
 		// Compare steady-state (warm) costs: re-configuring a function
 		// forces one cold start, which must not read as a recurring cost
 		// increase (Table I's deallocate measures the configuration's
 		// steady cost).
-		curGroupCost := st.curRes.GroupSteadyCost(o.group)
-		newGroupCost := res.GroupSteadyCost(o.group)
+		curGroupCost := st.curRes.SumSteadyCost(groupIdx[o.gi])
+		newGroupCost := res.SumSteadyCost(groupIdx[o.gi])
 		violated := res.OOM ||
 			res.E2EMS > st.effSLO(st.e2eSLO) ||
 			pathRuntime > st.effSLO(pathSLO) ||
@@ -157,8 +204,9 @@ func (st *state) configurePath(pathNodes []string, pathSLO float64) error {
 		if violated {
 			// Lines 14–18: revert, back off, re-enqueue at priority 0 while
 			// trials remain.
-			if err := st.trace.Record(candidate, res, false,
-				fmt.Sprintf("revert %s/%s", o.group, o.typ)); err != nil {
+			err := st.trace.Record(st.cur, *res, false, st.note("revert", o))
+			st.cur[o.group] = curCfg
+			if err != nil {
 				return err
 			}
 			st.backoff(o)
@@ -170,10 +218,8 @@ func (st *state) configurePath(pathNodes []string, pathSLO float64) error {
 
 		// Lines 19–22: accept, re-enqueue keyed by the cost reduction.
 		reduced := curGroupCost - newGroupCost
-		st.cur = candidate
-		st.curRes = res
-		if err := st.trace.Record(candidate, res, true,
-			fmt.Sprintf("accept %s/%s", o.group, o.typ)); err != nil {
+		st.curRes, st.cand = st.cand, st.curRes
+		if err := st.trace.Record(st.cur, st.curRes, true, st.note("accept", o)); err != nil {
 			return err
 		}
 		pq.push(o, reduced)
@@ -184,3 +230,7 @@ func (st *state) configurePath(pathNodes []string, pathSLO float64) error {
 	}
 	return nil
 }
+
+// opTypes are the dimensions a group's ops shrink, memory last so that
+// CoupledOnly can take opTypes[1:].
+var opTypes = []resources.ResourceType{resources.CPU, resources.Memory}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"aarc/internal/dag"
+	"aarc/internal/resources"
 	"aarc/internal/search"
 )
 
@@ -10,6 +11,12 @@ import (
 // mapping. *workflow.Runner satisfies it.
 type Evaluator interface {
 	search.Evaluator
+	// EvaluateInto is Evaluate writing into a Result the caller owns: it
+	// resets *res (search.Result.Reset) and fills it in, reusing its
+	// entry slice. After an error *res holds no usable execution. AARC
+	// measures every probe through it, so a wrapper that embeds an
+	// Evaluator to observe Evaluate must override EvaluateInto as well.
+	EvaluateInto(a resources.Assignment, res *search.Result) error
 	// Graph returns the workflow DAG whose node runtimes weight the
 	// critical-path extraction.
 	Graph() *dag.Graph

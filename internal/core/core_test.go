@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"aarc/internal/resources"
 	"aarc/internal/search"
@@ -403,5 +405,29 @@ func TestValidateAndRepairNoopWhenCompliant(t *testing.T) {
 	if st.trace.Len() != DefaultOptions().ValidationRuns {
 		t.Errorf("expected exactly %d validation samples, got %d",
 			DefaultOptions().ValidationRuns, st.trace.Len())
+	}
+}
+
+// TestSearchDeadlineStopsDetourListing: the layered 112-node Scale spec,
+// seed 4, has exponentially many detour subpaths through the groups left
+// unscheduled by the critical path, so listing them takes seconds. Under
+// a 200 ms deadline the search must notice inside the listing and return
+// DeadlineExceeded, with its partial outcome, soon after the deadline.
+func TestSearchDeadlineStopsDetourListing(t *testing.T) {
+	spec := testutil.ScaleSpec(t, workloads.TopologyLayered, 112, 4)
+	runner := testutil.NewRunner(t, spec, true, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	deadline, _ := ctx.Deadline()
+	out, err := New(DefaultOptions()).Search(ctx, runner, search.Options{SLOMS: spec.SLOMS})
+	late := time.Since(deadline)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if late > 100*time.Millisecond {
+		t.Errorf("search returned %v after its deadline, want within 100ms", late)
+	}
+	if out.Trace == nil || len(out.Best) != len(spec.Base) {
+		t.Errorf("cancelled search returned no partial outcome: %+v", out)
 	}
 }

@@ -18,6 +18,7 @@ import (
 // (the paper's trail / FUNC_TRIAL).
 type op struct {
 	group string
+	gi    int // group's position in its configurePath's group list
 	typ   resources.ResourceType
 	step  float64 // current absolute step size (vCPU or MB)
 	trial int     // remaining trials before the op is abandoned

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"aarc/internal/dag"
 	"aarc/internal/search"
@@ -84,15 +85,14 @@ func (a *AARC) Search(ctx context.Context, ev search.Evaluator, opts search.Opti
 	}
 
 	// Lines 2–5: base configuration, profiling execution.
-	res, err := ev.Evaluate(st.cur)
-	if err != nil {
+	if err := st.measure(); err != nil {
 		return search.Outcome{}, err
 	}
+	res := &st.curRes
 	if res.OOM {
 		return search.Outcome{}, search.InfeasibleError(fmt.Sprintf("core: base configuration OOMs at node %q; raise the base config", res.Fail))
 	}
-	st.curRes = res
-	if err := st.trace.Record(st.cur, res, true, "init"); err != nil {
+	if err := st.trace.Record(st.cur, *res, true, "init"); err != nil {
 		return halt(err)
 	}
 	if res.E2EMS > st.effSLO(sloMS) {
@@ -100,7 +100,8 @@ func (a *AARC) Search(ctx context.Context, ev search.Evaluator, opts search.Opti
 			search.InfeasibleError(fmt.Sprintf("core: base configuration misses the SLO (%.0f ms > %.0f ms); the workflow cannot be configured", res.E2EMS, sloMS))
 	}
 
-	// Line 6: critical path on the runtime-weighted DAG.
+	// Line 6: critical path on the runtime-weighted DAG. The weights map
+	// outlives the buffer it was read from.
 	weights := res.NodeWeights()
 	g := wev.Graph()
 	critical, _, err := dag.CriticalPath(g, weights)
@@ -113,13 +114,27 @@ func (a *AARC) Search(ctx context.Context, ev search.Evaluator, opts search.Opti
 		return halt(err)
 	}
 
-	// Lines 10–21: configure detour sub-paths against their windows.
-	if !a.opts.NoSubpaths {
-		subpaths, err := dag.FindDetourSubpaths(g, critical, weights)
+	// Lines 10–21: configure detour sub-paths against their windows. Every
+	// critical node's group is scheduled now, and the scheduled set only
+	// grows, so a subpath whose interior holds no group unscheduled at
+	// this point can never configure anything: scheduleSubpath would find
+	// nothing pending on it. The listing leaves those out, and the loop
+	// ends once every group is scheduled. A listing can still hold
+	// exponentially many subpaths, most of which configure nothing and so
+	// record no sample: the loop checks the context itself.
+	groups := len(ev.Functions())
+	if !a.opts.NoSubpaths && len(st.scheduled) < groups {
+		subpaths, err := dag.FindDetourSubpaths(ctx, g, critical, weights, st.unscheduled)
 		if err != nil {
-			return search.Outcome{}, err
+			return halt(err)
 		}
 		for _, sp := range subpaths {
+			if len(st.scheduled) == groups {
+				break
+			}
+			if err := ctx.Err(); err != nil {
+				return halt(err)
+			}
 			if err := a.scheduleSubpath(st, critical, sp); err != nil {
 				return halt(err)
 			}
@@ -147,20 +162,17 @@ func (a *AARC) validateAndRepair(st *state) error {
 	base := st.ev.Base()
 	for rounds := 0; rounds <= len(base); rounds++ {
 		var mean float64
-		var last search.Result
 		for i := 0; i < a.opts.ValidationRuns; i++ {
-			res, err := st.ev.Evaluate(st.cur)
-			if err != nil {
+			if err := st.measure(); err != nil {
 				return err
 			}
-			mean += res.E2EMS
-			last = res
-			st.curRes = last
-			if err := st.trace.Record(st.cur, res, true, "validate"); err != nil {
+			mean += st.curRes.E2EMS
+			if err := st.trace.Record(st.cur, st.curRes, true, "validate"); err != nil {
 				return err
 			}
 		}
 		mean /= float64(a.opts.ValidationRuns)
+		last := &st.curRes
 		if mean <= st.e2eSLO && !last.OOM {
 			return nil
 		}
@@ -193,6 +205,9 @@ func (a *AARC) validateAndRepair(st *state) error {
 // is popped and its (current) runtime subtracted; whatever functions remain
 // are configured against the remaining window.
 func (a *AARC) scheduleSubpath(st *state, critical []string, sp dag.Subpath) error {
+	if !slices.ContainsFunc(sp.Nodes, st.unscheduled) {
+		return nil // nothing left to configure on this branch
+	}
 	curWeights := st.curRes.NodeWeights()
 	subSLO, err := dag.RuntimeSum(critical, sp.Start, sp.End, curWeights)
 	if err != nil {

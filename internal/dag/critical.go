@@ -3,6 +3,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // CriticalPath returns the maximum-weight source→sink path of the graph
@@ -11,7 +12,7 @@ import (
 // return value is the path's total weight. Ties resolve deterministically in
 // favour of earlier-inserted nodes.
 func CriticalPath(g *Graph, weights map[string]float64) ([]string, float64, error) {
-	topo, err := g.TopoSort()
+	topo, err := g.topoIndex()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -24,50 +25,40 @@ func CriticalPath(g *Graph, weights map[string]float64) ([]string, float64, erro
 		}
 	}
 
-	dist := make(map[string]float64, len(topo))
-	prev := make(map[string]string, len(topo))
-	for _, id := range topo {
+	n := len(g.order)
+	dist := make([]float64, n)
+	prev := make([]int32, n) // -1: a source
+	for _, i := range topo {
 		best := 0.0
-		bestPred := ""
-		for _, p := range g.pred[id] {
-			if bestPred == "" || dist[p] > best ||
-				(dist[p] == best && g.index[p] < g.index[bestPred]) {
+		bestPred := int32(-1)
+		for _, p := range g.pred[i] {
+			if bestPred < 0 || dist[p] > best || (dist[p] == best && p < bestPred) {
 				best = dist[p]
 				bestPred = p
 			}
 		}
-		dist[id] = best + weights[id]
-		if bestPred != "" {
-			prev[id] = bestPred
-		}
+		dist[i] = best + weights[g.order[i]]
+		prev[i] = bestPred
 	}
 
 	// Pick the best sink.
-	var end string
+	end := int32(-1)
 	bestDist := -1.0
-	for _, id := range g.Sinks() {
-		if dist[id] > bestDist {
-			bestDist = dist[id]
-			end = id
+	for i := range g.order {
+		if len(g.succ[i]) == 0 && dist[i] > bestDist {
+			bestDist = dist[i]
+			end = int32(i)
 		}
 	}
-	if end == "" {
+	if end < 0 {
 		return nil, 0, errors.New("dag: no sink found")
 	}
 
-	var rev []string
-	for id := end; ; {
-		rev = append(rev, id)
-		p, ok := prev[id]
-		if !ok {
-			break
-		}
-		id = p
+	var path []string
+	for i := end; i >= 0; i = prev[i] {
+		path = append(path, g.order[i])
 	}
-	path := make([]string, len(rev))
-	for i, id := range rev {
-		path[len(rev)-1-i] = id
-	}
+	slices.Reverse(path)
 	return path, bestDist, nil
 }
 

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -353,7 +354,7 @@ func TestFindDetourSubpathsDiamond(t *testing.T) {
 	g := diamond(t)
 	w := map[string]float64{"s": 1, "m1": 10, "m2": 3, "t": 1}
 	critical := []string{"s", "m1", "t"}
-	sps, err := FindDetourSubpaths(g, critical, w)
+	sps, err := FindDetourSubpaths(context.Background(), g, critical, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestFindDetourSubpathsScatter(t *testing.T) {
 	if !equalPath(critical, []string{"start", "split", "c1", "end"}) {
 		t.Fatalf("critical = %v", critical)
 	}
-	sps, err := FindDetourSubpaths(g, critical, w)
+	sps, err := FindDetourSubpaths(context.Background(), g, critical, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestFindDetourSubpathsMultiHop(t *testing.T) {
 	g.MustAddEdge("y", "t")
 	w := map[string]float64{"s": 1, "a": 20, "x": 2, "y": 3, "t": 1}
 	critical := []string{"s", "a", "t"}
-	sps, err := FindDetourSubpaths(g, critical, w)
+	sps, err := FindDetourSubpaths(context.Background(), g, critical, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,10 +437,10 @@ func TestFindDetourSubpathsMultiHop(t *testing.T) {
 
 func TestFindDetourSubpathsErrors(t *testing.T) {
 	g := diamond(t)
-	if _, err := FindDetourSubpaths(g, []string{"nope"}, nil); !errors.Is(err, ErrUnknownNode) {
+	if _, err := FindDetourSubpaths(context.Background(), g, []string{"nope"}, nil, nil); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("unknown critical err = %v", err)
 	}
-	if _, err := FindDetourSubpaths(g, []string{"s", "s"}, nil); err == nil {
+	if _, err := FindDetourSubpaths(context.Background(), g, []string{"s", "s"}, nil, nil); err == nil {
 		t.Error("repeated critical node should error")
 	}
 }
@@ -553,7 +554,7 @@ func TestQuickSubpathInvariants(t *testing.T) {
 		for _, id := range critical {
 			onCP[id] = true
 		}
-		sps, err := FindDetourSubpaths(g, critical, w)
+		sps, err := FindDetourSubpaths(context.Background(), g, critical, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -602,6 +603,59 @@ func TestQuickTopoRespectsEdges(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickTopoSucc: TopoSucc's order is TopoSort's, and succ[k] names
+// Succ(order[k]) in order, as positions in that order; also after a
+// RemoveNode has renumbered the later nodes, and the slices are the
+// caller's to change. The nodes are inserted in a shuffled order, so
+// positions and insertion indices differ.
+func TestQuickTopoSucc(t *testing.T) {
+	f := func(seed1, seed2 uint64) bool {
+		rng := rand.New(rand.NewPCG(seed1, seed2))
+		src, _ := randomDAG(rng)
+		ids := src.Nodes()
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		g := New()
+		for _, id := range ids {
+			g.MustAddNode(id)
+		}
+		for _, id := range src.Nodes() {
+			for _, s := range src.Succ(id) {
+				g.MustAddEdge(id, s)
+			}
+		}
+		if n := g.Nodes(); len(n) > 2 {
+			if err := g.RemoveNode(n[rng.IntN(len(n))]); err != nil {
+				return false
+			}
+		}
+		topo, _ := g.TopoSort()
+		order, succ, err := g.TopoSucc()
+		if err != nil || !equalPath(order, topo) || len(succ) != len(order) {
+			return false
+		}
+		for k, id := range order {
+			want := g.Succ(id)
+			if len(succ[k]) != len(want) {
+				return false
+			}
+			for j, s := range succ[k] {
+				if order[s] != want[j] {
+					return false
+				}
+			}
+			if len(succ[k]) > 0 {
+				succ[k][0] = -1
+			}
+		}
+		order[0] = "changed"
+		again, _, _ := g.TopoSucc()
+		return equalPath(again, topo)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

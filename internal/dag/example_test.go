@@ -1,6 +1,7 @@
 package dag_test
 
 import (
+	"context"
 	"fmt"
 
 	"aarc/internal/dag"
@@ -27,7 +28,7 @@ func ExampleCriticalPath() {
 	path, total, _ := dag.CriticalPath(g, weights)
 	fmt.Println(path, total)
 
-	subpaths, _ := dag.FindDetourSubpaths(g, path, weights)
+	subpaths, _ := dag.FindDetourSubpaths(context.Background(), g, path, weights, nil)
 	for _, sp := range subpaths {
 		fmt.Println(sp)
 	}

@@ -8,7 +8,7 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Common construction and query errors.
@@ -24,11 +24,16 @@ var (
 // Graph is a mutable DAG with string node IDs. Node weights are supplied
 // externally (as measured runtimes) when querying, so the same topology can
 // be re-weighted between profiling rounds without rebuilding.
+//
+// Adjacency is held over insertion indices: node order[i] has successors
+// succ[i] and predecessors pred[i], each in edge insertion order. The
+// traversals (TopoSort, Validate, CriticalPath, the detour listing) walk
+// these int slices and hash no string.
 type Graph struct {
 	order []string // node insertion order, for deterministic iteration
 	index map[string]int
-	succ  map[string][]string
-	pred  map[string][]string
+	succ  [][]int32
+	pred  [][]int32
 	edges int
 }
 
@@ -44,8 +49,8 @@ func NewWithCapacity(n int) *Graph {
 	return &Graph{
 		order: make([]string, 0, n),
 		index: make(map[string]int, n),
-		succ:  make(map[string][]string, n),
-		pred:  make(map[string][]string, n),
+		succ:  make([][]int32, 0, n),
+		pred:  make([][]int32, 0, n),
 	}
 }
 
@@ -59,6 +64,8 @@ func (g *Graph) AddNode(id string) error {
 	}
 	g.index[id] = len(g.order)
 	g.order = append(g.order, id)
+	g.succ = append(g.succ, nil)
+	g.pred = append(g.pred, nil)
 	return nil
 }
 
@@ -72,22 +79,22 @@ func (g *Graph) MustAddNode(id string) {
 
 // AddEdge inserts a directed edge from → to. Both endpoints must exist.
 func (g *Graph) AddEdge(from, to string) error {
-	if _, ok := g.index[from]; !ok {
+	fi, ok := g.index[from]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, from)
 	}
-	if _, ok := g.index[to]; !ok {
+	ti, ok := g.index[to]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
 	}
-	if from == to {
+	if fi == ti {
 		return fmt.Errorf("%w: %q", ErrSelfLoop, from)
 	}
-	for _, s := range g.succ[from] {
-		if s == to {
-			return fmt.Errorf("%w: %q -> %q", ErrDuplicateEdge, from, to)
-		}
+	if slices.Contains(g.succ[fi], int32(ti)) {
+		return fmt.Errorf("%w: %q -> %q", ErrDuplicateEdge, from, to)
 	}
-	g.succ[from] = append(g.succ[from], to)
-	g.pred[to] = append(g.pred[to], from)
+	g.succ[fi] = append(g.succ[fi], int32(ti))
+	g.pred[ti] = append(g.pred[ti], int32(fi))
 	g.edges++
 	return nil
 }
@@ -117,20 +124,42 @@ func (g *Graph) Nodes() []string {
 }
 
 // Succ returns the successors of id in insertion order (a copy).
-func (g *Graph) Succ(id string) []string {
-	return append([]string(nil), g.succ[id]...)
-}
+func (g *Graph) Succ(id string) []string { return g.names(g.adj(g.succ, id)) }
 
 // Pred returns the predecessors of id in insertion order (a copy).
-func (g *Graph) Pred(id string) []string {
-	return append([]string(nil), g.pred[id]...)
+func (g *Graph) Pred(id string) []string { return g.names(g.adj(g.pred, id)) }
+
+// OutDegree returns the number of successors of id (0 for unknown nodes).
+func (g *Graph) OutDegree(id string) int { return len(g.adj(g.succ, id)) }
+
+// InDegree returns the number of predecessors of id (0 for unknown nodes).
+func (g *Graph) InDegree(id string) int { return len(g.adj(g.pred, id)) }
+
+// adj returns id's list in the adjacency table tab; nil for an unknown id.
+func (g *Graph) adj(tab [][]int32, id string) []int32 {
+	if i, ok := g.index[id]; ok {
+		return tab[i]
+	}
+	return nil
+}
+
+// names maps insertion indices to node IDs; nil for none.
+func (g *Graph) names(idx []int32) []string {
+	if len(idx) == 0 {
+		return nil
+	}
+	out := make([]string, len(idx))
+	for k, i := range idx {
+		out[k] = g.order[i]
+	}
+	return out
 }
 
 // Sources returns nodes with no predecessors, in insertion order.
 func (g *Graph) Sources() []string {
 	var out []string
-	for _, id := range g.order {
-		if len(g.pred[id]) == 0 {
+	for i, id := range g.order {
+		if len(g.pred[i]) == 0 {
 			out = append(out, id)
 		}
 	}
@@ -140,8 +169,8 @@ func (g *Graph) Sources() []string {
 // Sinks returns nodes with no successors, in insertion order.
 func (g *Graph) Sinks() []string {
 	var out []string
-	for _, id := range g.order {
-		if len(g.succ[id]) == 0 {
+	for i, id := range g.order {
+		if len(g.succ[i]) == 0 {
 			out = append(out, id)
 		}
 	}
@@ -149,7 +178,7 @@ func (g *Graph) Sinks() []string {
 }
 
 // Clone returns a deep copy of the graph. The copy is built directly from
-// the internal representation — pre-sized maps, no duplicate-edge scans — so
+// the internal representation — pre-sized, no duplicate-edge scans — so
 // cloning a 10k-node graph costs one pass over nodes and edges instead of
 // the quadratic-in-degree AddEdge path.
 func (g *Graph) Clone() *Graph {
@@ -158,24 +187,18 @@ func (g *Graph) Clone() *Graph {
 	for id, i := range g.index {
 		out.index[id] = i
 	}
-	for _, id := range g.order {
-		if s := g.succ[id]; len(s) > 0 {
-			out.succ[id] = append(make([]string, 0, len(s)), s...)
-		}
-		if p := g.pred[id]; len(p) > 0 {
-			out.pred[id] = append(make([]string, 0, len(p)), p...)
-		}
+	for i := range g.order {
+		out.succ = append(out.succ, slices.Clone(g.succ[i]))
+		out.pred = append(out.pred, slices.Clone(g.pred[i]))
 	}
 	out.edges = g.edges
 	return out
 }
 
-// removeString splices the first occurrence of v out of s, preserving order.
-func removeString(s []string, v string) []string {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
+// removeIndex splices the first occurrence of v out of s, preserving order.
+func removeIndex(s []int32, v int32) []int32 {
+	if i := slices.Index(s, v); i >= 0 {
+		return slices.Delete(s, i, i+1)
 	}
 	return s
 }
@@ -183,94 +206,122 @@ func removeString(s []string, v string) []string {
 // RemoveEdge deletes the directed edge from → to. It returns ErrUnknownNode
 // if either endpoint does not exist and an error if the edge is absent.
 func (g *Graph) RemoveEdge(from, to string) error {
-	if _, ok := g.index[from]; !ok {
+	fi, ok := g.index[from]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, from)
 	}
-	if _, ok := g.index[to]; !ok {
+	ti, ok := g.index[to]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, to)
 	}
-	found := false
-	for _, s := range g.succ[from] {
-		if s == to {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(g.succ[fi], int32(ti)) {
 		return fmt.Errorf("dag: no edge %q -> %q", from, to)
 	}
-	g.succ[from] = removeString(g.succ[from], to)
-	g.pred[to] = removeString(g.pred[to], from)
+	g.succ[fi] = removeIndex(g.succ[fi], int32(ti))
+	g.pred[ti] = removeIndex(g.pred[ti], int32(fi))
 	g.edges--
 	return nil
 }
 
 // RemoveNode deletes a node and every edge incident to it. Insertion order
 // (and therefore the deterministic tie-breaking index) of the remaining
-// nodes is preserved; the operation is O(n + deg).
+// nodes is preserved, and the other edges keep their order; the later
+// nodes' indices shift down by one, so the operation is O(n + e).
 func (g *Graph) RemoveNode(id string) error {
 	pos, ok := g.index[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
-	for _, s := range g.succ[id] {
-		g.pred[s] = removeString(g.pred[s], id)
+	p32 := int32(pos)
+	for _, s := range g.succ[pos] {
+		g.pred[s] = removeIndex(g.pred[s], p32)
 		g.edges--
 	}
-	for _, p := range g.pred[id] {
-		g.succ[p] = removeString(g.succ[p], id)
+	for _, p := range g.pred[pos] {
+		g.succ[p] = removeIndex(g.succ[p], p32)
 		g.edges--
 	}
-	delete(g.succ, id)
-	delete(g.pred, id)
 	delete(g.index, id)
-	g.order = append(g.order[:pos], g.order[pos+1:]...)
+	g.order = slices.Delete(g.order, pos, pos+1)
+	g.succ = slices.Delete(g.succ, pos, pos+1)
+	g.pred = slices.Delete(g.pred, pos, pos+1)
 	for i := pos; i < len(g.order); i++ {
 		g.index[g.order[i]] = i
+	}
+	for _, tab := range [2][][]int32{g.succ, g.pred} {
+		for _, l := range tab {
+			for k, v := range l {
+				if v > p32 {
+					l[k] = v - 1
+				}
+			}
+		}
 	}
 	return nil
 }
 
-// OutDegree returns the number of successors of id (0 for unknown nodes).
-func (g *Graph) OutDegree(id string) int { return len(g.succ[id]) }
-
-// InDegree returns the number of predecessors of id (0 for unknown nodes).
-func (g *Graph) InDegree(id string) int { return len(g.pred[id]) }
-
 // TopoSort returns a topological order of the nodes (Kahn's algorithm with
 // insertion-order tie-breaking, so the result is deterministic). It returns
 // ErrCycle if the graph is cyclic and ErrEmpty if it has no nodes.
-//
-// The traversal runs entirely on insertion indices — one indegree slice and
-// one sorted ready slice of ints — so no per-node map operations or string
-// hashing happen on this path (hot for every Runner construction).
 func (g *Graph) TopoSort() ([]string, error) {
+	topo, err := g.topoIndex()
+	if err != nil {
+		return nil, err
+	}
+	return g.names(topo), nil
+}
+
+// TopoSucc returns TopoSort's order together with each node's successors
+// as positions in that order: succ[k] lists the successors of order[k] in
+// edge insertion order, nil when it has none. Both slices are the
+// caller's.
+func (g *Graph) TopoSucc() (order []string, succ [][]int32, err error) {
+	topo, err := g.topoIndex()
+	if err != nil {
+		return nil, nil, err
+	}
+	pos := make([]int32, len(topo)) // insertion index -> position
+	for k, i := range topo {
+		pos[i] = int32(k)
+	}
+	// Every successor list is a capped span of one array.
+	flat := make([]int32, 0, g.edges)
+	succ = make([][]int32, len(topo))
+	for k, i := range topo {
+		from := len(flat)
+		for _, s := range g.succ[i] {
+			flat = append(flat, pos[s])
+		}
+		if len(flat) > from {
+			succ[k] = flat[from:len(flat):len(flat)]
+		}
+	}
+	return g.names(topo), succ, nil
+}
+
+// topoIndex is TopoSort as insertion indices. The traversal runs entirely
+// on the index adjacency — one indegree slice and one sorted ready slice —
+// so no map operation or string hashing happens on this path.
+func (g *Graph) topoIndex() ([]int32, error) {
 	n := len(g.order)
 	if n == 0 {
 		return nil, ErrEmpty
 	}
-	indeg := make([]int, n)
-	for i, id := range g.order {
-		indeg[i] = len(g.pred[id])
-	}
-	// ready is kept sorted by insertion index for determinism.
-	ready := make([]int, 0, n)
-	for i := range g.order {
+	// out doubles as the ready queue: out[head:] holds the ready nodes,
+	// kept sorted by insertion index for determinism.
+	indeg := make([]int32, n)
+	out := make([]int32, 0, n)
+	for i := range n {
+		indeg[i] = int32(len(g.pred[i]))
 		if indeg[i] == 0 {
-			ready = append(ready, i)
+			out = append(out, int32(i))
 		}
 	}
-	out := make([]string, 0, n)
-	for len(ready) > 0 {
-		i := ready[0]
-		ready = ready[1:]
-		id := g.order[i]
-		out = append(out, id)
-		for _, s := range g.succ[id] {
-			si := g.index[s]
-			indeg[si]--
-			if indeg[si] == 0 {
-				ready = insertByIndex(ready, si)
+	for head := 0; head < len(out); head++ {
+		for _, s := range g.succ[out[head]] {
+			indeg[s]--
+			if indeg[s] == 0 {
+				out = insertReady(out, head+1, s)
 			}
 		}
 	}
@@ -280,41 +331,37 @@ func (g *Graph) TopoSort() ([]string, error) {
 	return out, nil
 }
 
-func insertByIndex(ready []int, i int) []int {
-	pos := sort.Search(len(ready), func(j int) bool { return ready[j] > i })
-	ready = append(ready, 0)
-	copy(ready[pos+1:], ready[pos:])
-	ready[pos] = i
-	return ready
+// insertReady inserts i into the sorted tail q[from:].
+func insertReady(q []int32, from int, i int32) []int32 {
+	pos, _ := slices.BinarySearch(q[from:], i)
+	return slices.Insert(q, from+pos, i)
 }
 
 // Validate checks that the graph is non-empty, acyclic, and that every node
 // is reachable in the undirected sense from the first source (i.e. the
 // workflow is one connected component).
 func (g *Graph) Validate() error {
-	if _, err := g.TopoSort(); err != nil {
+	if _, err := g.topoIndex(); err != nil {
 		return err
 	}
-	if len(g.Sources()) == 0 {
-		return errors.New("dag: no source node")
-	}
-	if len(g.Sinks()) == 0 {
-		return errors.New("dag: no sink node")
-	}
-	// Undirected connectivity check.
-	seen := make(map[string]bool, len(g.order))
-	stack := []string{g.order[0]}
+	// An acyclic non-empty graph has a source and a sink, so what is left
+	// to check is undirected connectivity.
+	n := len(g.order)
+	seen := make([]bool, n)
+	stack := make([]int32, 1, n)
+	reached := 0
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] {
+		if seen[i] {
 			continue
 		}
-		seen[id] = true
-		stack = append(stack, g.succ[id]...)
-		stack = append(stack, g.pred[id]...)
+		seen[i] = true
+		reached++
+		stack = append(stack, g.succ[i]...)
+		stack = append(stack, g.pred[i]...)
 	}
-	if len(seen) != len(g.order) {
+	if reached != n {
 		return errors.New("dag: graph is disconnected")
 	}
 	return nil
@@ -322,19 +369,25 @@ func (g *Graph) Validate() error {
 
 // HasPath reports whether a directed path exists from src to dst.
 func (g *Graph) HasPath(src, dst string) bool {
-	if !g.HasNode(src) || !g.HasNode(dst) {
+	si, ok := g.index[src]
+	if !ok {
 		return false
 	}
-	if src == dst {
+	di, ok := g.index[dst]
+	if !ok {
+		return false
+	}
+	if si == di {
 		return true
 	}
-	seen := map[string]bool{src: true}
-	stack := []string{src}
+	seen := make([]bool, len(g.order))
+	seen[si] = true
+	stack := []int32{int32(si)}
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range g.succ[id] {
-			if s == dst {
+		for _, s := range g.succ[i] {
+			if int(s) == di {
 				return true
 			}
 			if !seen[s] {

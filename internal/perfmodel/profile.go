@@ -39,12 +39,6 @@ func (e *OOMError) Error() string {
 		e.Function, e.MemMB, e.NeedMB)
 }
 
-// IsOOM reports whether err is (or wraps) an OOMError.
-func IsOOM(err error) bool {
-	var oe *OOMError
-	return errors.As(err, &oe)
-}
-
 // Profile is the analytic performance model of one serverless function.
 type Profile struct {
 	Name string
@@ -78,7 +72,7 @@ type Profile struct {
 }
 
 // Validate checks the profile for internal consistency.
-func (p Profile) Validate() error {
+func (p *Profile) Validate() error {
 	switch {
 	case p.Name == "":
 		return errors.New("perfmodel: profile needs a name")
@@ -102,7 +96,7 @@ func (p Profile) Validate() error {
 
 // scaled returns the effective work, io, footprint and OOM floor at the
 // given input scale.
-func (p Profile) scaled(scale float64) (work, io, footprint, minMem float64) {
+func (p *Profile) scaled(scale float64) (work, io, footprint, minMem float64) {
 	work, io, footprint, minMem = p.CPUWorkMS, p.IOMS, p.FootprintMB, p.MinMemMB
 	if p.InputSensitive && scale > 0 {
 		work *= scale
@@ -114,20 +108,29 @@ func (p Profile) scaled(scale float64) (work, io, footprint, minMem float64) {
 }
 
 // MinViableMemMB returns the OOM floor at the given input scale.
-func (p Profile) MinViableMemMB(scale float64) float64 {
+func (p *Profile) MinViableMemMB(scale float64) float64 {
 	_, _, _, minMem := p.scaled(scale)
 	return minMem
 }
 
 // MeanRuntime returns the noise-free runtime (ms) of the function at cfg and
 // input scale. It returns an *OOMError when memory is below the floor.
-func (p Profile) MeanRuntime(cfg resources.Config, scale float64) (float64, error) {
+func (p *Profile) MeanRuntime(cfg resources.Config, scale float64) (float64, error) {
+	t, oom, err := p.mean(cfg, scale)
+	if oom {
+		return 0, &OOMError{Function: p.Name, MemMB: cfg.MemMB, NeedMB: p.MinViableMemMB(scale)}
+	}
+	return t, err
+}
+
+// mean is MeanRuntime with an OOM kill reported as oom, not as an error.
+func (p *Profile) mean(cfg resources.Config, scale float64) (t float64, oom bool, err error) {
 	if cfg.CPU <= 0 {
-		return 0, fmt.Errorf("perfmodel: %s: non-positive CPU %v", p.Name, cfg.CPU)
+		return 0, false, fmt.Errorf("perfmodel: %s: non-positive CPU %v", p.Name, cfg.CPU)
 	}
 	work, io, footprint, minMem := p.scaled(scale)
 	if cfg.MemMB < minMem {
-		return 0, &OOMError{Function: p.Name, MemMB: cfg.MemMB, NeedMB: minMem}
+		return 0, true, nil
 	}
 
 	serialWork := (1 - p.ParallelFrac) * work
@@ -145,19 +148,19 @@ func (p Profile) MeanRuntime(cfg resources.Config, scale float64) (float64, erro
 	if footprint > 0 && cfg.MemMB < footprint {
 		compute *= 1 + p.PressureK*(footprint-cfg.MemMB)/footprint
 	}
-	return compute + io, nil
+	return compute + io, false, nil
 }
 
-// Runtime returns a noisy runtime observation. With a nil rng or zero
+// Observe returns a noisy runtime observation. With a nil rng or zero
 // NoiseStd it equals MeanRuntime. The multiplicative noise factor is clamped
-// to [0.5, 1.5] so a single outlier draw cannot dominate an experiment.
-func (p Profile) Runtime(cfg resources.Config, scale float64, rng *rand.Rand) (float64, error) {
-	t, err := p.MeanRuntime(cfg, scale)
-	if err != nil {
-		return 0, err
-	}
-	if rng == nil || p.NoiseStd == 0 {
-		return t, nil
+// to [0.5, 1.5] so a single outlier draw cannot dominate an experiment. An
+// OOM kill is reported as a value: oom is true, and no noise is drawn, when
+// cfg's memory is below the floor. It is the simulator's per-invocation
+// call, which allocates nothing.
+func (p *Profile) Observe(cfg resources.Config, scale float64, rng *rand.Rand) (t float64, oom bool, err error) {
+	t, oom, err = p.mean(cfg, scale)
+	if err != nil || oom || rng == nil || p.NoiseStd == 0 {
+		return t, oom, err
 	}
 	f := 1 + p.NoiseStd*rng.NormFloat64()
 	if f < 0.5 {
@@ -165,7 +168,7 @@ func (p Profile) Runtime(cfg resources.Config, scale float64, rng *rand.Rand) (f
 	} else if f > 1.5 {
 		f = 1.5
 	}
-	return t * f, nil
+	return t * f, false, nil
 }
 
 // OOMPartialFrac is the fraction of a function's steady-state runtime an
@@ -177,15 +180,15 @@ const OOMPartialFrac = 0.4
 // OOMPartialMS estimates how long an invocation at cfg runs before being
 // OOM-killed: OOMPartialFrac of the runtime the function would have had
 // with adequate memory (its footprint) at the same CPU allocation.
-func (p Profile) OOMPartialMS(cfg resources.Config, scale float64) float64 {
+func (p *Profile) OOMPartialMS(cfg resources.Config, scale float64) float64 {
 	_, _, footprint, _ := p.scaled(scale)
 	adequate := cfg
 	adequate.MemMB = footprint
 	if adequate.MemMB <= 0 {
 		adequate.MemMB = 1
 	}
-	t, err := p.MeanRuntime(adequate, scale)
-	if err != nil {
+	t, oom, err := p.mean(adequate, scale)
+	if oom || err != nil {
 		return 0
 	}
 	return OOMPartialFrac * t
@@ -195,7 +198,7 @@ func (p Profile) OOMPartialMS(cfg resources.Config, scale float64) float64 {
 // implied by the Amdahl model at memory m under prices (µ0, µ1), before
 // clamping to limits. It returns +Inf for fully parallel profiles (S = 0)
 // and 0 for fully serial ones (P = 0).
-func (p Profile) OptimalCPU(memMB, mu0, mu1 float64) float64 {
+func (p *Profile) OptimalCPU(memMB, mu0, mu1 float64) float64 {
 	s := (1 - p.ParallelFrac) * p.CPUWorkMS
 	par := p.ParallelFrac * p.CPUWorkMS
 	if s == 0 {

@@ -17,7 +17,8 @@ func validProfile() Profile {
 }
 
 func TestValidate(t *testing.T) {
-	if err := validProfile().Validate(); err != nil {
+	valid := validProfile()
+	if err := valid.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -109,12 +110,9 @@ func TestMemoryPressure(t *testing.T) {
 func TestOOM(t *testing.T) {
 	p := validProfile()
 	_, err := p.MeanRuntime(resources.Config{CPU: 2, MemMB: 255}, 1)
-	if !IsOOM(err) {
-		t.Fatalf("expected OOM, got %v", err)
-	}
 	var oe *OOMError
 	if !asOOM(err, &oe) {
-		t.Fatal("error should be *OOMError")
+		t.Fatalf("expected an *OOMError, got %v", err)
 	}
 	if oe.NeedMB != 256 || oe.MemMB != 255 || oe.Function != "f" {
 		t.Errorf("OOMError fields: %+v", oe)
@@ -122,14 +120,11 @@ func TestOOM(t *testing.T) {
 	if oe.Error() == "" {
 		t.Error("empty error text")
 	}
-	if IsOOM(nil) {
-		t.Error("IsOOM(nil) should be false")
-	}
 }
 
 func TestInvalidCPU(t *testing.T) {
 	p := validProfile()
-	if _, err := p.MeanRuntime(resources.Config{CPU: 0, MemMB: 512}, 1); err == nil || IsOOM(err) {
+	if _, err := p.MeanRuntime(resources.Config{CPU: 0, MemMB: 512}, 1); err == nil || asOOM(err, new(*OOMError)) {
 		t.Errorf("zero CPU should be a non-OOM error, got %v", err)
 	}
 }
@@ -143,7 +138,7 @@ func TestInputScaling(t *testing.T) {
 		t.Errorf("scale 2 should double runtime: %v vs %v", double, base)
 	}
 	// The OOM floor scales too.
-	if _, err := p.MeanRuntime(resources.Config{CPU: 1, MemMB: 300}, 2); !IsOOM(err) {
+	if _, err := p.MeanRuntime(resources.Config{CPU: 1, MemMB: 300}, 2); !asOOM(err, new(*OOMError)) {
 		t.Error("scaled floor (512) should OOM at 300MB")
 	}
 	if got := p.MinViableMemMB(2); got != 512 {
@@ -164,18 +159,18 @@ func TestRuntimeNoise(t *testing.T) {
 	mean, _ := p.MeanRuntime(cfg, 1)
 
 	// nil rng: identical to mean.
-	got, err := p.Runtime(cfg, 1, nil)
-	if err != nil || got != mean {
-		t.Errorf("nil rng runtime = %v (%v), want %v", got, err, mean)
+	got, oom, err := p.Observe(cfg, 1, nil)
+	if err != nil || oom || got != mean {
+		t.Errorf("nil rng observation = %v (oom %v, %v), want %v", got, oom, err, mean)
 	}
 
 	rng := rand.New(rand.NewPCG(1, 2))
 	var sum float64
 	n := 2000
 	for i := 0; i < n; i++ {
-		v, err := p.Runtime(cfg, 1, rng)
-		if err != nil {
-			t.Fatal(err)
+		v, oom, err := p.Observe(cfg, 1, rng)
+		if err != nil || oom {
+			t.Fatal(oom, err)
 		}
 		if v < mean*0.5 || v > mean*1.5 {
 			t.Fatalf("noise clamp violated: %v vs mean %v", v, mean)
@@ -185,6 +180,24 @@ func TestRuntimeNoise(t *testing.T) {
 	avg := sum / float64(n)
 	if math.Abs(avg-mean)/mean > 0.01 {
 		t.Errorf("noisy average %v deviates from mean %v", avg, mean)
+	}
+}
+
+// TestObserveOOM: below the floor Observe reports the kill as a value,
+// draws no noise, and returns no error; a bad CPU is still an error.
+func TestObserveOOM(t *testing.T) {
+	p := validProfile()
+	src := rand.NewPCG(1, 2)
+	rng := rand.New(src)
+	before := *src
+	if v, oom, err := p.Observe(resources.Config{CPU: 2, MemMB: 255}, 1, rng); !oom || err != nil || v != 0 {
+		t.Errorf("below the floor: %v, oom %v, %v", v, oom, err)
+	}
+	if *src != before {
+		t.Error("an OOM observation drew noise")
+	}
+	if _, oom, err := p.Observe(resources.Config{CPU: 0, MemMB: 512}, 1, rng); oom || err == nil {
+		t.Errorf("zero CPU: oom %v, %v; want a non-OOM error", oom, err)
 	}
 }
 

@@ -97,7 +97,25 @@ type weightsMemo struct {
 // before handing the Result out; nothing may change an entry's runtime
 // after the first NodeWeights call.
 func NewResult(l *Layout) Result {
-	return Result{Nodes: make([]NodeResult, len(l.ids)), Layout: l, weights: new(weightsMemo)}
+	var r Result
+	r.Reset(l)
+	return r
+}
+
+// Reset makes r what NewResult(l) returns, reusing r's entry slice when it
+// is large enough, so an evaluator can write a new execution into a
+// Result its caller owns. Every copy of r shares that slice, and so sees
+// the new entries. r gets a fresh NodeWeights memo: a copy that built its
+// weights before the reset keeps them, and r never hands out the old ones.
+func (r *Result) Reset(l *Layout) {
+	nodes := r.Nodes
+	if cap(nodes) < len(l.ids) {
+		nodes = make([]NodeResult, len(l.ids))
+	} else {
+		nodes = nodes[:len(l.ids)]
+		clear(nodes)
+	}
+	*r = Result{Nodes: nodes, Layout: l, weights: new(weightsMemo)}
 }
 
 // Node returns the result of the node with the given ID; the zero
@@ -123,6 +141,16 @@ func (r Result) PathRuntimeMS(path []string) float64 {
 	return s
 }
 
+// SumRuntimeMS is PathRuntimeMS over entry indices: it sums the runtimes
+// of r.Nodes[i] for each i of idx, in that order.
+func (r *Result) SumRuntimeMS(idx []int32) float64 {
+	s := 0.0
+	for _, i := range idx {
+		s += r.Nodes[i].RuntimeMS
+	}
+	return s
+}
+
 // GroupCost sums the cost of every node in the given configuration group,
 // in Layout order.
 func (r Result) GroupCost(group string) float64 {
@@ -142,20 +170,35 @@ func (r Result) GroupCost(group string) float64 {
 // recurring cost increase.
 func (r Result) GroupSteadyCost(group string) float64 {
 	s := 0.0
-	for _, nr := range r.Nodes {
-		if nr.Group != group {
-			continue
+	for i := range r.Nodes {
+		if nr := &r.Nodes[i]; nr.Group == group && nr.RuntimeMS > 0 {
+			s += nr.steadyCost()
 		}
-		if nr.RuntimeMS <= 0 {
-			continue
-		}
-		warmFrac := (nr.RuntimeMS - nr.ColdStartMS) / nr.RuntimeMS
-		if warmFrac < 0 {
-			warmFrac = 0
-		}
-		s += nr.Cost * warmFrac
 	}
 	return s
+}
+
+// SumSteadyCost is GroupSteadyCost over entry indices: given the indices
+// of a group's entries in Layout order, it adds the same terms in the same
+// order.
+func (r *Result) SumSteadyCost(idx []int32) float64 {
+	s := 0.0
+	for _, i := range idx {
+		if nr := &r.Nodes[i]; nr.RuntimeMS > 0 {
+			s += nr.steadyCost()
+		}
+	}
+	return s
+}
+
+// steadyCost is the entry's cost with its cold-start portion removed pro
+// rata; the entry must have a positive runtime.
+func (nr *NodeResult) steadyCost() float64 {
+	warmFrac := (nr.RuntimeMS - nr.ColdStartMS) / nr.RuntimeMS
+	if warmFrac < 0 {
+		warmFrac = 0
+	}
+	return nr.Cost * warmFrac
 }
 
 // NodeWeights returns runtime weights per node ID, for critical-path
@@ -216,6 +259,11 @@ type Options struct {
 	// call if the caller mutates assignments, and it must be fast: it runs
 	// on the search's hot path.
 	Progress func(Sample)
+	// Summary makes the trace keep no samples: Samples stays empty and no
+	// assignment is cloned, while Len, TotalRuntimeMS and TotalCost read
+	// the running totals every trace keeps. Like Progress it cannot
+	// change a search, so CanonicalJSON leaves it out.
+	Summary bool
 }
 
 // ErrBudgetExhausted is the sentinel wrapped by Trace.Record when a sample
@@ -271,11 +319,13 @@ type Sample struct {
 type Trace struct {
 	Method   string
 	Workload string
-	Samples  []Sample
+	Samples  []Sample // empty under Options.Summary
 
 	ctx   context.Context // nil: never cancelled
-	opts  Options         // zero: no budgets, no progress
-	simMS float64         // running TotalRuntimeMS, to keep Record O(1)
+	opts  Options         // zero: no budgets, no progress, full samples
+	n     int             // samples recorded
+	simMS float64         // sum of the samples' E2EMS, in sample order
+	cost  float64         // sum of the samples' Cost, in sample order
 }
 
 // NewTrace returns a trace bound to the search's context and options, ready
@@ -286,7 +336,9 @@ func NewTrace(ctx context.Context, method string, opts Options) *Trace {
 
 // Record appends a sample, assigning its index, fires the Progress callback,
 // and then enforces the bound context and budgets. The assignment is cloned
-// so later mutation by the searcher cannot corrupt the trace.
+// so later mutation by the searcher cannot corrupt the trace. Under
+// Options.Summary no sample is kept, and the assignment is cloned only
+// for a Progress callback.
 //
 // A non-nil return is the halt signal: ctx.Err() when the bound context is
 // done, or an error wrapping ErrBudgetExhausted when the sample or
@@ -294,26 +346,32 @@ func NewTrace(ctx context.Context, method string, opts Options) *Trace {
 // already part of the trace; the searcher must stop probing and return its
 // best-so-far outcome with StopCause(err).
 func (t *Trace) Record(a resources.Assignment, r Result, accepted bool, note string) error {
-	s := Sample{
-		Index:      len(t.Samples),
-		Assignment: a.Clone(),
-		E2EMS:      r.E2EMS,
-		Cost:       r.Cost,
-		OOM:        r.OOM,
-		Accepted:   accepted,
-		Note:       note,
+	if t.KeepsSamples() {
+		s := Sample{
+			Index:      t.n,
+			Assignment: a.Clone(),
+			E2EMS:      r.E2EMS,
+			Cost:       r.Cost,
+			OOM:        r.OOM,
+			Accepted:   accepted,
+			Note:       note,
+		}
+		if !t.opts.Summary {
+			t.Samples = append(t.Samples, s)
+		}
+		if t.opts.Progress != nil {
+			t.opts.Progress(s)
+		}
 	}
-	t.Samples = append(t.Samples, s)
+	t.n++
 	t.simMS += r.E2EMS
-	if t.opts.Progress != nil {
-		t.opts.Progress(s)
-	}
+	t.cost += r.Cost
 	if t.ctx != nil {
 		if err := t.ctx.Err(); err != nil {
 			return err
 		}
 	}
-	if t.opts.MaxSamples > 0 && len(t.Samples) >= t.opts.MaxSamples {
+	if t.opts.MaxSamples > 0 && t.n >= t.opts.MaxSamples {
 		return fmt.Errorf("%w: sample budget %d consumed", ErrBudgetExhausted, t.opts.MaxSamples)
 	}
 	if t.opts.MaxSimCostMS > 0 && t.simMS >= t.opts.MaxSimCostMS {
@@ -322,27 +380,20 @@ func (t *Trace) Record(a resources.Assignment, r Result, accepted bool, note str
 	return nil
 }
 
+// KeepsSamples reports whether anything reads a sample's assignment and
+// note: the trace keeps its samples, or a Progress callback sees them. A
+// searcher may skip building a note when it does not.
+func (t *Trace) KeepsSamples() bool { return !t.opts.Summary || t.opts.Progress != nil }
+
 // Len returns the number of samples (the paper's "sample count").
-func (t *Trace) Len() int { return len(t.Samples) }
+func (t *Trace) Len() int { return t.n }
 
 // TotalRuntimeMS is the total simulated wall time spent sampling — the
 // quantity of Fig. 5a ("total runtime of the sampling process").
-func (t *Trace) TotalRuntimeMS() float64 {
-	s := 0.0
-	for _, smp := range t.Samples {
-		s += smp.E2EMS
-	}
-	return s
-}
+func (t *Trace) TotalRuntimeMS() float64 { return t.simMS }
 
 // TotalCost is the total cost incurred while sampling — Fig. 5b.
-func (t *Trace) TotalCost() float64 {
-	s := 0.0
-	for _, smp := range t.Samples {
-		s += smp.Cost
-	}
-	return s
-}
+func (t *Trace) TotalCost() float64 { return t.cost }
 
 // RuntimeSeries returns the per-sample end-to-end runtimes (Fig. 6).
 func (t *Trace) RuntimeSeries() []float64 {

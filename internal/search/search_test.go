@@ -2,6 +2,10 @@ package search
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -95,6 +99,13 @@ func TestResultHelpers(t *testing.T) {
 	// Steady cost removes the cold-start fraction: a contributes 50*0.8.
 	if got := r.GroupSteadyCost("g"); got != 50*0.8+80 {
 		t.Errorf("GroupSteadyCost = %v", got)
+	}
+	// The index forms add the same terms, given the entries in order.
+	if got := r.SumRuntimeMS([]int32{0, 2}); got != r.PathRuntimeMS([]string{"a", "c"}) {
+		t.Errorf("SumRuntimeMS = %v", got)
+	}
+	if got := r.SumSteadyCost([]int32{0, 1}); got != r.GroupSteadyCost("g") {
+		t.Errorf("SumSteadyCost = %v", got)
 	}
 	w := r.NodeWeights()
 	if w["b"] != 200 || len(w) != 3 {
@@ -215,5 +226,120 @@ func TestValidateAssignment(t *testing.T) {
 	out["g"] = resources.Config{CPU: 99, MemMB: 128}
 	if err := ValidateAssignment(ev, out); err == nil {
 		t.Error("out-of-limits config should fail")
+	}
+}
+
+// TestSummaryTraceMatchesFull feeds a summary trace and a full trace the
+// same Record calls and requires both to read, bit for bit, the Len,
+// TotalRuntimeMS and TotalCost of the full trace's samples after every
+// call, and to halt alike: the sample budget, the simulated-time budget
+// and cancellation. The runtimes and costs span nine orders of magnitude,
+// so a total added in any other order than the samples' reads differently.
+func TestSummaryTraceMatchesFull(t *testing.T) {
+	cases := []struct {
+		name     string
+		opts     Options
+		cancelAt int // cancel both contexts before this call; 0: never
+		wantHalt bool
+	}{
+		{name: "no budget", opts: Options{SLOMS: 1}},
+		{name: "sample budget", opts: Options{SLOMS: 1, MaxSamples: 37}, wantHalt: true},
+		{name: "simulated-time budget", opts: Options{SLOMS: 1, MaxSimCostMS: 2e6}, wantHalt: true},
+		{name: "cancellation", opts: Options{SLOMS: 1}, cancelAt: 23, wantHalt: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctxF, cancelF := context.WithCancel(context.Background())
+			defer cancelF()
+			ctxS, cancelS := context.WithCancel(context.Background())
+			defer cancelS()
+			sumOpts := c.opts
+			sumOpts.Summary = true
+			full := NewTrace(ctxF, "X", c.opts)
+			sum := NewTrace(ctxS, "X", sumOpts)
+			if !full.KeepsSamples() || sum.KeepsSamples() {
+				t.Fatalf("KeepsSamples: full %v, summary %v", full.KeepsSamples(), sum.KeepsSamples())
+			}
+			rng := rand.New(rand.NewPCG(3, 5))
+			a := resources.Assignment{"g1": {CPU: 1, MemMB: 128}}
+			halted := false
+			for i := 1; i <= 200 && !halted; i++ {
+				if i == c.cancelAt {
+					cancelF()
+					cancelS()
+				}
+				r := sampleResult(math.Pow(10, 6*rng.Float64())*rng.Float64(), math.Pow(10, 9*rng.Float64()-4))
+				errF := full.Record(a, r, i%3 == 0, "probe")
+				errS := sum.Record(a, r, i%3 == 0, "probe")
+				if fmt.Sprint(errF) != fmt.Sprint(errS) || Halted(errF) != Halted(errS) {
+					t.Fatalf("call %d: full halts with %v, summary with %v", i, errF, errS)
+				}
+				halted = errF != nil
+				// The oracle: the full trace's samples, added in order.
+				simMS, cost := 0.0, 0.0
+				for _, smp := range full.Samples {
+					simMS += smp.E2EMS
+					cost += smp.Cost
+				}
+				for _, tr := range []*Trace{full, sum} {
+					if tr.Len() != len(full.Samples) ||
+						math.Float64bits(tr.TotalRuntimeMS()) != math.Float64bits(simMS) ||
+						math.Float64bits(tr.TotalCost()) != math.Float64bits(cost) {
+						t.Fatalf("call %d: trace reads (%d, %v, %v), its samples (%d, %v, %v)", i,
+							tr.Len(), tr.TotalRuntimeMS(), tr.TotalCost(), len(full.Samples), simMS, cost)
+					}
+				}
+			}
+			if halted != c.wantHalt {
+				t.Fatalf("halted = %v, want %v", halted, c.wantHalt)
+			}
+			if len(sum.Samples) != 0 {
+				t.Errorf("summary trace kept %d samples", len(sum.Samples))
+			}
+		})
+	}
+}
+
+// TestSummaryTraceStillReportsProgress: a Progress callback on a summary
+// trace sees every sample, note and assignment included.
+func TestSummaryTraceStillReportsProgress(t *testing.T) {
+	var seen []Sample
+	tr := NewTrace(context.Background(), "X", Options{SLOMS: 1, Summary: true, Progress: func(s Sample) { seen = append(seen, s) }})
+	if !tr.KeepsSamples() {
+		t.Fatal("a summary trace with a Progress callback must report its samples")
+	}
+	a := resources.Assignment{"g1": {CPU: 1, MemMB: 128}}
+	tr.Record(a, sampleResult(100, 10), true, "init")
+	a["g1"] = resources.Config{CPU: 2, MemMB: 256}
+	tr.Record(a, sampleResult(200, 20), false, "probe")
+	if len(seen) != 2 || seen[1].Index != 1 || seen[1].Note != "probe" || seen[0].Assignment["g1"].CPU != 1 {
+		t.Fatalf("progress saw %+v", seen)
+	}
+	if tr.Len() != 2 || len(tr.Samples) != 0 {
+		t.Fatalf("Len %d, %d samples kept", tr.Len(), len(tr.Samples))
+	}
+}
+
+// TestResetGivesFreshWeights: a Result reset for a new execution hands
+// out that execution's weights, and a copy taken before the reset keeps
+// the weights it had already built.
+func TestResetGivesFreshWeights(t *testing.T) {
+	l := NewLayout([]string{"a", "b"})
+	r := NewResult(l)
+	r.Nodes[0].RuntimeMS, r.Nodes[1].RuntimeMS = 1, 2
+	old := r
+	if w := old.NodeWeights(); w["a"] != 1 || w["b"] != 2 {
+		t.Fatalf("weights before reset: %v", w)
+	}
+	r.Reset(l)
+	if r.Nodes[0] != (NodeResult{}) || r.E2EMS != 0 {
+		t.Fatalf("reset left %+v", r)
+	}
+	r.Nodes[0].RuntimeMS, r.Nodes[1].RuntimeMS = 5, 6
+	if w := r.NodeWeights(); w["a"] != 5 || w["b"] != 6 {
+		t.Errorf("weights after reset: %v, want the new execution's", w)
+	}
+	if w := old.NodeWeights(); w["a"] != 1 || w["b"] != 2 {
+		t.Errorf("copy's weights after reset: %v, want the ones it built", w)
 	}
 }

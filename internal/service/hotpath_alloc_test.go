@@ -10,7 +10,15 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+
+	"aarc/internal/workloads"
 )
+
+// coldConfigureAllocs is the bound TestColdConfigureAllocs holds a cold
+// chatbot configure to: 217 measured, 229–230 under the race detector
+// (whose sync.Pool drops pooled encoder state at random), plus a little
+// slack.
+const coldConfigureAllocs = 245
 
 func TestRecommendationJSONHitAllocFree(t *testing.T) {
 	svc := stubService(t, Config{})
@@ -36,5 +44,27 @@ func TestRecommendationJSONHitAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("fingerprint GET hit path allocates %.1f times per call, want 0", avg)
+	}
+}
+
+// TestColdConfigureAllocs bounds the allocations of one cold chatbot
+// ConfigureJSON: spec validation and fingerprinting, the runner compile,
+// a full AARC search on reused result buffers with a summary trace, and
+// the stored body. Each run is a fresh fingerprint (a fresh seed), so
+// each pays the whole search.
+func TestColdConfigureAllocs(t *testing.T) {
+	svc := stubService(t, Config{CacheSize: 4096})
+	spec := workloads.Chatbot()
+	seed := uint64(0)
+	avg := testing.AllocsPerRun(50, func() {
+		seed++
+		_, hit, err := svc.ConfigureJSON(context.Background(), spec, RequestOptions{Method: "aarc", Seed: &seed})
+		if err != nil || hit {
+			t.Fatalf("cold ConfigureJSON: hit %v, %v", hit, err)
+		}
+	})
+	t.Logf("cold ConfigureJSON: %.1f allocs", avg)
+	if avg > coldConfigureAllocs {
+		t.Errorf("a cold chatbot ConfigureJSON allocates %.1f times, want at most %d", avg, coldConfigureAllocs)
 	}
 }

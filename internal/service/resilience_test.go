@@ -285,6 +285,26 @@ func TestSearchTimeoutReleasesFlightAndSlot(t *testing.T) {
 	}
 }
 
+// TestSearchTimeoutEndsDetourListing: a real AARC search whose detour
+// listing would run for seconds (the layered 112-node Scale spec, seed 4)
+// answers DeadlineExceeded at SearchTimeout, caches nothing, and its
+// search goroutine ends with it rather than running on in the
+// background: the leak check stubService arms would find it otherwise.
+func TestSearchTimeoutEndsDetourListing(t *testing.T) {
+	svc := stubService(t, Config{SearchTimeout: 200 * time.Millisecond, HostCores: 96, Noise: true})
+	spec, err := workloads.Scale(workloads.ScaleOptions{Topology: workloads.TopologyLayered, Nodes: 112, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = svc.ConfigureJSON(context.Background(), spec, RequestOptions{Method: "aarc"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if n := svc.st.Len(); n != 0 {
+		t.Fatalf("timed-out search cached %d entries, want 0", n)
+	}
+}
+
 // TestLoadSheddingFailFast: with every admission slot busy, a
 // deadline-less singleton miss is refused immediately with
 // ErrOverloaded; on the wire that is 429 with a Retry-After hint. A

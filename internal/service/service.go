@@ -596,6 +596,7 @@ func (s *Service) resolve(spec *workflow.Spec, ro RequestOptions) (resolved, err
 		SLOMS:        sloMS,
 		MaxSamples:   capBudget(ro.MaxSamples, s.cfg.MaxSamples),
 		MaxSimCostMS: capBudgetF(ro.MaxSimCostMS, s.cfg.MaxSimCostMS),
+		Summary:      true, // a Recommendation reads only the trace's count and totals
 	}
 	return r, nil
 }

@@ -98,7 +98,7 @@ func (p *Platform) ColdStartMS(cfg resources.Config) float64 {
 // A nil rng disables measurement noise. OOM kills are reported in-band via
 // the OOM flag (the partial duration is still billed, and the container
 // dies); only misuse returns an error.
-func (p *Platform) Invoke(c *Container, prof perfmodel.Profile, cfg resources.Config, scale float64, rng *rand.Rand) (Invocation, error) {
+func (p *Platform) Invoke(c *Container, prof *perfmodel.Profile, cfg resources.Config, scale float64, rng *rand.Rand) (Invocation, error) {
 	if err := prof.Validate(); err != nil {
 		return Invocation{}, err
 	}
@@ -119,23 +119,23 @@ func (p *Platform) Invoke(c *Container, prof perfmodel.Profile, cfg resources.Co
 		coldMS = p.ColdStartMS(cfg)
 	}
 
-	t, err := prof.Runtime(cfg, scale, rng)
+	t, oom, err := prof.Observe(cfg, scale, rng)
 	if err != nil {
-		if perfmodel.IsOOM(err) {
-			c.metrics.OOMKills++
-			c.warm = resources.Config{} // the container died
-			partial := prof.OOMPartialMS(cfg, scale)
-			if partial < p.opts.OOMDetectMS {
-				partial = p.opts.OOMDetectMS
-			}
-			return Invocation{
-				RuntimeMS:   coldMS + partial,
-				ColdStartMS: coldMS,
-				Cold:        cold,
-				OOM:         true,
-			}, nil
-		}
 		return Invocation{}, err
+	}
+	if oom {
+		c.metrics.OOMKills++
+		c.warm = resources.Config{} // the container died
+		partial := prof.OOMPartialMS(cfg, scale)
+		if partial < p.opts.OOMDetectMS {
+			partial = p.opts.OOMDetectMS
+		}
+		return Invocation{
+			RuntimeMS:   coldMS + partial,
+			ColdStartMS: coldMS,
+			Cold:        cold,
+			OOM:         true,
+		}, nil
 	}
 
 	if p.opts.KeepAlive {

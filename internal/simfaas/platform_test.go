@@ -8,8 +8,8 @@ import (
 	"aarc/internal/resources"
 )
 
-func prof() perfmodel.Profile {
-	return perfmodel.Profile{
+func prof() *perfmodel.Profile {
+	return &perfmodel.Profile{
 		Name: "f", CPUWorkMS: 1000, ParallelFrac: 0.5, MaxParallel: 4, IOMS: 100,
 		FootprintMB: 512, MinMemMB: 256, PressureK: 1,
 	}

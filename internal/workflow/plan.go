@@ -31,7 +31,7 @@ type plan struct {
 
 // compilePlan flattens a validated spec into the dense execution plan.
 func compilePlan(spec *Spec) (*plan, error) {
-	topo, err := spec.G.TopoSort()
+	topo, succs, err := spec.G.TopoSucc()
 	if err != nil {
 		return nil, err
 	}
@@ -50,29 +50,20 @@ func compilePlan(spec *Spec) (*plan, error) {
 		groups:     make([]string, n),
 		groupIdx:   make([]int32, n),
 		profiles:   make([]perfmodel.Profile, n),
-		succs:      make([][]int32, n),
+		succs:      succs,
 		indeg0:     make([]int32, n),
 		groupNames: groupNames,
 		groupNode:  make([]string, len(groupNames)),
 	}
-	for i, id := range topo {
-		g := spec.GroupOf(id)
-		p.groups[i] = g
-		p.groupIdx[i] = gidx[g]
-		if p.groupNode[gidx[g]] == "" {
-			p.groupNode[gidx[g]] = id
+	for k, id := range topo {
+		gr := spec.GroupOf(id)
+		p.groups[k] = gr
+		p.groupIdx[k] = gidx[gr]
+		if p.groupNode[gidx[gr]] == "" {
+			p.groupNode[gidx[gr]] = id
 		}
-		p.profiles[i] = spec.Profiles[id]
-		p.indeg0[i] = int32(len(spec.G.Pred(id)))
-		succ := spec.G.Succ(id)
-		if len(succ) > 0 {
-			ds := make([]int32, len(succ))
-			for j, s := range succ {
-				k, _ := layout.Index(s)
-				ds[j] = int32(k)
-			}
-			p.succs[i] = ds
-		}
+		p.profiles[k] = spec.Profiles[id]
+		p.indeg0[k] = int32(spec.G.InDegree(id))
 	}
 	return p, nil
 }

@@ -122,14 +122,18 @@ func (r *Runner) Evaluate(a resources.Assignment) (search.Result, error) {
 	return r.EvaluateScale(a, r.scale)
 }
 
+// EvaluateInto is Evaluate writing into a Result the caller owns (see
+// search.Result.Reset): a caller that measures many assignments can
+// alternate two Results instead of allocating one per run. After an error
+// *res holds no usable execution.
+func (r *Runner) EvaluateInto(a resources.Assignment, res *search.Result) error {
+	return r.evaluate(a, r.scale, r.noiseRNG(), res)
+}
+
 // EvaluateScale executes the workflow once under assignment a at the given
 // input scale, with measurement noise following the runner's Noise option.
 func (r *Runner) EvaluateScale(a resources.Assignment, scale float64) (search.Result, error) {
-	var rng *rand.Rand
-	if r.noise {
-		rng = r.rng
-	}
-	return r.evaluate(a, scale, rng)
+	return r.fresh(a, scale, r.noiseRNG())
 }
 
 // MeanEvaluate runs Evaluate with noise forced off (useful for heatmaps and
@@ -137,7 +141,24 @@ func (r *Runner) EvaluateScale(a resources.Assignment, scale float64) (search.Re
 // an option flip, the override is threaded through the call, so it never
 // mutates runner state.
 func (r *Runner) MeanEvaluate(a resources.Assignment) (search.Result, error) {
-	return r.evaluate(a, r.scale, nil)
+	return r.fresh(a, r.scale, nil)
+}
+
+// noiseRNG is the runner's stream when noise is on, nil otherwise.
+func (r *Runner) noiseRNG() *rand.Rand {
+	if r.noise {
+		return r.rng
+	}
+	return nil
+}
+
+// fresh evaluates into a new Result, the zero Result on error.
+func (r *Runner) fresh(a resources.Assignment, scale float64, rng *rand.Rand) (search.Result, error) {
+	var res search.Result
+	if err := r.evaluate(a, scale, rng, &res); err != nil {
+		return search.Result{}, err
+	}
+	return res, nil
 }
 
 // evaluate executes the workflow once on the compiled plan. End-to-end
@@ -156,7 +177,9 @@ func (r *Runner) MeanEvaluate(a resources.Assignment) (search.Result, error) {
 //
 // An OOM kill aborts the workflow: in-flight branches finish, but no new
 // node starts afterwards, and downstream nodes are reported Skipped.
-func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand) (search.Result, error) {
+//
+// The execution is written into *res, which is reset first.
+func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand, res *search.Result) error {
 	p := r.plan
 	s := &r.scratch
 	s.reset(p)
@@ -165,15 +188,15 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 	for gi, g := range p.groupNames {
 		cfg, ok := a[g]
 		if !ok {
-			return search.Result{}, AssignmentError(fmt.Sprintf("workflow %s: assignment missing group %q (node %q)", r.spec.Name, g, p.groupNode[gi]))
+			return AssignmentError(fmt.Sprintf("workflow %s: assignment missing group %q (node %q)", r.spec.Name, g, p.groupNode[gi]))
 		}
 		if !cfg.Valid() {
-			return search.Result{}, AssignmentError(fmt.Sprintf("workflow %s: invalid config %v for group %q", r.spec.Name, cfg, g))
+			return AssignmentError(fmt.Sprintf("workflow %s: invalid config %v for group %q", r.spec.Name, cfg, g))
 		}
 		s.cfgs = append(s.cfgs, cfg)
 	}
 	// The node entries are written in place: plan order is the layout.
-	res := search.NewResult(p.layout)
+	res.Reset(p.layout)
 
 	for i, d := range p.indeg0 {
 		if d == 0 {
@@ -190,9 +213,9 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 		if !failed {
 			for _, ni := range s.ready {
 				cfg := s.cfgs[p.groupIdx[ni]]
-				inv, err := r.platform.Invoke(&r.containers[ni], p.profiles[ni], cfg, scale, rng)
+				inv, err := r.platform.Invoke(&r.containers[ni], &p.profiles[ni], cfg, scale, rng)
 				if err != nil {
-					return search.Result{}, err
+					return err
 				}
 				nr := &res.Nodes[ni]
 				nr.Group = p.groups[ni]
@@ -263,5 +286,5 @@ func (r *Runner) evaluate(a resources.Assignment, scale float64, rng *rand.Rand)
 			res.Nodes[i] = search.NodeResult{Group: p.groups[i], Skipped: true}
 		}
 	}
-	return res, nil
+	return nil
 }

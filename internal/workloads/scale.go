@@ -243,7 +243,8 @@ func Scale(opts ScaleOptions) (*workflow.Spec, error) {
 	// start head-room.
 	weights := make(map[string]float64, n)
 	for _, id := range ids {
-		t, err := profiles[id].MeanRuntime(base, 1)
+		prof := profiles[id]
+		t, err := prof.MeanRuntime(base, 1)
 		if err != nil {
 			return nil, err
 		}
