@@ -31,6 +31,12 @@
 // Retry-After). -chaos-disk-down is a built-in drill that fails the
 // disk tier for a window at startup to exercise the whole path.
 //
+// Only a request writes the store, and stderr carries one line per
+// successful write, the store's change record:
+//
+//	aarcd: INFO store put fingerprint=sha256:...
+//	aarcd: INFO store invalidated fingerprint=sha256:...
+//
 // Endpoints (see DESIGN.md §"Storage tiers" and the README for curl
 // examples):
 //
@@ -41,8 +47,7 @@
 //	POST   /v1/configure:batch      {"requests":[...]} -> per-item results, misses pooled
 //	GET    /v1/recommendation/{fp}  fingerprint-addressed fast path (no spec body)
 //	DELETE /v1/recommendation/{fp}  explicit invalidation across all tiers
-//	GET    /v1/recommendations      stored-entry listing (watcher bootstrap)
-//	GET    /v1/watch/{fp}           SSE lifecycle events: put | invalidated
+//	GET    /v1/recommendations      listing of what the store holds
 //	POST   /v1/dispatch             {"workload":"video-analysis","scale":1.4} -> class + config
 //	POST   /v1/evaluate             {"fingerprint":"sha256:...","runs":10} -> what-if runs
 package main

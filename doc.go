@@ -69,11 +69,10 @@
 //
 // A Service writes its store only when a request does: a search's
 // result is put, DELETE invalidates, and nothing runs in the background
-// between requests. Every write is published as a ServiceEvent ("put",
-// "invalidated"): subscribe in-process with Service.Watch, over HTTP as
-// Server-Sent Events via GET /v1/watch/{fingerprint} (with
-// Last-Event-ID resume), and bootstrap from the GET /v1/recommendations
-// listing. See DESIGN.md section 11.
+// between requests. Each successful write is logged as one log/slog Info
+// record, "store put" or "store invalidated", keyed by fingerprint, and
+// GET /v1/recommendations lists what the store holds. See DESIGN.md
+// section 11.
 //
 // The invariants all of the above rests on — fingerprints that are pure
 // functions of content, contexts threaded through the request path, no

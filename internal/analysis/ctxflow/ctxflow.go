@@ -48,7 +48,6 @@ var mustAcceptContext = map[string]bool{
 	"ConfigureClasses": true,
 	"ConfigureBatch":   true,
 	"Dispatch":         true,
-	"Watch":            true,
 }
 
 func isRequestPath(pkg *types.Package) bool {

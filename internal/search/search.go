@@ -151,18 +151,6 @@ func (r *Result) SumRuntimeMS(idx []int32) float64 {
 	return s
 }
 
-// GroupCost sums the cost of every node in the given configuration group,
-// in Layout order.
-func (r Result) GroupCost(group string) float64 {
-	s := 0.0
-	for _, nr := range r.Nodes {
-		if nr.Group == group {
-			s += nr.Cost
-		}
-	}
-	return s
-}
-
 // GroupSteadyCost sums the steady-state cost of a group: the billed cost
 // with each node's cold-start portion removed pro rata, in Layout order.
 // Configuration searchers compare steady-state costs so that the one-off

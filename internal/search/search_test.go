@@ -93,9 +93,6 @@ func TestResultHelpers(t *testing.T) {
 	if got := r.PathRuntimeMS([]string{"a", "c"}); got != 400 {
 		t.Errorf("PathRuntimeMS = %v", got)
 	}
-	if got := r.GroupCost("g"); got != 130 {
-		t.Errorf("GroupCost = %v", got)
-	}
 	// Steady cost removes the cold-start fraction: a contributes 50*0.8.
 	if got := r.GroupSteadyCost("g"); got != 50*0.8+80 {
 		t.Errorf("GroupSteadyCost = %v", got)

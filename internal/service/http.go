@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"time"
 
-	"aarc/internal/event"
 	"aarc/internal/inputaware"
 	"aarc/internal/resources"
 	"aarc/internal/search"
@@ -31,8 +30,7 @@ import (
 //	POST   /v1/configure:batch         a list of configure requests as one admission
 //	GET    /v1/recommendation/{fp}     fingerprint-addressed fast path (no spec body)
 //	DELETE /v1/recommendation/{fp}     explicit invalidation across all store tiers
-//	GET    /v1/recommendations         stored-entry listing (watcher bootstrap)
-//	GET    /v1/watch/{fp}              SSE lifecycle events for one fingerprint
+//	GET    /v1/recommendations         listing of what the store holds
 //	POST   /v1/dispatch                input-aware request -> class + configuration
 //	POST   /v1/evaluate                what-if runs against a configured fingerprint
 //
@@ -200,89 +198,6 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"recommendations": s.Recommendations(),
 		})
-	})
-	// GET /v1/watch/{fp}: a Server-Sent Events stream of the
-	// fingerprint's lifecycle ("" is not allowed; use the listing to
-	// discover fingerprints). Frames carry the bus sequence number as
-	// the SSE id, so a dropped client reconnects with Last-Event-ID and
-	// resumes from the bus's ring without re-receiving what it saw.
-	// Heartbeat comments keep idle streams alive through proxies.
-	mux.HandleFunc("GET /v1/watch/{fp}", func(w http.ResponseWriter, r *http.Request) {
-		flusher, ok := w.(http.Flusher)
-		if !ok {
-			writeError(w, http.StatusInternalServerError, errors.New("watch: response writer cannot stream"))
-			return
-		}
-		fp := r.PathValue("fp")
-		var lastSeq uint64
-		resume := false
-		if raw := r.Header.Get("Last-Event-ID"); raw != "" {
-			seq, err := strconv.ParseUint(raw, 10, 64)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("watch: bad Last-Event-ID %q: %w", raw, err))
-				return
-			}
-			lastSeq, resume = seq, true
-		}
-		// Subscribe before replaying so no event falls between the
-		// replayed ring and the live channel; live events the replay
-		// already covered are deduped below by sequence number.
-		events, cancel, err := s.Watch(r.Context(), fp)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
-		}
-		defer cancel()
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-store")
-		w.Header().Set("X-Accel-Buffering", "no")
-		w.WriteHeader(http.StatusOK)
-		// A lifecycle stream outlives any sane server write timeout; lift
-		// it for this response only (ignored when unsupported).
-		_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
-		writeEvent := func(ev Event) bool {
-			if ev.Seq <= lastSeq {
-				return true
-			}
-			lastSeq = ev.Seq
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return false
-			}
-			_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data)
-			if err != nil {
-				return false
-			}
-			flusher.Flush()
-			return true
-		}
-		if resume {
-			for _, ev := range s.ReplayEvents(fp, lastSeq) {
-				if !writeEvent(ev) {
-					return
-				}
-			}
-		}
-		heartbeat := time.NewTicker(s.cfg.WatchHeartbeat)
-		defer heartbeat.Stop()
-		for {
-			select {
-			case <-r.Context().Done():
-				return
-			case ev, ok := <-events:
-				if !ok {
-					return // subscription ended (service closing)
-				}
-				if !writeEvent(ev) {
-					return
-				}
-			case <-heartbeat.C:
-				if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
-					return
-				}
-				flusher.Flush()
-			}
-		}
 	})
 	mux.HandleFunc("POST /v1/dispatch", func(w http.ResponseWriter, r *http.Request) {
 		var req dispatchRequest
@@ -654,8 +569,6 @@ func statusOf(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, event.ErrClosed):
-		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	default:

@@ -447,6 +447,16 @@ func TestHTTPFingerprintGetAndDelete(t *testing.T) {
 		t.Errorf("unknown fingerprint GET status = %d, want 404", resp.StatusCode)
 	}
 
+	// There is no watch stream, not even for a stored fingerprint.
+	resp, err = http.Get(ts.URL + "/v1/watch/" + rec.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("watch GET status = %d, want 404", resp.StatusCode)
+	}
+
 	// DELETE invalidates: 204, then 404, then a re-configure searches again.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/recommendation/"+rec.Fingerprint, nil)
 	resp, err = http.DefaultClient.Do(req)

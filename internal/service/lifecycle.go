@@ -1,69 +1,18 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"sort"
-	"sync"
 	"time"
-
-	"aarc/internal/event"
 )
 
-// This file is the read side of the store's change feed: Watch and
-// ReplayEvents over the event bus the service publishes into where it
-// writes the store (putStore, Invalidate), and the Recommendations
-// listing watchers bootstrap from. Only a request writes the store, so
-// every event answers one. The event Kind vocabulary (put, invalidated)
-// is documented on internal/event.
-
-// Event is a recommendation lifecycle notification. See internal/event
-// for the kind vocabulary.
-type Event = event.Event
-
-// Watch subscribes to a fingerprint's lifecycle events ("" watches every
-// fingerprint). The returned channel is closed when the subscription
-// ends; cancel is idempotent and must be called to release the
-// subscriber. When ctx is cancellable the subscription is torn down with
-// it. A subscriber that stops draining its channel loses events (counted
-// in Stats.EventsDropped) rather than blocking publishers.
-func (s *Service) Watch(ctx context.Context, fp string) (<-chan Event, func(), error) {
-	sub, err := s.bus.Subscribe(fp, s.cfg.WatchBuffer)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.watchSubs.Add(1)
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			sub.Cancel()
-			s.watchSubs.Add(-1)
-		})
-	}
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				cancel()
-			case <-sub.Done():
-			}
-		}()
-	}
-	return sub.Events(), cancel, nil
-}
-
-// ReplayEvents returns the buffered events for fp ("" = all) with
-// sequence numbers greater than after, oldest first — the Last-Event-ID
-// resume path of GET /v1/watch/{fp}. Events older than the bus's ring
-// are gone; clients that need a full picture re-read the entry.
-func (s *Service) ReplayEvents(fp string, after uint64) []Event {
-	return s.bus.Replay(fp, after)
-}
+// This file is the listing of what the store holds. Only a request
+// writes the store, and putStore and Invalidate log each successful
+// write: the change record (DESIGN.md §11).
 
 // RecommendationInfo is one stored entry's listing line (GET
-// /v1/recommendations): enough for a watcher to bootstrap — what is
-// cached, under which method and version, against which SLO, and how
-// old it is — without fetching every body.
+// /v1/recommendations): what is stored, under which method and version,
+// against which SLO, and how old it is — without fetching every body.
 type RecommendationInfo struct {
 	Fingerprint   string  `json:"fingerprint"`
 	Workflow      string  `json:"workflow,omitempty"`

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"math"
 	"runtime"
 	"sort"
@@ -58,7 +59,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aarc/internal/event"
 	"aarc/internal/experiments"
 	"aarc/internal/inputaware"
 	"aarc/internal/resources"
@@ -112,15 +112,6 @@ type Config struct {
 	// closing it and re-opening. Defaults 5 and 15s.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-
-	// WatchHeartbeat is the SSE keep-alive interval of GET /v1/watch/{fp}
-	// (default 15s): a comment line per interval so idle streams survive
-	// proxies and dead clients are detected.
-	WatchHeartbeat time.Duration
-	// WatchBuffer bounds each watch subscriber's event buffer (default
-	// 16). A subscriber that falls further behind loses events —
-	// counted in Stats.EventsDropped — rather than blocking publishers.
-	WatchBuffer int
 
 	// ChaosDiskDown, when positive (and CacheDir is set), wraps the disk
 	// tier in a deterministic fault injector that fails every disk op
@@ -210,22 +201,20 @@ type DispatchResult struct {
 
 // Stats counts the service's cache behavior since construction.
 type Stats struct {
-	Hits           int64          `json:"hits"`              // answered from the store, no search machinery touched
-	Misses         int64          `json:"misses"`            // had to run — or wait on — a search
-	Searches       int64          `json:"searches"`          // underlying searches actually run
-	Evictions      int64          `json:"evictions"`         // entries dropped by the store's capacity bound
-	StoreErrors    int64          `json:"store_errors"`      // store reads/writes that failed and were degraded
-	BatchRuns      int64          `json:"batch_runs"`        // pooled batch search runs (ConfigureBatch)
-	Retries        int64          `json:"retries"`           // store ops recovered (or attempted) by the store's retry tier
-	ShedRequests   int64          `json:"shed_requests"`     // cold searches refused by the concurrency cap (HTTP 429)
-	SearchTimeouts int64          `json:"search_timeouts"`   // searches cut off by the server-side deadline
-	Panics         int64          `json:"panics"`            // handler panics recovered into 500s
-	WatchSubs      int64          `json:"watch_subscribers"` // live watch subscriptions (SSE streams + facade Watch)
-	EventsDropped  int64          `json:"events_dropped"`    // events lost to slow subscribers' full buffers
-	BreakerState   string         `json:"breaker_state"`     // closed | open | half-open, or none without a breaker
-	Entries        int            `json:"entries"`           // recommendations currently stored
-	Store          string         `json:"store"`             // store kind: memory, disk, tiered, custom
-	Tiers          map[string]int `json:"tiers"`             // per-tier entry counts
+	Hits           int64          `json:"hits"`            // answered from the store, no search machinery touched
+	Misses         int64          `json:"misses"`          // had to run — or wait on — a search
+	Searches       int64          `json:"searches"`        // underlying searches actually run
+	Evictions      int64          `json:"evictions"`       // entries dropped by the store's capacity bound
+	StoreErrors    int64          `json:"store_errors"`    // store reads/writes that failed and were degraded
+	BatchRuns      int64          `json:"batch_runs"`      // pooled batch search runs (ConfigureBatch)
+	Retries        int64          `json:"retries"`         // store ops recovered (or attempted) by the store's retry tier
+	ShedRequests   int64          `json:"shed_requests"`   // cold searches refused by the concurrency cap (HTTP 429)
+	SearchTimeouts int64          `json:"search_timeouts"` // searches cut off by the server-side deadline
+	Panics         int64          `json:"panics"`          // handler panics recovered into 500s
+	BreakerState   string         `json:"breaker_state"`   // closed | open | half-open, or none without a breaker
+	Entries        int            `json:"entries"`         // recommendations currently stored
+	Store          string         `json:"store"`           // store kind: memory, disk, tiered, custom
+	Tiers          map[string]int `json:"tiers"`           // per-tier entry counts
 }
 
 // Service is the long-lived serving layer. It is safe for concurrent use.
@@ -237,7 +226,7 @@ type Service struct {
 
 	sem chan struct{} // MaxConcurrentSearches slots; nil = uncapped
 
-	bus *event.Bus // lifecycle events; published by putStore and Invalidate
+	logger *slog.Logger // the change record: putStore and Invalidate log each successful write
 
 	mu    sync.Mutex
 	pools *lruCache // fingerprint -> *entry (runner pools of evaluated fingerprints)
@@ -252,15 +241,12 @@ type Service struct {
 	shedRequests   atomic.Int64
 	searchTimeouts atomic.Int64
 	panics         atomic.Int64
-	watchSubs      atomic.Int64
 }
-
-// eventRing bounds the event bus's recent-events ring backing
-// Last-Event-ID resume on GET /v1/watch/{fp}.
-const eventRing = 256
 
 // New builds a Service. Zero Config fields take the documented defaults;
 // the error is the backing store's (a memory-only service cannot fail).
+// The service's change record goes to the slog.Default logger in place
+// at this call.
 func New(cfg Config) (*Service, error) {
 	if cfg.Method == "" {
 		cfg.Method = "aarc"
@@ -276,12 +262,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 15 * time.Second
-	}
-	if cfg.WatchHeartbeat <= 0 {
-		cfg.WatchHeartbeat = 15 * time.Second
-	}
-	if cfg.WatchBuffer <= 0 {
-		cfg.WatchBuffer = 16
 	}
 	st := cfg.Store
 	if st == nil {
@@ -313,11 +293,11 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	s := &Service{
-		cfg:   cfg,
-		st:    st,
-		batch: experiments.NewPool(cfg.BatchWorkers),
-		pools: newLRUCache(cfg.CacheSize),
-		bus:   event.NewBus(eventRing),
+		cfg:    cfg,
+		st:     st,
+		batch:  experiments.NewPool(cfg.BatchWorkers),
+		pools:  newLRUCache(cfg.CacheSize),
+		logger: slog.Default(),
 	}
 	if cfg.MaxConcurrentSearches > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrentSearches)
@@ -327,13 +307,10 @@ func New(cfg Config) (*Service, error) {
 
 // Close releases the backing store (flushing nothing: durable tiers are
 // written through at Put time, so shutdown has no persistence step). The
-// service owns no goroutine to stop; the event bus closes last,
-// terminating every watch subscription.
+// service owns no goroutine to stop.
 func (s *Service) Close() error {
 	s.draining.Store(true)
-	err := s.st.Close()
-	s.bus.Close()
-	return err
+	return s.st.Close()
 }
 
 // BeginDrain marks the service as shutting down: Ready turns false and
@@ -378,8 +355,6 @@ func (s *Service) Stats() Stats {
 		ShedRequests:   s.shedRequests.Load(),
 		SearchTimeouts: s.searchTimeouts.Load(),
 		Panics:         s.panics.Load(),
-		WatchSubs:      s.watchSubs.Load(),
-		EventsDropped:  s.bus.Dropped(),
 		BreakerState:   cmp.Or(ss.Breaker, "none"),
 		Entries:        s.st.Len(),
 		Store:          ss.Kind,
@@ -667,15 +642,15 @@ func (s *Service) getStore(fp string) (store.Entry, bool) {
 }
 
 // putStore persists a completed search and, once the write succeeded,
-// publishes put for fp. Write failures are degraded to a counter and
-// publish nothing: the recommendation was computed and is served
+// records "store put" for fp. Write failures are degraded to a counter
+// and record nothing: the recommendation was computed and is served
 // regardless.
 func (s *Service) putStore(fp string, e store.Entry) {
 	if err := s.st.Put(fp, e); err != nil {
 		s.storeErrs.Add(1)
 		return
 	}
-	s.bus.Publish(event.KindPut, fp)
+	s.logger.Info("store put", "fingerprint", fp)
 }
 
 // flightResult waits on an in-flight call and narrows its value to the
@@ -788,12 +763,12 @@ func (s *Service) RecommendationJSON(fp string) ([]byte, error) {
 }
 
 // Invalidate removes a fingerprint from every store tier, drops its
-// runner pool and publishes "invalidated"; existed reports whether there
-// was an entry to remove. The next Configure for the same content
+// runner pool and records "store invalidated"; existed reports whether
+// there was an entry to remove. The next Configure for the same content
 // re-searches. Existence is checked against the key index (Keys), not
 // Get: a tiered Get would read the whole body off disk and promote it
 // into memory just to delete it. An absent fingerprint skips the Delete
-// entirely, and a failed Delete returns its error: neither publishes.
+// entirely, and a failed Delete returns its error: neither is recorded.
 func (s *Service) Invalidate(fp string) (existed bool, err error) {
 	for _, k := range s.st.Keys() {
 		if k == fp {
@@ -811,7 +786,7 @@ func (s *Service) Invalidate(fp string) (existed bool, err error) {
 	s.mu.Lock()
 	s.pools.remove(fp)
 	s.mu.Unlock()
-	s.bus.Publish(event.KindInvalidated, fp)
+	s.logger.Info("store invalidated", "fingerprint", fp)
 	return existed, nil
 }
 
@@ -970,8 +945,8 @@ func (s *Service) entryFor(fp string) (store.Entry, *runnerPool, error) {
 // classes) and answers with Configure at that class's input scale, which
 // replaces ro.InputScale. Each class is therefore one ordinary store
 // entry, searched the first time it is dispatched to, with the same
-// admission, deadline, singleflight, persistence and watch as any
-// configure.
+// admission, deadline, singleflight, persistence and change record as
+// any configure.
 func (s *Service) Dispatch(ctx context.Context, spec *workflow.Spec, classes []inputaware.Class, scale float64, ro RequestOptions) (res *DispatchResult, cacheHit bool, err error) {
 	if spec == nil {
 		return nil, false, errors.New("service: Dispatch with nil spec")

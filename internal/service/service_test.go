@@ -105,7 +105,7 @@ func stubService(t testing.TB, cfg Config) *Service {
 	// Armed before New so the snapshot excludes the service's own
 	// goroutines; cleanups run LIFO, so Close below completes before the
 	// leak check fires. This covers every stubService-based test —
-	// service, batch, resilience, lifecycle, and watch.
+	// service, batch, resilience and lifecycle.
 	testutil.VerifyNoLeaks(t)
 	cfg.Method = "stub"
 	svc, err := New(cfg)

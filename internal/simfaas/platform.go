@@ -98,10 +98,10 @@ func (p *Platform) ColdStartMS(cfg resources.Config) float64 {
 // A nil rng disables measurement noise. OOM kills are reported in-band via
 // the OOM flag (the partial duration is still billed, and the container
 // dies); only misuse returns an error.
+//
+// prof must have passed Profile.Validate; Invoke does not check it again
+// (a Runner validates every profile once, when its spec is compiled).
 func (p *Platform) Invoke(c *Container, prof *perfmodel.Profile, cfg resources.Config, scale float64, rng *rand.Rand) (Invocation, error) {
-	if err := prof.Validate(); err != nil {
-		return Invocation{}, err
-	}
 	if !cfg.Valid() {
 		return Invocation{}, fmt.Errorf("simfaas: invalid config %v for %s", cfg, prof.Name)
 	}

@@ -151,11 +151,6 @@ func TestInvokeErrors(t *testing.T) {
 	if _, err := p.Invoke(&c, prof(), resources.Config{}, 1, nil); err == nil {
 		t.Error("invalid config should error")
 	}
-	bad := prof()
-	bad.Name = ""
-	if _, err := p.Invoke(&c, bad, resources.Config{CPU: 1, MemMB: 512}, 1, nil); err == nil {
-		t.Error("invalid profile should error")
-	}
 	if m := c.Metrics(); m != (Metrics{}) {
 		t.Errorf("rejected invocations were counted: %+v", m)
 	}

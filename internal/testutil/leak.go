@@ -13,11 +13,11 @@ import (
 // VerifyNoLeaks), fails the test if goroutines created since the
 // snapshot are still running. It exists to back the Service contract:
 // a Service runs no goroutine of its own between requests, and Close
-// must end the watch fan-out and every singleflight leader it owns — a
-// goroutine outliving Close is a leak, not a scheduling artifact.
+// must end every singleflight leader it owns — a goroutine outliving
+// Close is a leak, not a scheduling artifact.
 //
-// Shutdown is asynchronous (watchers observe a cancelled context or a
-// closed channel at their next select), so the check retries with
+// Shutdown is asynchronous (a goroutine observes a cancelled context or
+// a closed channel at its next select), so the check retries with
 // backoff for up to five seconds before declaring a leak.
 func CheckNoLeaks(t testing.TB) func() {
 	t.Helper()
@@ -43,7 +43,7 @@ func CheckNoLeaks(t testing.TB) func() {
 
 // VerifyNoLeaks arms a leak check for the remainder of the test: every
 // goroutine spawned after this call must exit before the test does.
-// Call it before constructing the Service (or bus, or watcher) under
+// Call it before constructing the Service (or other component) under
 // test, and close the component before the test returns.
 func VerifyNoLeaks(t testing.TB) {
 	t.Helper()

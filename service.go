@@ -39,10 +39,6 @@ type (
 	// index-aligned with the submitted items; failures are isolated per
 	// item in its Err field.
 	ServiceBatchResult = service.BatchResult
-	// ServiceEvent is one recommendation lifecycle notification as
-	// delivered by Service.Watch and GET /v1/watch/{fp}: kind "put"
-	// (stored by a search) or "invalidated" (deleted).
-	ServiceEvent = service.Event
 	// ServiceRecommendationInfo is one stored entry's line in the
 	// Service.Recommendations listing (GET /v1/recommendations).
 	ServiceRecommendationInfo = service.RecommendationInfo
@@ -79,11 +75,13 @@ func NewTieredStore(fast, slow Store) Store { return store.NewTiered(fast, slow)
 // WithCacheDir, WithStore and WithBatchWorkers, the resilience knobs
 // WithSearchTimeout, WithMaxConcurrentSearches, WithBreaker and
 // WithChaosDiskOutage. The service starts no background work: only a
-// request writes its store, and Service.Watch and GET /v1/watch/{fp}
-// report each write. A WithBudget budget becomes the server-side cap:
-// requests may tighten it, never exceed it. The error is the backing
-// store's (opening a cache directory can fail; a memory-only service
-// cannot). Close the service to release the store.
+// request writes its store, and each successful write is one Info record,
+// "store put" or "store invalidated" with the key fingerprint, on the
+// slog.Default logger in place when the service is built. A WithBudget
+// budget becomes the server-side cap: requests may tighten it, never
+// exceed it. The error is the backing store's (opening a cache directory
+// can fail; a memory-only service cannot). Close the service to release
+// the store.
 func NewService(opts ...Option) (*Service, error) {
 	s := newSettings(opts)
 	return service.New(service.Config{
@@ -111,7 +109,7 @@ func NewService(opts ...Option) (*Service, error) {
 
 // NewServiceHandler mounts the service's HTTP API (the one cmd/aarcd
 // serves: /healthz, /readyz, /v1/methods, /v1/configure,
-// /v1/recommendation/{fp}, /v1/recommendations, /v1/watch/{fp},
+// /v1/configure:batch, /v1/recommendation/{fp}, /v1/recommendations,
 // /v1/dispatch, /v1/evaluate) for embedding in another http.Server,
 // panic-recovery middleware included.
 func NewServiceHandler(s *Service) http.Handler { return service.NewHandler(s) }
