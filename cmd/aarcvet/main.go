@@ -17,7 +17,7 @@
 // in for the golang.org/x/tools SSA packages this offline build cannot
 // import (detcanon also walks flow's call graph). lockorder runs one
 // held-lock dataflow per function for both of its checks: no search,
-// store I/O, publish or evaluation under a mutex, and no lock-order
+// store I/O or evaluation under a mutex, and no lock-order
 // cycles. lockorder and hotalloc are interprocedural: they export
 // per-package facts through the vet .cfg/vetx protocol, so a lock
 // acquired in internal/store and another in internal/service can still

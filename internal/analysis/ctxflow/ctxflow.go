@@ -31,7 +31,6 @@ var requestPath = map[string]bool{
 	"service":    true,
 	"search":     true,
 	"store":      true,
-	"event":      true,
 	"inputaware": true,
 	"core":       true,
 	"bo":         true,

@@ -1,12 +1,11 @@
 // Package lockorder checks the serving stack's two lock invariants with
 // one held-lock dataflow over each function's control-flow graph.
 //
-// Lock hygiene: no searching, store I/O, event publishing, or workflow
-// evaluation while a mutex is held. The two deadlock classes this
-// encodes were found the hard way — a batch run attaching to a
-// singleflight while a queue mutex was held, and an event hook
-// publishing into a bounded bus from under a service lock; both only
-// surfaced under load. The one sanctioned exception is a mutex that
+// Lock hygiene: no searching, store I/O, or workflow evaluation
+// (Evaluate, EvaluateInto, EvaluateScale, MeanEvaluate) while a mutex is
+// held. The deadlock class this encodes was found the hard way — a
+// batch run attaching to a singleflight while a queue mutex was held,
+// which only surfaced under load. The one sanctioned exception is a mutex that
 // *owns* the callee — the runner-pool shards, where the shard mutex is
 // exactly what makes a non-thread-safe Runner usable — and such sites
 // carry an //aarc:locked <reason> marker. Tests can deadlock too, so
@@ -14,7 +13,7 @@
 //
 // Lock order: the whole-program lock-acquisition graph has no cycles —
 // the static form of the deadlock-freedom claim DESIGN.md makes for the
-// serving stack's mutexes (service shards, flightGroup, event bus).
+// serving stack's mutexes (service shards, flightGroup).
 // The graph is built from non-test code only. It is
 // interprocedural: each package exports, as a unitchecker fact, the set
 // of locks every function may transitively acquire and the
@@ -337,17 +336,12 @@ func (c *checker) checkHygiene(call *ast.CallExpr, fn *types.Func, held lockSet)
 	switch pkg := fn.Pkg().Name(); fn.Name() {
 	case "Search":
 		what = "a search"
-	case "Publish":
-		if pkg != "event" {
-			return
-		}
-		what = "an event publish"
 	case "Get", "Put", "Delete", "Keys", "Warm":
 		if pkg != "store" {
 			return
 		}
 		what = "store I/O"
-	case "Evaluate", "MeanEvaluate":
+	case "Evaluate", "EvaluateInto", "EvaluateScale", "MeanEvaluate":
 		if pkg != "workflow" {
 			return
 		}

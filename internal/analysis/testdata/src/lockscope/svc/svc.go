@@ -1,5 +1,5 @@
-// Fixture for lockscope: target calls (Search, store I/O, Publish,
-// Evaluate) made while a sync mutex is statically held must be
+// Fixture for lockscope: target calls (Search, store I/O, Evaluate and
+// its variants) made while a sync mutex is statically held must be
 // flagged; calls after release, on fresh goroutines, or under an
 // //aarc:locked waiver must not.
 package svc
@@ -7,7 +7,6 @@ package svc
 import (
 	"sync"
 
-	"lockscope/event"
 	"lockscope/store"
 	"lockscope/workflow"
 )
@@ -20,7 +19,6 @@ type S struct {
 	mu  sync.Mutex
 	eng engine
 	st  store.Store
-	bus *event.Bus
 	run *workflow.Runner
 }
 
@@ -36,16 +34,19 @@ func (s *S) storeUnderLock() {
 	s.mu.Unlock()
 }
 
-func (s *S) publishUnderLock() {
-	s.mu.Lock()
-	s.bus.Publish("put", "fp") // want `an event publish while holding mutex s\.mu`
-	s.mu.Unlock()
-}
-
 func (s *S) evaluateUnderLock() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.run.Evaluate(nil) // want `a workflow evaluation while holding mutex s\.mu`
+}
+
+// evaluateVariantsUnderLock: measuring into a result and evaluating at
+// an input scale are evaluations too.
+func (s *S) evaluateVariantsUnderLock() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.run.EvaluateInto(nil, nil)         // want `a workflow evaluation while holding mutex s\.mu`
+	return s.run.EvaluateScale(nil, 1.4) // want `a workflow evaluation while holding mutex s\.mu`
 }
 
 // evaluateOwned is the sanctioned exception: the mutex exists to own
@@ -53,7 +54,9 @@ func (s *S) evaluateUnderLock() float64 {
 func (s *S) evaluateOwned() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run.Evaluate(nil) //aarc:locked the mutex owns this Runner; locking it is what makes Evaluate safe
+	s.run.EvaluateInto(nil, nil)      //aarc:locked the mutex owns this Runner; locking it is what makes EvaluateInto safe
+	_ = s.run.EvaluateScale(nil, 1.4) //aarc:locked the mutex owns this Runner; locking it is what makes EvaluateScale safe
+	return s.run.Evaluate(nil)        //aarc:locked the mutex owns this Runner; locking it is what makes Evaluate safe
 }
 
 func (s *S) afterUnlock(q string) string {
@@ -168,5 +171,5 @@ func (s *S) selectAcquire(ch chan int) {
 		s.mu.Lock()
 	default:
 	}
-	s.bus.Publish("put", "fp") // want `an event publish while holding mutex s\.mu`
+	_ = s.st.Put("k", nil) // want `store I/O while holding mutex s\.mu`
 }

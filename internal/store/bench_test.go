@@ -90,9 +90,10 @@ func BenchmarkStoreTiered(b *testing.B) {
 }
 
 // durableDir returns a disk store directory holding 512 entries shaped
-// like aarcload durable-churn's: a ~0.5 KB body and ~8.4 KB of metadata,
-// ~12 KB files once base64'd.
-func durableDir(b *testing.B) string {
+// like aarcload durable-churn's, a ~0.5 KB body and ~8.4 KB of metadata:
+// ~9 KB files in format 2, as Put writes them, or ~12 KB once base64'd
+// in format 1, as earlier versions wrote them.
+func durableDir(b *testing.B, format int) string {
 	dir := b.TempDir()
 	d, err := store.OpenDisk(dir)
 	if err != nil {
@@ -104,11 +105,26 @@ func durableDir(b *testing.B) string {
 			Body: []byte(fmt.Sprintf(`{"fingerprint":%q,"assignment":{%s}}`, key(i), strings.Repeat(`"f":{"cpu":2,"mem_mb":1024},`, 16))),
 			Meta: []byte(fmt.Sprintf(`{"spec":{"nodes":[%s]},"seed":%d}`, strings.Repeat(`{"id":"node","runtime_ms":120.5,"deps":["a","b"]},`, 168), i)),
 		}
-		if err := d.Put(key(i), e); err != nil {
+		if format == 1 {
+			err = store.WriteFormat1(dir, key(i), e)
+		} else {
+			err = d.Put(key(i), e)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	return dir
+}
+
+// diskFormats runs bench once per stored format, as sub-benchmarks
+// format1 and format2.
+func diskFormats(b *testing.B, bench func(b *testing.B, dir string)) {
+	for _, format := range []int{1, 2} {
+		b.Run(fmt.Sprintf("format%d", format), func(b *testing.B) {
+			bench(b, durableDir(b, format))
+		})
+	}
 }
 
 // BenchmarkOpenDisk times a restart's index rebuild over durableDir:
@@ -116,34 +132,37 @@ func durableDir(b *testing.B) string {
 //
 //	go test -run '^$' -bench 'BenchmarkOpenDisk|BenchmarkDiskGet' -benchmem -cpu 1,2 ./internal/store/
 func BenchmarkOpenDisk(b *testing.B) {
-	dir := durableDir(b)
-	b.ReportAllocs()
-	for b.Loop() {
-		d, err := store.OpenDisk(dir)
-		if err != nil || d.Len() != 512 {
-			b.Fatalf("OpenDisk: %d entries, err %v", d.Len(), err)
+	diskFormats(b, func(b *testing.B, dir string) {
+		b.ReportAllocs()
+		for b.Loop() {
+			d, err := store.OpenDisk(dir)
+			if err != nil || d.Len() != 512 {
+				b.Fatalf("OpenDisk: %d entries, err %v", d.Len(), err)
+			}
+			d.Close()
 		}
-		d.Close()
-	}
+	})
 }
 
 // BenchmarkDiskGet times a disk hit on durableDir's entries.
 func BenchmarkDiskGet(b *testing.B) {
-	d, err := store.OpenDisk(durableDir(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	keys := make([]string, 512)
-	for i := range keys {
-		keys[i] = key(i)
-	}
-	b.ReportAllocs()
-	i := 0
-	for b.Loop() {
-		if _, ok, err := d.Get(keys[i%512]); !ok || err != nil {
-			b.Fatalf("miss: ok=%v err=%v", ok, err)
+	diskFormats(b, func(b *testing.B, dir string) {
+		d, err := store.OpenDisk(dir)
+		if err != nil {
+			b.Fatal(err)
 		}
-		i++
-	}
+		defer d.Close()
+		keys := make([]string, 512)
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			if _, ok, err := d.Get(keys[i%512]); !ok || err != nil {
+				b.Fatalf("miss: ok=%v err=%v", ok, err)
+			}
+			i++
+		}
+	})
 }

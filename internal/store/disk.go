@@ -23,7 +23,8 @@ import (
 // directory so an acknowledged Put or Delete survives a power loss.
 // Opening the store reads and verifies every file on GOMAXPROCS workers
 // and rebuilds the index, so a restarted process serves every entry its
-// predecessor stored. The reader accepts exactly the bytes Put writes:
+// predecessor stored. The reader accepts exactly the bytes Put writes,
+// and the files of the first format, which earlier versions wrote:
 // anything else — truncated, garbage, tampered, in another layout, or
 // belonging to a different key — is corrupt, and reads as a miss (and
 // is removed), never as an error. Safe for concurrent use.
@@ -43,20 +44,26 @@ type Disk struct {
 	closed bool
 }
 
-// diskEnvelope is the on-disk file format, written by json.Marshal. Body
-// and Meta are base64 in JSON ([]byte marshaling); Sum is a hex SHA-256
-// over both (see envelopeSum) so in-place corruption of either — body or
-// metadata — that still parses is caught and degraded to a miss. The
-// reader (readEnvelope) does not decode it with encoding/json: it
-// matches the exact bytes json.Marshal writes for this struct, so that
-// layout is part of the format.
-type diskEnvelope struct {
-	Format int    `json:"format"`
-	Key    string `json:"key"`
-	Sum    string `json:"sum"`
-	Body   []byte `json:"body"`
-	Meta   []byte `json:"meta,omitempty"`
-}
+// The entry file Put writes (format 2) is one JSON header line followed
+// by the raw content:
+//
+//	{"format":2,"key":<key>,"sum":"<hex>","body":<n>,"meta":<m>}\n<body><meta>
+//
+// <key> is the key as json.Marshal writes it, <hex> the 64 lowercase hex
+// digits of envelopeSum(body, meta), <n> the body's length (-1 for a nil
+// body) and <m> the meta's, both as strconv writes them; the file ends
+// right after the meta. Reading a file is a slice by length and one
+// SHA-256: nothing is decoded.
+//
+// Format 1, which earlier versions wrote, was json.Marshal of the
+// format, key, sum, body and meta, with body and meta in base64 (a null
+// body for a nil one, and no meta member for an empty one). Its files
+// are still read, never written; a Put over one replaces it with format
+// 2 under the same name, which is why both share the .rec.json suffix.
+const (
+	format2Prefix = `{"format":2,"key":`
+	format1Prefix = `{"format":1,"key":`
+)
 
 // envelopeSum is the integrity checksum over an entry's content. The
 // body's length prefixes the concatenation so (body, meta) splits can
@@ -73,10 +80,6 @@ func envelopeSum(body, meta []byte) [sha256.Size]byte {
 	return sum
 }
 
-// diskFormat versions the envelope; readers skip files from formats
-// they do not understand (a miss, like any other unreadable file).
-const diskFormat = 1
-
 const (
 	diskSuffix = ".rec.json"
 	tmpPrefix  = ".tmp-"
@@ -88,10 +91,11 @@ const (
 // and verified — envelope layout, key, checksum, and a file name equal
 // to fileName(key) — on min(GOMAXPROCS, files) workers, all of which
 // have returned before OpenDisk does. A file passes only in the exact
-// layout Put writes; any other file is corrupt, and is skipped and
-// removed, so a previous crash cannot wedge the store. Because Put and
-// Delete fsync the directory, a reopen after a power loss finds every
-// entry a Put acknowledged and none that a Delete removed.
+// layout Put writes, or in format 1's; any other file is corrupt, and
+// is skipped and removed, so a previous crash cannot wedge the store.
+// Because Put and Delete fsync the directory, a reopen after a power
+// loss finds every entry a Put acknowledged and none that a Delete
+// removed.
 func OpenDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: opening disk store: %w", err)
@@ -125,9 +129,10 @@ func OpenDisk(dir string) (*Disk, error) {
 }
 
 // verifyFiles returns, for each of the named files in dir, the key it
-// stores, or "" when it is corrupt or not filed under fileName(key). The
-// files are read on min(GOMAXPROCS, len(names)) workers, each writing
-// only its own indices' slots, and all are joined before it returns.
+// stores, or "" when it is unreadable, corrupt or not filed under
+// fileName(key). The files are read on min(GOMAXPROCS, len(names))
+// workers, each writing only its own indices' slots, and all are joined
+// before it returns.
 func verifyFiles(dir string, names []string) []string {
 	keys := make([]string, len(names))
 	next := make(chan int, len(names)) // sized to the number of sends
@@ -140,11 +145,9 @@ func verifyFiles(dir string, names []string) []string {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Body and meta are only hashed here, never kept, so each
-			// worker decodes every file into one reused buffer.
-			var buf []byte
+			var r fileReader
 			for i := range next {
-				keys[i], buf = verifyFile(dir, names[i], buf)
+				keys[i] = r.verify(dir, names[i])
 			}
 		}()
 	}
@@ -152,24 +155,42 @@ func verifyFiles(dir string, names []string) []string {
 	return keys
 }
 
-// verifyFile returns the key stored in dir/name when the file is an
-// intact envelope filed under fileName(key), or "". Body and meta are
-// decoded into buf, which it returns (grown, if it had to be) for the
-// next file.
-func verifyFile(dir, name string, buf []byte) (string, []byte) {
-	b, err := os.ReadFile(filepath.Join(dir, name))
+// fileReader verifies entry files for one open worker. Nothing it reads
+// is kept but the key, so every file is read into the one buffer, with
+// no os.ReadFile allocation or fstat per file, and a format-1 file's
+// base64 content decoded into another.
+type fileReader struct {
+	file    bytes.Buffer
+	content []byte
+}
+
+// verify returns the key stored in the named file in dir when the file
+// is an intact envelope filed under fileName(key), or "".
+func (r *fileReader) verify(dir, name string) string {
+	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
-		return "", buf
+		return ""
 	}
-	env, ok := readEnvelope(b)
-	if !ok || fileName(env.key) != name {
-		return "", buf
+	r.file.Reset()
+	_, err = r.file.ReadFrom(f)
+	f.Close() // only read
+	if err != nil {
+		return ""
 	}
-	e, buf, ok := env.decode(buf)
-	if !ok || !env.intact(e) {
-		return "", buf
+	env, ok := readEnvelope(r.file.Bytes())
+	if !ok {
+		return ""
 	}
-	return env.key, buf
+	key, ok := decodeKey(env.key)
+	var want [2*sha256.Size + len(diskSuffix)]byte
+	if !ok || string(appendFileName(want[:0], key)) != name {
+		return ""
+	}
+	var e Entry
+	if e, r.content, ok = env.entry(r.content); !ok || !env.intact(e) {
+		return ""
+	}
+	return key
 }
 
 // Dir returns the directory backing the store.
@@ -179,41 +200,112 @@ func (d *Disk) Dir() string { return d.dir }
 // Keys are hashed rather than escaped so any fingerprint string — or
 // any key at all — maps to a fixed-length portable name.
 func fileName(key string) string {
+	return string(appendFileName(nil, key))
+}
+
+// appendFileName appends fileName(key) to dst.
+func appendFileName(dst []byte, key string) []byte {
 	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:]) + diskSuffix
+	return append(hex.AppendEncode(dst, sum[:]), diskSuffix...)
 }
 
-// rawEnvelope is one stored file as readEnvelope matched it: the decoded
-// key, and the sum, body and meta as they appear in the file — hex,
-// base64 and base64, aliasing the file's bytes. body is nil for a null
-// body and meta is nil when the file has none.
+// rawEnvelope is one stored file as readEnvelope matched it, aliasing
+// the file's bytes: its format, the key's JSON string token with its
+// quotes, the sum as written, and the body and meta — raw in format 2,
+// base64 in format 1. body is nil for a nil body and meta is nil when
+// the file has none.
 type rawEnvelope struct {
-	key             string
-	sum, body, meta []byte
+	format               int
+	key, sum, body, meta []byte
 }
 
-// readEnvelope matches b against the exact layout json.Marshal gives a
-// diskEnvelope of the current format:
+// readEnvelope matches b against the exact layout of either format. Any
+// other layout — reordered, respaced, a length strconv would not write,
+// or bytes past the meta — is reported as ok=false, like a file that is
+// not an envelope at all. Decoding the key, and format 1's
+// base64, and checking the sum are left to decodeKey, entry and intact.
+func readEnvelope(b []byte) (env rawEnvelope, ok bool) {
+	if rest, ok := bytes.CutPrefix(b, []byte(format2Prefix)); ok {
+		return readFormat2(rest)
+	}
+	return readFormat1(b)
+}
+
+// readFormat2 matches the rest of a format-2 file after its prefix.
+func readFormat2(b []byte) (env rawEnvelope, ok bool) {
+	if env.key, b, ok = keyToken(b); !ok {
+		return env, false
+	}
+	b, ok = bytes.CutPrefix(b, []byte(`,"sum":"`))
+	if !ok || len(b) < 2*sha256.Size {
+		return env, false
+	}
+	env.sum, b = b[:2*sha256.Size], b[2*sha256.Size:]
+	if b, ok = bytes.CutPrefix(b, []byte(`","body":`)); !ok {
+		return env, false
+	}
+	bodyLen := -1
+	if after, isNil := bytes.CutPrefix(b, []byte("-1")); isNil {
+		b = after
+	} else if bodyLen, b, ok = length(b); !ok {
+		return env, false
+	}
+	if b, ok = bytes.CutPrefix(b, []byte(`,"meta":`)); !ok {
+		return env, false
+	}
+	metaLen, b, ok := length(b)
+	if !ok {
+		return env, false
+	}
+	if b, ok = bytes.CutPrefix(b, []byte("}\n")); !ok || len(b) < metaLen || len(b)-metaLen != max(bodyLen, 0) {
+		return env, false
+	}
+	if bodyLen >= 0 {
+		env.body, b = b[:bodyLen:bodyLen], b[bodyLen:]
+	}
+	if metaLen > 0 {
+		env.meta = b[:metaLen:metaLen]
+	}
+	env.format = 2
+	return env, true
+}
+
+// length cuts a length off the front of b, written the way strconv
+// writes a non-negative int: "0", or a nonzero digit and more digits. A
+// length past the end of b cannot be one of b's slices, and is rejected
+// too.
+func length(b []byte) (n int, rest []byte, ok bool) {
+	var v uint64
+	i := 0
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		if i == 18 {
+			return 0, nil, false // longer than any file; v cannot overflow
+		}
+		v = v*10 + uint64(b[i]-'0')
+	}
+	if i == 0 || (b[0] == '0' && i > 1) || v > uint64(len(b)) {
+		return 0, nil, false
+	}
+	return int(v), b[i:], true
+}
+
+// readFormat1 matches b against the exact layout json.Marshal gave a
+// format-1 envelope:
 //
 //	{"format":1,"key":<JSON string>,"sum":"<hex>","body":<base64 string or null>}
 //
 // with ,"meta":"<base64>" before the closing brace when meta is not
-// empty. The key is the one token decoded by encoding/json, for its
-// escape handling; the sum and the base64 strings are taken verbatim and
-// must need no unquoting (Put's never do). Any other layout — reordered,
-// respaced, escaped, or truncated — is reported as ok=false, like a file
-// that is not JSON at all. Decoding the base64 and checking the sum are
-// left to decode and intact.
-func readEnvelope(b []byte) (env rawEnvelope, ok bool) {
-	rest, ok := bytes.CutPrefix(b, []byte(`{"format":1,"key":`))
+// empty. The sum and the base64 strings are taken verbatim and must
+// need no unquoting (the writer's never did).
+func readFormat1(b []byte) (env rawEnvelope, ok bool) {
+	rest, ok := bytes.CutPrefix(b, []byte(format1Prefix))
 	if !ok {
 		return env, false
 	}
-	n := stringToken(rest)
-	if n < 0 || json.Unmarshal(rest[:n], &env.key) != nil || env.key == "" {
+	if env.key, rest, ok = keyToken(rest); !ok {
 		return env, false
 	}
-	if env.sum, rest, ok = field(rest[n:], `,"sum":`); !ok {
+	if env.sum, rest, ok = field(rest, `,"sum":`); !ok {
 		return env, false
 	}
 	if after, isNull := bytes.CutPrefix(rest, []byte(`,"body":null`)); isNull {
@@ -227,26 +319,27 @@ func readEnvelope(b []byte) (env rawEnvelope, ok bool) {
 		}
 		env.meta, rest = meta, after
 	}
+	env.format = 1
 	return env, string(rest) == "}"
 }
 
-// stringToken returns the length of the JSON string token that b starts
-// with, quotes included, or -1. It only finds where the token ends —
-// skipping the byte after each backslash — and leaves validating it to
-// json.Unmarshal.
-func stringToken(b []byte) int {
+// keyToken cuts the key's JSON string token, quotes included, off the
+// front of b. It only finds where the token ends — skipping the byte
+// after each backslash — and leaves validating it to decodeKey; the
+// empty key, which Put refuses, is rejected here.
+func keyToken(b []byte) (tok, rest []byte, ok bool) {
 	if len(b) == 0 || b[0] != '"' {
-		return -1
+		return nil, nil, false
 	}
 	for i := 1; i < len(b); i++ {
 		switch b[i] {
 		case '\\':
 			i++
 		case '"':
-			return i + 1
+			return b[:i+1], b[i+1:], i > 1
 		}
 	}
-	return -1
+	return nil, nil, false
 }
 
 // field cuts name and then a JSON string off the front of b, returning
@@ -265,10 +358,51 @@ func field(b []byte, name string) (s, rest []byte, ok bool) {
 	return b[1 : 1+end], b[2+end:], true
 }
 
-// decode decodes env's body and meta into buf, reallocated when it is
-// too small. The entry aliases the returned buffer; a Get passes nil so
-// that every entry it returns owns fresh memory.
-func (env rawEnvelope) decode(buf []byte) (Entry, []byte, bool) {
+// plainKey reports whether the key token tok needs no unescaping and is
+// what json.Marshal writes for its contents: printable ASCII without
+// the quote, the backslash, or the <, > and & that json.Marshal escapes.
+func plainKey(tok []byte) bool {
+	for _, c := range tok[1 : len(tok)-1] {
+		if c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeKey returns the key the token tok holds, provided tok is
+// exactly what json.Marshal writes for that key; encoding/json decodes
+// only a token with escapes or bytes outside plainKey's set.
+func decodeKey(tok []byte) (string, bool) {
+	if plainKey(tok) {
+		return string(tok[1 : len(tok)-1]), true
+	}
+	var key string
+	if json.Unmarshal(tok, &key) != nil {
+		return "", false
+	}
+	canonical, err := json.Marshal(key)
+	return key, err == nil && bytes.Equal(canonical, tok)
+}
+
+// holdsKey reports whether decodeKey(tok) is key, without allocating
+// when tok is plain.
+func holdsKey(tok []byte, key string) bool {
+	if plainKey(tok) {
+		return string(tok[1:len(tok)-1]) == key
+	}
+	k, ok := decodeKey(tok)
+	return ok && k == key
+}
+
+// entry returns env's content. A format-2 entry aliases the file; a
+// format-1 entry is decoded from base64 into buf, reallocated when it is
+// too small, and aliases the returned buffer. A Get passes nil so that
+// every entry it returns owns fresh memory.
+func (env rawEnvelope) entry(buf []byte) (Entry, []byte, bool) {
+	if env.format == 2 {
+		return Entry{Body: env.body, Meta: env.meta}, buf, true
+	}
 	n := base64.StdEncoding.DecodedLen(len(env.body)) + base64.StdEncoding.DecodedLen(len(env.meta))
 	if buf == nil || cap(buf) < n {
 		buf = make([]byte, n)
@@ -292,7 +426,7 @@ func (env rawEnvelope) decode(buf []byte) (Entry, []byte, bool) {
 	return e, buf, true
 }
 
-// intact reports whether e, env's decoded content, matches env's sum.
+// intact reports whether e, env's content, matches env's sum.
 func (env rawEnvelope) intact(e Entry) bool {
 	var want [2 * sha256.Size]byte
 	sum := envelopeSum(e.Body, e.Meta)
@@ -313,17 +447,18 @@ func decode64(dst, src []byte) (int, bool) {
 }
 
 // readEntry returns the entry in the file at path when the file is an
-// intact envelope stored under key.
+// intact envelope stored under key. The entry aliases the file's bytes,
+// which this call alone owns.
 func readEntry(path, key string) (Entry, bool) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Entry{}, false
 	}
 	env, ok := readEnvelope(b)
-	if !ok || env.key != key {
+	if !ok || !holdsKey(env.key, key) {
 		return Entry{}, false
 	}
-	e, _, ok := env.decode(nil)
+	e, _, ok := env.entry(nil)
 	return e, ok && env.intact(e)
 }
 
@@ -360,29 +495,31 @@ func (d *Disk) Get(key string) (Entry, bool, error) {
 	return Entry{}, false, nil
 }
 
-// encodeEnvelope returns the file Put writes for key and e.
-func encodeEnvelope(key string, e Entry) ([]byte, error) {
+// encodeEnvelope returns the format-2 file Put writes for key and e.
+func encodeEnvelope(key string, e Entry) []byte {
+	tok, _ := json.Marshal(key) // a string always marshals
 	sum := envelopeSum(e.Body, e.Meta)
-	return json.Marshal(diskEnvelope{
-		Format: diskFormat,
-		Key:    key,
-		Sum:    hex.EncodeToString(sum[:]),
-		Body:   e.Body,
-		Meta:   e.Meta,
-	})
+	bodyLen := len(e.Body)
+	if e.Body == nil {
+		bodyLen = -1
+	}
+	b := make([]byte, 0, len(format2Prefix)+len(tok)+2*sha256.Size+64+len(e.Body)+len(e.Meta))
+	b = append(append(b, format2Prefix...), tok...)
+	b = hex.AppendEncode(append(b, `,"sum":"`...), sum[:])
+	b = strconv.AppendInt(append(b, `","body":`...), int64(bodyLen), 10)
+	b = strconv.AppendInt(append(b, `,"meta":`...), int64(len(e.Meta)), 10)
+	b = append(b, "}\n"...)
+	return append(append(b, e.Body...), e.Meta...)
 }
 
-// Put implements Store: marshal the envelope, write it to a temp file
+// Put implements Store: encode the envelope, write it to a temp file
 // in the same directory, fsync, atomically rename it into place, then
 // fsync the directory so the rename itself is durable.
 func (d *Disk) Put(key string, e Entry) error {
 	if key == "" {
 		return errors.New("store: Put with empty key")
 	}
-	b, err := encodeEnvelope(key, e)
-	if err != nil {
-		return fmt.Errorf("store: encoding %s: %w", key, err)
-	}
+	b := encodeEnvelope(key, e)
 
 	// The expensive part — temp write + fsync — runs outside the lock;
 	// only the commit (atomic rename + index update) is serialized.

@@ -295,50 +295,72 @@ func dataFiles(t *testing.T, dir string) []string {
 	return names
 }
 
+// fileFormat writes key(1)'s entry file in one of the disk formats and
+// says where a body byte and a meta byte of it lie.
+type fileFormat struct {
+	suffix         string // of the format's subtest names
+	prefix         string // how every file of the format begins
+	write          func(d *store.Disk) error
+	bodyAt, metaAt func(b []byte) int
+}
+
+var fileFormats = []fileFormat{
+	// What Put writes: the raw body and meta follow the header line.
+	{
+		prefix: `{"format":2,`,
+		write:  func(d *store.Disk) error { return d.Put(key(1), entry(1)) },
+		bodyAt: func(b []byte) int { return bytes.IndexByte(b, '\n') + 1 + len(entry(1).Body)/2 },
+		metaAt: func(b []byte) int { return len(b) - len(entry(1).Meta)/2 },
+	},
+	// What earlier versions' Put wrote, and the store still reads: Put
+	// indexes the key, and the format-1 file then replaces Put's under
+	// the same name. Body and meta are base64 strings.
+	{
+		suffix: "-format1",
+		prefix: `{"format":1,`,
+		write: func(d *store.Disk) error {
+			if err := d.Put(key(1), entry(1)); err != nil {
+				return err
+			}
+			return store.WriteFormat1(d.Dir(), key(1), entry(1))
+		},
+		bodyAt: after(`"body":"`),
+		metaAt: after(`"meta":"`),
+	},
+}
+
+// after returns where the byte after the first s in b lies.
+func after(s string) func(b []byte) int {
+	return func(b []byte) int { return bytes.Index(b, []byte(s)) + len(s) }
+}
+
+// TestDiskCorruptionReadsAsMiss: an entry file of either format that is
+// truncated, garbage, changed in one body or meta byte, or holds another
+// key reads as a miss without an error, in process and after a restart,
+// and the restart's open removes it.
 func TestDiskCorruptionReadsAsMiss(t *testing.T) {
-	corruptions := map[string]func(path string) error{
-		"truncated": func(path string) error {
+	corruptions := map[string]func(path string, f fileFormat) error{
+		"truncated": func(path string, _ fileFormat) error {
 			b, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
 			return os.WriteFile(path, b[:len(b)/2], 0o644)
 		},
-		"garbage": func(path string) error {
+		"garbage": func(path string, _ fileFormat) error {
 			return os.WriteFile(path, []byte("\x00\xffnot json at all"), 0o644)
 		},
-		"bitflip": func(path string) error {
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			// Flip a byte inside the base64 body region, keeping the JSON
-			// parseable: only the checksum can catch this.
-			i := bytes.Index(b, []byte(`"body":"`)) + len(`"body":"`)
-			if b[i] == 'A' {
-				b[i] = 'B'
-			} else {
-				b[i] = 'A'
-			}
-			return os.WriteFile(path, b, 0o644)
+		// A changed body or meta byte keeps the layout, and format 1's
+		// base64, valid: only the checksum can catch it. Metadata
+		// corruption is as fatal as body corruption (the serving layer
+		// rebuilds runner pools from it), so the checksum covers both.
+		"bitflip": func(path string, f fileFormat) error {
+			return changeByte(path, f.bodyAt)
 		},
-		"meta-bitflip": func(path string) error {
-			// Metadata corruption is as fatal as body corruption (the
-			// serving layer rebuilds runner pools from it): the checksum
-			// must cover it too.
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			i := bytes.Index(b, []byte(`"meta":"`)) + len(`"meta":"`)
-			if b[i] == 'A' {
-				b[i] = 'B'
-			} else {
-				b[i] = 'A'
-			}
-			return os.WriteFile(path, b, 0o644)
+		"meta-bitflip": func(path string, f fileFormat) error {
+			return changeByte(path, f.metaAt)
 		},
-		"wrong-key": func(path string) error {
+		"wrong-key": func(path string, _ fileFormat) error {
 			b, err := os.ReadFile(path)
 			if err != nil {
 				return err
@@ -346,54 +368,88 @@ func TestDiskCorruptionReadsAsMiss(t *testing.T) {
 			return os.WriteFile(path, bytes.Replace(b, []byte(key(1)), []byte(key(2)), 1), 0o644)
 		},
 	}
-	for name, corrupt := range corruptions {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			d, err := store.OpenDisk(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
-			if err := d.Put(key(1), entry(1)); err != nil {
-				t.Fatal(err)
-			}
-			files := dataFiles(t, dir)
-			if len(files) != 1 {
-				t.Fatalf("expected 1 data file, found %v", files)
-			}
-			if err := corrupt(filepath.Join(dir, files[0])); err != nil {
-				t.Fatal(err)
-			}
+	for _, f := range fileFormats {
+		for name, corrupt := range corruptions {
+			t.Run(name+f.suffix, func(t *testing.T) {
+				dir := t.TempDir()
+				d, err := store.OpenDisk(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				// writeCorrupt writes key(1)'s file in the format and
+				// corrupts it.
+				writeCorrupt := func() {
+					t.Helper()
+					if err := f.write(d); err != nil {
+						t.Fatal(err)
+					}
+					files := dataFiles(t, dir)
+					if len(files) != 1 {
+						t.Fatalf("expected 1 data file, found %v", files)
+					}
+					path := filepath.Join(dir, files[0])
+					b, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.HasPrefix(b, []byte(f.prefix)) {
+						t.Fatalf("wrote %.40q, want a file beginning %s", b, f.prefix)
+					}
+					if err := corrupt(path, f); err != nil {
+						t.Fatal(err)
+					}
+				}
 
-			// In-process: the corrupt entry degrades to a miss, never an error.
-			if _, ok, err := d.Get(key(1)); ok || err != nil {
-				t.Errorf("corrupt Get = ok=%v err=%v, want miss without error", ok, err)
-			}
-			if d.Len() != 0 {
-				t.Errorf("corrupt entry still indexed (len=%d)", d.Len())
-			}
-			// A fresh Put repairs the slot.
-			if err := d.Put(key(1), entry(1)); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok, err := d.Get(key(1)); !ok || err != nil {
-				t.Errorf("repaired Get = ok=%v err=%v", ok, err)
-			}
+				// In-process: the corrupt entry degrades to a miss, never an error.
+				writeCorrupt()
+				if _, ok, err := d.Get(key(1)); ok || err != nil {
+					t.Errorf("corrupt Get = ok=%v err=%v, want miss without error", ok, err)
+				}
+				if d.Len() != 0 {
+					t.Errorf("corrupt entry still indexed (len=%d)", d.Len())
+				}
+				// A fresh Put repairs the slot.
+				if err := d.Put(key(1), entry(1)); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok, err := d.Get(key(1)); !ok || err != nil {
+					t.Errorf("repaired Get = ok=%v err=%v", ok, err)
+				}
 
-			// Across restart: corruption present at open is skipped, not fatal.
-			if err := corrupt(filepath.Join(dir, dataFiles(t, dir)[0])); err != nil {
-				t.Fatal(err)
-			}
-			d2, err := store.OpenDisk(dir)
-			if err != nil {
-				t.Fatalf("OpenDisk over corrupt dir: %v", err)
-			}
-			defer d2.Close()
-			if _, ok, err := d2.Get(key(1)); ok || err != nil {
-				t.Errorf("reopened corrupt Get = ok=%v err=%v, want miss without error", ok, err)
-			}
-		})
+				// Across restart: corruption present at open is skipped
+				// and removed, not fatal.
+				writeCorrupt()
+				d2, err := store.OpenDisk(dir)
+				if err != nil {
+					t.Fatalf("OpenDisk over corrupt dir: %v", err)
+				}
+				defer d2.Close()
+				if files := dataFiles(t, dir); len(files) != 0 || d2.Len() != 0 {
+					t.Errorf("after the open: %d indexed, files %v; want the corrupt file removed", d2.Len(), files)
+				}
+				if _, ok, err := d2.Get(key(1)); ok || err != nil {
+					t.Errorf("reopened corrupt Get = ok=%v err=%v, want miss without error", ok, err)
+				}
+			})
+		}
 	}
+}
+
+// changeByte rewrites the file at path with its at(b)th byte changed to
+// another base64 letter.
+func changeByte(path string, at func(b []byte) int) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	i := at(b)
+	if b[i] == 'A' {
+		b[i] = 'B'
+	} else {
+		b[i] = 'A'
+	}
+	return os.WriteFile(path, b, 0o644)
 }
 
 func TestDiskCleansTempFilesOnOpen(t *testing.T) {
