@@ -1,7 +1,7 @@
-// Command aarcvet is the project's vet suite: eight analyzers that
-// machine-check the serving stack's cache, concurrency and determinism
-// invariants (DESIGN.md §13–§14), one of them a local shadow check. Run
-// it through cmd/go:
+// Command aarcvet is the project's vet suite: five analyzers that
+// machine-check the serving stack's context, store-composition and
+// concurrency invariants (DESIGN.md §13–§14), one of them a local
+// shadow check. Run it through cmd/go:
 //
 //	go build -o bin/aarcvet ./cmd/aarcvet
 //	go vet -vettool=$PWD/bin/aarcvet ./...
@@ -10,20 +10,18 @@
 //
 //	bin/aarcvet ./...
 //
-// Four of the analyzers are purely syntactic/type-based (ctxflow,
-// detcanon, shadow, tierorder). The other four —
-// lockorder, nilness, goleak, hotalloc — are built on
+// Three of the analyzers are syntactic/type-based (ctxflow, shadow,
+// tierorder). The other two, lockorder and nilness, are built on
 // internal/analysis/flow, a stdlib-only CFG/dataflow layer that stands
 // in for the golang.org/x/tools SSA packages this offline build cannot
-// import (detcanon also walks flow's call graph). lockorder runs one
-// held-lock dataflow per function for both of its checks: no search,
-// store I/O or evaluation under a mutex, and no lock-order
-// cycles. lockorder and hotalloc are interprocedural: they export
-// per-package facts through the vet .cfg/vetx protocol, so a lock
-// acquired in internal/store and another in internal/service can still
-// form a reported cycle, and an allocation three calls deep still
-// taints a //aarc:hotpath root. DESIGN.md §14 documents the IR, the
-// canonical lock order the suite enforces, and the hot-path contract.
+// import. lockorder runs one held-lock dataflow per function for both
+// of its checks: no search, store I/O or evaluation under a mutex, and
+// no lock-order cycles. It is interprocedural: it exports per-package
+// facts through the vet .cfg/vetx protocol, so a lock acquired in
+// internal/store and another in internal/service can still form a
+// reported cycle. DESIGN.md §13 records which defects each analyzer
+// catches that no tier-1 test does; §14 documents the IR and the
+// canonical lock order the suite enforces.
 package main
 
 import (
@@ -34,9 +32,6 @@ import (
 
 	"aarc/internal/analysis"
 	"aarc/internal/analysis/ctxflow"
-	"aarc/internal/analysis/detcanon"
-	"aarc/internal/analysis/goleak"
-	"aarc/internal/analysis/hotalloc"
 	"aarc/internal/analysis/lockorder"
 	"aarc/internal/analysis/nilness"
 	"aarc/internal/analysis/shadow"
@@ -47,9 +42,6 @@ import (
 func suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxflow.Analyzer,
-		detcanon.Analyzer,
-		goleak.Analyzer,
-		hotalloc.Analyzer,
 		lockorder.Analyzer,
 		nilness.Analyzer,
 		shadow.Analyzer,

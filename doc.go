@@ -74,20 +74,20 @@
 // GET /v1/recommendations lists what the store holds. See DESIGN.md
 // section 11.
 //
-// The invariants all of the above rests on — fingerprints that are pure
-// functions of content, contexts threaded through the request path, no
-// store I/O or searches under a mutex, the canonical store-wrapper
-// order, method versions that move with their code — are machine-checked
-// by cmd/aarcvet, a project-specific go/analysis suite run through
-// `go vet -vettool` (scripts/lint.sh, and CI, fail on any finding);
-// deliberate exceptions are waived in-source by reasoned //aarc:
-// markers. A stdlib-only CFG/dataflow layer (internal/analysis/flow)
-// carries the flow-sensitive checks: one held-lock dataflow for calls
-// under a mutex and lock-order cycles across packages, guaranteed-nil
-// dereferences, goroutines with no reachable stop signal, and
-// allocations on //aarc:hotpath-marked fast paths (the fingerprint GET
-// is pinned alloc-free both statically and by AllocsPerRun tests). See
-// DESIGN.md sections 13–14.
+// The invariants all of the above rests on are checked two ways.
+// Tier-1 tests pin those whose every site a test reaches: canonical
+// bytes and fingerprints that are pure functions of content, method
+// versions that move with their stored bodies, an alloc-free
+// fingerprint GET, and a service that leaks no goroutine. cmd/aarcvet,
+// a project-specific go/analysis suite run through `go vet -vettool`
+// (scripts/lint.sh, and CI, fail on any finding), checks those that
+// bind every function in the module: contexts threaded through the
+// request path, no store I/O or searches under a mutex and no
+// lock-order cycle, the canonical store-wrapper order, guaranteed-nil
+// dereferences and shadowed variables. Deliberate exceptions are
+// waived in-source by reasoned //aarc: markers. A stdlib-only
+// CFG/dataflow layer (internal/analysis/flow) carries the two
+// flow-sensitive checks. See DESIGN.md sections 13–14.
 //
 // Start with the examples, which use only this public API:
 //

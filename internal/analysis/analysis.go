@@ -14,7 +14,7 @@
 // between packages in the vetx files cmd/go already schedules for
 // fact propagation; analysistest emulates the same flow over fixture
 // imports. Unlike x/tools there are no per-object facts — one blob
-// per (analyzer, package) is enough for call-graph summaries, and it
+// per (analyzer, package) is enough for per-function summaries, and it
 // keeps the encoding trivial.
 //
 // Deliberately omitted relative to x/tools: Requires/ResultOf (no

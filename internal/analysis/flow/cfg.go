@@ -3,16 +3,17 @@
 // nothing outside the standard library. DESIGN.md §13 gated the stock
 // SSA-based analyzers (nilness, unusedwrite) out as having "no
 // stdlib-only equivalent"; this package is that equivalent, scoped to
-// what the suite's interprocedural checks actually need:
+// what the suite's flow-sensitive checks actually need:
 //
 //   - a CFG per function body (basic blocks with edges from
 //     if/for/range/switch/select/goto/labels; return and panic edge to
 //     the exit block; defer statements stay in place in their block);
 //   - a generic worklist dataflow engine over caller-supplied join
-//     semilattices, with per-edge refinement (branch conditions);
-//   - a per-package call graph whose per-function summaries — combined
-//     with the unitchecker's cross-package fact files — let analyzers
-//     propagate facts across functions and packages.
+//     semilattices, with per-edge refinement (branch conditions).
+//
+// Analyzers that need facts across functions or packages build their
+// own per-function summaries and carry them in the unitchecker's
+// cross-package fact files.
 //
 // Deliberately omitted relative to x/tools/go/ssa: no phi nodes, no
 // value numbering, no instruction rewriting. The analyzers here need

@@ -1,14 +1,6 @@
 package flow
 
-import (
-	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"testing"
-)
+import "testing"
 
 // intLattice is the chain lattice over ints ordered by ≤ with an
 // explicit top: bottom ⊏ 0 ⊏ 1 ⊏ 2 ⊏ ... ⊏ top, Join = max. The
@@ -141,98 +133,5 @@ after()`))
 	done := res.In[3]
 	if done == nil || done.top || done.v != 1 {
 		t.Fatalf("post-if state = %+v, want {1}", done)
-	}
-}
-
-// typecheck parses and type-checks one file, returning what
-// BuildCallGraph needs.
-func typecheck(t *testing.T, src string) (*ast.File, *types.Info) {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "t.go", src, 0)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
-	}
-	conf := types.Config{Importer: importer.Default()}
-	if _, err := conf.Check("p", fset, []*ast.File{f}, info); err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	return f, info
-}
-
-func TestCallGraph(t *testing.T) {
-	f, info := typecheck(t, `package p
-
-type T struct{}
-
-func (t *T) m() { helper() }
-
-func helper() {}
-
-func root() {
-	var t T
-	t.m()
-	go spawned()
-	go func() { inLit() }()
-	apply(asValue)
-}
-
-func spawned() {}
-func inLit()   {}
-
-func apply(f func()) { f() }
-func asValue()       { deeper() }
-func deeper()        {}
-
-func init() { first() }
-func init() { second() }
-
-func first()  {}
-func second() {}
-`)
-	g := BuildCallGraph([]*ast.File{f}, info)
-
-	root := g.Nodes["p.root"]
-	if root == nil {
-		t.Fatalf("no node for p.root; have %v", g.SortedNames())
-	}
-	calls := map[string]bool{}
-	for _, c := range root.Calls {
-		calls[c.Callee] = true
-	}
-	for _, want := range []string{"p.(T).m", "p.spawned", "p.inLit", "p.apply"} {
-		if !calls[want] {
-			t.Errorf("root → %s edge missing; calls=%v", want, root.Calls)
-		}
-	}
-	if calls["p.asValue"] {
-		t.Errorf("asValue is passed, not called, yet appears among root's calls")
-	}
-
-	// Reachability: root reaches helper through (T).m, and deeper
-	// through asValue, which it only passes as a value.
-	reach := g.Reachable([]string{"p.root"})
-	for _, want := range []string{"p.helper", "p.asValue", "p.deeper"} {
-		if !reach[want] {
-			t.Errorf("%s not reachable from p.root: %v", want, reach)
-		}
-	}
-
-	// Every init body keeps its own node, so neither one's calls are
-	// lost to the other.
-	for i, want := range []string{"p.first", "p.second"} {
-		name := fmt.Sprintf("p.init.%d", i)
-		node := g.Nodes[name]
-		if node == nil || node.Decl == nil {
-			t.Fatalf("no node with a declaration for %s; have %v", name, g.SortedNames())
-		}
-		if len(node.Calls) != 1 || node.Calls[0].Callee != want {
-			t.Errorf("%s calls %v, want [%s]", name, node.Calls, want)
-		}
 	}
 }

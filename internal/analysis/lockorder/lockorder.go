@@ -73,7 +73,7 @@ var Analyzer = &analysis.Analyzer{
 
 // Fact is one package's contribution to the whole-program graph.
 type Fact struct {
-	// Acquires maps a function's full name (flow.FullName) to the
+	// Acquires maps a function's full name (fullName) to the
 	// lock classes it may transitively acquire on the calling
 	// goroutine.
 	Acquires map[string][]string `json:"acquires,omitempty"`
@@ -206,7 +206,7 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			c := &checker{pass: pass, sum: &funcSummary{name: flow.FullName(fn)}, pending: []body{{block: fd.Body}}}
+			c := &checker{pass: pass, sum: &funcSummary{name: fullName(fn)}, pending: []body{{block: fd.Body}}}
 			for len(c.pending) > 0 {
 				b := c.pending[0]
 				c.pending = c.pending[1:]
@@ -320,7 +320,7 @@ func (c *checker) scan(n ast.Node, held lockSet, detached bool) {
 			if len(held) > 0 {
 				c.checkHygiene(x, fn, held)
 			}
-			c.sum.calls = append(c.sum.calls, callsite{flow.FullName(fn), x.Pos(), held, detached})
+			c.sum.calls = append(c.sum.calls, callsite{fullName(fn), x.Pos(), held, detached})
 		}
 		return true
 	})
@@ -418,9 +418,35 @@ func (c *checker) lockClass(e ast.Expr) string {
 	return ""
 }
 
-// checkOrder closes the package's summaries over the call graph and the
-// imported facts, reports lock-order cycles, and exports this package's
-// fact.
+// fullName names a function for cross-package matching:
+// "pkgpath.Func" for package functions, "pkgpath.(Recv).Method" for
+// methods (pointer stars dropped, so value and pointer receivers of
+// one type collide deliberately — a lock summary does not care which
+// receiver form the callee declared).
+func fullName(fn *types.Func) string {
+	if fn == nil {
+		return ""
+	}
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	if sig != nil && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			return pkg + ".(" + named.Obj().Name() + ")." + fn.Name()
+		}
+	}
+	return pkg + "." + fn.Name()
+}
+
+// checkOrder closes the package's summaries over their call sites and
+// the imported facts, reports lock-order cycles, and exports this
+// package's fact.
 func checkOrder(pass *analysis.Pass, sums []*funcSummary) {
 	factAcquires := map[string][]string{}
 	var depEdges []Edge

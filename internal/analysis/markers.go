@@ -11,15 +11,10 @@ import (
 // suite's waiver/annotation vocabulary:
 //
 //	//aarc:detached <reason>  — blessed context detachment site (ctxflow)
-//	//aarc:sorted <reason>    — map/Keys iteration proven order-safe (detcanon)
 //	//aarc:locked <reason>    — call under a mutex that owns the callee (lockorder)
 //	//aarc:errpath <reason>   — deliberate store write on an error path (tierorder)
-//	//aarc:canonical          — extra root for the determinism call graph (detcanon)
 //	//aarc:lockorder <reason> — blessed lock-acquisition edge (lockorder)
 //	//aarc:nilok <reason>     — dereference proven safe (nilness)
-//	//aarc:leaky <reason>     — goroutine allowed to outlive its spawner (goleak)
-//	//aarc:coldalloc <reason> — allocation allowed on a hot path (hotalloc)
-//	//aarc:hotpath            — root of a zero-alloc call tree (hotalloc)
 //
 // A marker waives the diagnostic on its own line or the line directly
 // below, so both end-of-line and line-above placement work. Every
@@ -42,15 +37,10 @@ type Marker struct {
 // itself reported.
 var KnownMarkers = map[string]bool{
 	"detached":  true,
-	"sorted":    true,
 	"locked":    true,
 	"errpath":   true,
-	"canonical": true,
 	"lockorder": true,
 	"nilok":     true,
-	"leaky":     true,
-	"coldalloc": true,
-	"hotpath":   true,
 }
 
 // MarkerIndex holds every //aarc: marker in a package, keyed by

@@ -325,7 +325,7 @@ func Run(cfgFile string, analyzers []*analysis.Analyzer, jsonOut bool, stdout, s
 	for _, m := range analysis.IndexMarkers(fset, files).Unknown() {
 		findings = append(findings, finding{"markers", analysis.Diagnostic{
 			Pos:     m.Pos,
-			Message: fmt.Sprintf("unknown marker //aarc:%s (known kinds: detached, sorted, locked, errpath, canonical, lockorder, nilok, leaky, coldalloc, hotpath)", m.Name),
+			Message: fmt.Sprintf("unknown marker //aarc:%s (known kinds: detached, locked, errpath, lockorder, nilok)", m.Name),
 		}})
 	}
 
@@ -431,12 +431,11 @@ func langVersion(v string) string {
 // path declared by the go.mod above its source directory. Standard
 // library packages resolve to GOROOT/src's `module std`, whose import
 // paths do not carry the module prefix, so they are excluded — which
-// is exactly what the facts pass wants: computing lock-order or
-// allocation facts for all of net/http's dependency cone would
-// multiply vet time by orders of magnitude for findings we could not
-// act on anyway. (cfg.Standard cannot answer this: it lists the
-// package's standard *imports*, not whether the package itself is
-// standard.)
+// is exactly what the facts pass wants: computing lock-order facts for
+// all of net/http's dependency cone would multiply vet time by orders
+// of magnitude for findings we could not act on anyway. (cfg.Standard
+// cannot answer this: it lists the package's standard *imports*, not
+// whether the package itself is standard.)
 func inModule(cfg *Config) bool {
 	root := findModuleRoot(cfg.Dir)
 	if root == "" {

@@ -10,7 +10,7 @@ import (
 
 // TestVettoolProtocol is the end-to-end check of the whole stack: build
 // the real aarcvet binary, point `go vet -vettool` at a throwaway
-// module seeded with a detcanon violation and, in a _test.go file, a
+// module seeded with a ctxflow violation and, in a _test.go file, a
 // lock-hygiene one, and require both diagnostics to surface through
 // cmd/go with a non-zero exit. The second pins that lockorder, which
 // exchanges facts, still reports on the test variant cmd/go vets. This
@@ -37,22 +37,19 @@ func TestVettoolProtocol(t *testing.T) {
 		t.Fatalf("building aarcvet: %v\n%s", err, out)
 	}
 
-	// A one-package module whose Fingerprint stamps wall-clock time —
-	// the seeded violation detcanon exists to catch.
+	// A one-package module that detaches from its caller's context
+	// without a marker — the seeded violation ctxflow exists to catch.
 	mod := filepath.Join(tmp, "mod")
 	if err := os.MkdirAll(mod, 0o777); err != nil {
 		t.Fatal(err)
 	}
 	writeFile(t, filepath.Join(mod, "go.mod"), "module vetprobe\n\ngo 1.21\n")
-	writeFile(t, filepath.Join(mod, "fingerprint.go"), `package vetprobe
+	writeFile(t, filepath.Join(mod, "detach.go"), `package vetprobe
 
-import (
-	"fmt"
-	"time"
-)
+import "context"
 
-func Fingerprint(body []byte) string {
-	return fmt.Sprintf("%d-%x", time.Now().UnixNano(), body)
+func Detach(ctx context.Context) context.Context {
+	return context.WithoutCancel(ctx)
 }
 `)
 	// A method named Search called while a sync.Mutex is held.
@@ -80,10 +77,10 @@ func (p *probe) lookup(q string) string {
 	vet.Dir = mod
 	out, err := vet.CombinedOutput()
 	if err == nil {
-		t.Fatalf("go vet exited 0 on a seeded time.Now violation; output:\n%s", out)
+		t.Fatalf("go vet exited 0 on a seeded WithoutCancel violation; output:\n%s", out)
 	}
 	for _, want := range []string{
-		"time.Now in canonicalization path Fingerprint",
+		"context.WithoutCancel detaches from the caller's cancellation",
 		"a search while holding mutex p.mu",
 	} {
 		if !strings.Contains(string(out), want) {
@@ -93,12 +90,12 @@ func (p *probe) lookup(q string) string {
 
 	// Fix the violations and the same invocation must go green: the
 	// non-zero exit above was the findings, not protocol breakage.
-	writeFile(t, filepath.Join(mod, "fingerprint.go"), `package vetprobe
+	writeFile(t, filepath.Join(mod, "detach.go"), `package vetprobe
 
-import "fmt"
+import "context"
 
-func Fingerprint(body []byte) string {
-	return fmt.Sprintf("%x", body)
+func Detach(ctx context.Context) context.Context {
+	return ctx
 }
 `)
 	writeFile(t, filepath.Join(mod, "probe_test.go"), `package vetprobe

@@ -445,14 +445,6 @@ func TestFindDetourSubpathsErrors(t *testing.T) {
 	}
 }
 
-func TestOffPathNodes(t *testing.T) {
-	g := diamond(t)
-	off := OffPathNodes(g, []string{"s", "m1", "t"})
-	if len(off) != 1 || off[0] != "m2" {
-		t.Errorf("OffPathNodes = %v", off)
-	}
-}
-
 func TestDOT(t *testing.T) {
 	g := diamond(t)
 	out := DOT(g, map[string]float64{"s": 1000}, []string{"s", "m1", "t"})

@@ -219,19 +219,3 @@ func FindDetourSubpaths(ctx context.Context, g *Graph, critical []string, weight
 	}
 	return out, nil
 }
-
-// OffPathNodes returns the nodes of g that are not on the given path, in
-// insertion order. Useful for asserting full scheduling coverage.
-func OffPathNodes(g *Graph, path []string) []string {
-	on := make(map[string]bool, len(path))
-	for _, id := range path {
-		on[id] = true
-	}
-	var out []string
-	for _, id := range g.Nodes() {
-		if !on[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}

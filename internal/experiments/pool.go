@@ -80,7 +80,6 @@ func (p *Pool) Do(n int, fn func(i int) error) error {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for g := 0; g < w; g++ {
-		//aarc:leaky bounded by the task counter and joined by wg.Wait below; exits once next passes n
 		go func() {
 			defer wg.Done()
 			for !failed.Load() {

@@ -13,11 +13,7 @@
 // costs come out in the same dimensionless "cost units" the paper plots.
 package pricing
 
-import (
-	"fmt"
-
-	"aarc/internal/resources"
-)
+import "aarc/internal/resources"
 
 // Model is a linear decoupled pricing model.
 type Model struct {
@@ -74,18 +70,6 @@ func GCFTiers() []GCFTier {
 	}
 }
 
-// NearestGCFTier returns the smallest predefined tier whose memory is at
-// least memMB, or the largest tier when memMB exceeds them all.
-func NearestGCFTier(memMB float64) GCFTier {
-	tiers := GCFTiers()
-	for _, t := range tiers {
-		if t.MemMB >= memMB {
-			return t
-		}
-	}
-	return tiers[len(tiers)-1]
-}
-
 // AlibabaRatioBand is the admissible MB-per-vCPU window in Alibaba-style
 // "flexible yet limited" configuration (memory/cpu must stay in the band).
 type AlibabaRatioBand struct {
@@ -106,20 +90,4 @@ func (b AlibabaRatioBand) Allows(cfg resources.Config) bool {
 	}
 	r := cfg.MemMB / cfg.CPU
 	return r >= b.MinMBPerCPU && r <= b.MaxMBPerCPU
-}
-
-// ClampToBand projects cfg onto the nearest ratio-legal configuration by
-// raising memory or CPU as needed (never lowering either below its input).
-func (b AlibabaRatioBand) ClampToBand(cfg resources.Config) (resources.Config, error) {
-	if cfg.CPU <= 0 || cfg.MemMB <= 0 {
-		return cfg, fmt.Errorf("pricing: cannot clamp invalid config %v", cfg)
-	}
-	r := cfg.MemMB / cfg.CPU
-	switch {
-	case r < b.MinMBPerCPU:
-		cfg.MemMB = cfg.CPU * b.MinMBPerCPU
-	case r > b.MaxMBPerCPU:
-		cfg.CPU = cfg.MemMB / b.MaxMBPerCPU
-	}
-	return cfg, nil
 }

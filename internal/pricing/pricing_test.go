@@ -54,15 +54,6 @@ func TestGCFTiers(t *testing.T) {
 			t.Error("tiers should be sorted by memory")
 		}
 	}
-	if got := NearestGCFTier(300); got.MemMB != 512 {
-		t.Errorf("NearestGCFTier(300) = %v, want 512MB tier", got.MemMB)
-	}
-	if got := NearestGCFTier(128); got.MemMB != 128 {
-		t.Errorf("NearestGCFTier(128) = %v, want first tier", got.MemMB)
-	}
-	if got := NearestGCFTier(99999); got.MemMB != tiers[len(tiers)-1].MemMB {
-		t.Error("oversized request should return last tier")
-	}
 }
 
 func TestAlibabaBand(t *testing.T) {
@@ -78,35 +69,6 @@ func TestAlibabaBand(t *testing.T) {
 	}
 }
 
-func TestClampToBand(t *testing.T) {
-	b := DefaultAlibabaBand()
-	// Too little memory per CPU: memory is raised.
-	got, err := b.ClampToBand(resources.Config{CPU: 4, MemMB: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Allows(got) || got.CPU != 4 || got.MemMB != 4096 {
-		t.Errorf("ClampToBand low-mem = %v", got)
-	}
-	// Too much memory per CPU: CPU is raised.
-	got, err = b.ClampToBand(resources.Config{CPU: 1, MemMB: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Allows(got) || got.MemMB != 8192 || got.CPU != 2 {
-		t.Errorf("ClampToBand high-mem = %v", got)
-	}
-	// In-band config is untouched.
-	in := resources.Config{CPU: 2, MemMB: 4096}
-	got, _ = b.ClampToBand(in)
-	if got != in {
-		t.Errorf("in-band config changed: %v", got)
-	}
-	if _, err := b.ClampToBand(resources.Config{}); err == nil {
-		t.Error("invalid config should error")
-	}
-}
-
 // Property: invocation cost is monotone in runtime, CPU and memory.
 func TestQuickCostMonotone(t *testing.T) {
 	m := Paper()
@@ -118,22 +80,6 @@ func TestQuickCostMonotone(t *testing.T) {
 		return m.Invocation(tB, resources.Config{CPU: cA, MemMB: mA}) >= base-1e-9 &&
 			m.Invocation(tA, resources.Config{CPU: cB, MemMB: mA}) >= base-1e-9 &&
 			m.Invocation(tA, resources.Config{CPU: cA, MemMB: mB}) >= base-1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: clamping to the Alibaba band never lowers either resource.
-func TestQuickClampNeverLowers(t *testing.T) {
-	b := DefaultAlibabaBand()
-	f := func(c, mm uint16) bool {
-		cfg := resources.Config{CPU: 0.1 + float64(c%200)/10, MemMB: 128 + float64(mm%16000)}
-		out, err := b.ClampToBand(cfg)
-		if err != nil {
-			return false
-		}
-		return out.CPU >= cfg.CPU-1e-9 && out.MemMB >= cfg.MemMB-1e-9 && b.Allows(out)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

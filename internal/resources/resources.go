@@ -111,12 +111,6 @@ func (l Limits) MemValues() []float64 {
 	return gridValues(l.MinMemMB, l.MaxMemMB, l.MemStepMB)
 }
 
-// GridSize returns the number of grid points in one function's (cpu, mem)
-// space.
-func (l Limits) GridSize() int {
-	return len(l.CPUValues()) * len(l.MemValues())
-}
-
 // Normalize maps cfg into [0,1]² relative to the limit box (used by the
 // Bayesian-optimization kernel).
 func (l Limits) Normalize(cfg Config) (cpu01, mem01 float64) {

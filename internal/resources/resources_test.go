@@ -110,9 +110,6 @@ func TestGridValues(t *testing.T) {
 	if mems[0] != 128 || mems[len(mems)-1] != 10240 {
 		t.Errorf("Mem grid endpoints: %v .. %v", mems[0], mems[len(mems)-1])
 	}
-	if l.GridSize() != 100*159 {
-		t.Errorf("GridSize = %d", l.GridSize())
-	}
 }
 
 func TestNormalizeDenormalizeRoundTrip(t *testing.T) {

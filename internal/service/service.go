@@ -630,8 +630,6 @@ func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (fp string, specJ
 
 // getStore reads the store, degrading store errors to misses (a broken
 // tier must not take serving down — the search path still works).
-//
-//aarc:hotpath
 func (s *Service) getStore(fp string) (store.Entry, bool) {
 	e, ok, err := s.st.Get(fp)
 	if err != nil {
@@ -747,12 +745,8 @@ func (s *Service) ConfigureJSON(ctx context.Context, spec *workflow.Spec, ro Req
 // when the store has no entry (never configured, evicted, or invalidated);
 // it never starts a search. Callers must not mutate the returned slice.
 //
-// The chain down to the memory tier is pinned alloc-free: hotalloc
-// checks it statically (interface hops re-rooted at each Store
-// implementation's own marker) and hotpath_alloc_test.go pins it at
-// runtime with testing.AllocsPerRun.
-//
-//aarc:hotpath
+// A hit is alloc-free down to the memory tier, over the memory and the
+// tiered store: hotpath_alloc_test.go pins it with testing.AllocsPerRun.
 func (s *Service) RecommendationJSON(fp string) ([]byte, error) {
 	se, ok := s.getStore(fp)
 	if !ok {

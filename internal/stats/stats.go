@@ -1,9 +1,9 @@
 // Package stats provides the small set of statistics helpers the AARC
-// experiments need: central moments, percentiles, series summaries and the
-// fluctuation-amplitude metric used in §II-B of the paper.
+// experiments need: central moments, percentiles, a streaming mean and
+// variance, and the fluctuation-amplitude metric used in §II-B of the
+// paper.
 //
-// Everything operates on []float64 and never mutates its input unless the
-// function name says so (SortInPlace).
+// Everything operates on []float64 and never mutates its input.
 package stats
 
 import (
@@ -64,9 +64,6 @@ func SampleVariance(xs []float64) float64 {
 	return s / float64(n-1)
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // SampleStdDev returns the unbiased sample standard deviation of xs.
 func SampleStdDev(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
 
@@ -98,36 +95,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// ArgMin returns the index of the smallest element, or -1 for an empty slice.
-// Ties resolve to the earliest index.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element, or -1 for an empty slice.
-// Ties resolve to the earliest index.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. The input is copied, not mutated.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -154,37 +121,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample (n-1) standard deviation
-	Min    float64
-	Max    float64
-	Median float64
-	P95    float64
-}
-
-// Describe computes a Summary of xs. It returns ErrEmpty for an empty slice.
-func Describe(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	md, _ := Median(xs)
-	p95, _ := Percentile(xs, 95)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Std:    SampleStdDev(xs),
-		Min:    mn,
-		Max:    mx,
-		Median: md,
-		P95:    p95,
-	}, nil
-}
 
 // FluctuationAmplitude is the §II-B instability metric: the mean absolute
 // difference between consecutive values, divided by the mean of the series.
@@ -218,30 +154,6 @@ func IncreaseFraction(xs []float64) float64 {
 		}
 	}
 	return float64(inc) / float64(len(xs)-1)
-}
-
-// CumSum returns the running sum of xs as a new slice of the same length.
-func CumSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	s := 0.0
-	for i, x := range xs {
-		s += x
-		out[i] = s
-	}
-	return out
-}
-
-// RunningMin returns the prefix minima of xs as a new slice ("best so far").
-func RunningMin(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if i == 0 || x < out[i-1] {
-			out[i] = x
-		} else {
-			out[i] = out[i-1]
-		}
-	}
-	return out
 }
 
 // Welford accumulates mean and variance in a single streaming pass.

@@ -37,9 +37,6 @@ func TestVarianceStd(t *testing.T) {
 	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
 		t.Errorf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
 	if got := SampleVariance(xs); !almostEqual(got, 32.0/7, 1e-12) {
 		t.Errorf("SampleVariance = %v, want %v", got, 32.0/7)
 	}
@@ -59,19 +56,6 @@ func TestMinMaxErrEmpty(t *testing.T) {
 	mx, _ := Max([]float64{3, -2, 8})
 	if mn != -2 || mx != 8 {
 		t.Errorf("Min/Max = %v/%v, want -2/8", mn, mx)
-	}
-}
-
-func TestArgMinArgMax(t *testing.T) {
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Error("Arg* of empty should be -1")
-	}
-	xs := []float64{3, 1, 4, 1, 5}
-	if got := ArgMin(xs); got != 1 {
-		t.Errorf("ArgMin = %d, want 1 (first tie)", got)
-	}
-	if got := ArgMax(xs); got != 4 {
-		t.Errorf("ArgMax = %d, want 4", got)
 	}
 }
 
@@ -113,19 +97,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	s, err := Describe([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("Describe = %+v", s)
-	}
-	if _, err := Describe(nil); err != ErrEmpty {
-		t.Error("Describe(nil) should return ErrEmpty")
-	}
-}
-
 func TestFluctuationAmplitude(t *testing.T) {
 	if FluctuationAmplitude([]float64{5}) != 0 {
 		t.Error("short series should give 0")
@@ -155,24 +126,6 @@ func TestIncreaseFraction(t *testing.T) {
 	}
 	if got := IncreaseFraction([]float64{1, 2, 1, 2}); !almostEqual(got, 2.0/3, 1e-12) {
 		t.Errorf("mixed = %v, want 2/3", got)
-	}
-}
-
-func TestCumSumRunningMin(t *testing.T) {
-	cs := CumSum([]float64{1, 2, 3})
-	if cs[0] != 1 || cs[1] != 3 || cs[2] != 6 {
-		t.Errorf("CumSum = %v", cs)
-	}
-	rm := RunningMin([]float64{3, 5, 2, 4})
-	want := []float64{3, 3, 2, 2}
-	for i := range want {
-		if rm[i] != want[i] {
-			t.Errorf("RunningMin = %v, want %v", rm, want)
-			break
-		}
-	}
-	if len(CumSum(nil)) != 0 || len(RunningMin(nil)) != 0 {
-		t.Error("empty inputs should give empty outputs")
 	}
 }
 
@@ -225,44 +178,6 @@ func TestQuickVarianceNonNegative(t *testing.T) {
 	f := func(xs []float64) bool {
 		clean := sanitize(xs)
 		return Variance(clean) >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CumSum's last element equals Sum.
-func TestQuickCumSumTotal(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := sanitize(xs)
-		cs := CumSum(clean)
-		if len(clean) == 0 {
-			return len(cs) == 0
-		}
-		return almostEqual(cs[len(cs)-1], Sum(clean), math.Abs(Sum(clean))*1e-9+1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: RunningMin is non-increasing and bounded below by Min.
-func TestQuickRunningMin(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := sanitize(xs)
-		rm := RunningMin(clean)
-		for i := 1; i < len(rm); i++ {
-			if rm[i] > rm[i-1] {
-				return false
-			}
-		}
-		if len(clean) > 0 {
-			mn, _ := Min(clean)
-			if rm[len(rm)-1] != mn {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

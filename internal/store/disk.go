@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Disk is a durable store: one file per fingerprint under a directory,
@@ -514,10 +515,15 @@ func encodeEnvelope(key string, e Entry) []byte {
 
 // Put implements Store: encode the envelope, write it to a temp file
 // in the same directory, fsync, atomically rename it into place, then
-// fsync the directory so the rename itself is durable.
+// fsync the directory so the rename itself is durable. It refuses a
+// key that is empty or not valid UTF-8: the envelope's JSON string
+// cannot carry such a key back, so no reader would match the file.
 func (d *Disk) Put(key string, e Entry) error {
 	if key == "" {
 		return errors.New("store: Put with empty key")
+	}
+	if !utf8.ValidString(key) {
+		return fmt.Errorf("store: Put with key %q that is not valid UTF-8", key)
 	}
 	b := encodeEnvelope(key, e)
 

@@ -396,6 +396,43 @@ func TestPutReplacesFormat1File(t *testing.T) {
 	}
 }
 
+// TestDiskPutRefusesUnreadableKey: Put refuses a key its envelope
+// cannot carry back — empty, or not valid UTF-8 — directly and through
+// a tiered store, and leaves neither an entry nor a temp file behind.
+func TestDiskPutRefusesUnreadableKey(t *testing.T) {
+	for name, key := range map[string]string{
+		"empty":        "",
+		"invalid-utf8": "bad utf8 \xff\xfe end",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := Entry{Body: []byte("body"), Meta: []byte("meta")}
+			if err := d.Put(key, e); err == nil {
+				t.Errorf("Disk.Put(%q) = nil, want an error", key)
+			}
+			tiered := NewTiered(NewMemory(4), d)
+			if err := tiered.Put(key, e); err == nil {
+				t.Errorf("Tiered(Memory, Disk).Put(%q) = nil, want an error", key)
+			}
+			if n := d.Len(); n != 0 {
+				t.Errorf("disk holds %d entries after the refused Puts, want 0", n)
+			}
+			tiered.Close()
+			files, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				t.Errorf("file %s left in the directory", f.Name())
+			}
+		})
+	}
+}
+
 // TestDiskGetEntryCapped: a Get's body and meta alias one file buffer,
 // each capped at its length, so appending to the body cannot overwrite
 // the meta.

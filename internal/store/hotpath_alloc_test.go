@@ -1,8 +1,8 @@
-// Runtime twins of the hotalloc static check: the //aarc:hotpath
-// markers on Memory.Get and Tiered.Get promise the hit path is
-// alloc-free, and hotalloc proves it for the code it can see — but not
-// across the Store interface hops or inside trusted stdlib calls.
-// AllocsPerRun closes that gap by measuring the real thing.
+// A store hit is alloc-free: Memory.Get and the fast-tier branch of
+// Tiered.Get sit under the serving fast path (the fingerprint GET), so
+// each is pinned here at zero allocations per hit with
+// testing.AllocsPerRun. The service's TestRecommendationJSONHitAllocFree
+// pins the chain they make together with the service above them.
 package store_test
 
 import (

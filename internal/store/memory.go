@@ -44,8 +44,6 @@ func NewMemory(capacity int) *Memory {
 // Get implements Store. It sits under the serving fast path, so it is
 // pinned alloc-free (the LRU bump moves an existing list element; no
 // node is created).
-//
-//aarc:hotpath
 func (m *Memory) Get(key string) (Entry, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

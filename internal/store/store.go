@@ -37,8 +37,9 @@ type Entry struct {
 }
 
 // Store is the storage contract the serving layer speaks. Keys are
-// fingerprints ("sha256:<hex>", though a Store must accept any
-// non-empty string). Implementations must be safe for concurrent use.
+// fingerprints ("sha256:<hex>"); a Store must accept any key that is a
+// non-empty, valid UTF-8 string, and may refuse any other key with an
+// error from Put. Implementations must be safe for concurrent use.
 //
 // Error semantics: a missing key is (Entry{}, false, nil) from Get —
 // never an error. Errors are reserved for real storage failures

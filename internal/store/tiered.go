@@ -35,8 +35,6 @@ func NewTiered(fast, slow Store) *Tiered {
 // The fast-tier hit branch is on the serving fast path and alloc-free;
 // the slow-tier promotion is the miss path and may allocate inside the
 // tiers it calls.
-//
-//aarc:hotpath
 func (t *Tiered) Get(key string) (Entry, bool, error) {
 	if e, ok, err := t.fast.Get(key); err != nil || ok {
 		return e, ok, err

@@ -67,10 +67,10 @@ func buildPermutedSpec(rng *rand.Rand) *Spec {
 	return spec
 }
 
-// TestCanonicalJSONByteStableUnderMapOrderPerturbation is the detcanon
-// regression test: 100 independently permuted constructions of the same
-// workflow must canonicalize to byte-identical JSON, and therefore to
-// one fingerprint. A single differing byte here splits the cache.
+// TestCanonicalJSONByteStableUnderMapOrderPerturbation: 100
+// independently permuted constructions of the same workflow must
+// canonicalize to byte-identical JSON, and therefore to one
+// fingerprint. A single differing byte here splits the cache.
 func TestCanonicalJSONByteStableUnderMapOrderPerturbation(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xaa2c))
 	ref, err := CanonicalJSON(buildPermutedSpec(rng))
@@ -96,6 +96,30 @@ func TestCanonicalJSONByteStableUnderMapOrderPerturbation(t *testing.T) {
 		}
 		if fp != refFP {
 			t.Fatalf("run %d: fingerprint diverged: %s vs %s", run, fp, refFP)
+		}
+	}
+}
+
+// TestValidateErrorStableUnderMapOrderPerturbation: Validate guards
+// CanonicalJSON, so an invalid spec must be refused with the same error
+// whatever order its maps were built and iterated in. Each of 100
+// permuted constructions maps four nodes the DAG lacks, inserted in a
+// random order; every run must report the same one.
+func TestValidateErrorStableUnderMapOrderPerturbation(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7a1d))
+	ghosts := []string{"ghost-d", "ghost-b", "ghost-a", "ghost-c"}
+	const want = `workflow permuted: group mapping for unknown node "ghost-a"`
+	for run := 0; run < 100; run++ {
+		spec := buildPermutedSpec(rng)
+		for _, i := range rng.Perm(len(ghosts)) {
+			spec.Groups[ghosts[i]] = "workers"
+		}
+		err := spec.Validate()
+		if err == nil {
+			t.Fatalf("run %d: Validate accepted group mappings for unknown nodes", run)
+		}
+		if err.Error() != want {
+			t.Fatalf("run %d: Validate error = %q, want %q", run, err, want)
 		}
 	}
 }

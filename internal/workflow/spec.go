@@ -112,7 +112,8 @@ func (s *Spec) Validate() error {
 	}
 	// Sorted so an invalid spec reports the same violation every run:
 	// Validate guards CanonicalJSON, and a map-order-dependent error
-	// would make even failures nondeterministic (aarcvet detcanon).
+	// would make even failures nondeterministic
+	// (TestValidateErrorStableUnderMapOrderPerturbation).
 	nodes := make([]string, 0, len(s.Groups))
 	for node := range s.Groups {
 		nodes = append(nodes, node)

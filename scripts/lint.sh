@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
 # lint.sh — the repo's static-analysis gate.
 #
-# Builds aarcvet (the project's go/analysis suite of eight analyzers:
-# detcanon, ctxflow, tierorder, shadow, plus the flow-sensitive
-# lockorder, nilness, goleak and hotalloc) and runs it over the whole
-# tree through the `go vet -vettool` protocol, alongside stock go vet
-# and a gofmt check. Any finding fails; there is no baseline file —
-# designed exceptions are waived in-source with //aarc: markers, so the
-# tree is always clean or red, never "known dirty". The aarcvet step
-# prints its wall time: about 3 s for the full tree on a warm build cache.
-# Search-method versions are pinned by a test, not here: TestMethodPins
-# in internal/core checks internal/search/version.lock.
+# Builds aarcvet (the project's go/analysis suite of five analyzers:
+# ctxflow, tierorder, shadow, plus the flow-sensitive lockorder and
+# nilness) and runs it over the whole tree through the
+# `go vet -vettool` protocol, alongside stock go vet and a gofmt check.
+# Any finding fails; there is no baseline file — designed exceptions
+# are waived in-source with //aarc: markers, so the tree is always
+# clean or red, never "known dirty". The aarcvet step prints its wall
+# time: about 3 s for the full tree on a warm build cache.
+# Invariants a tier-1 test pins at every site are not checked here:
+# search-method versions (TestMethodPins against
+# internal/search/version.lock), canonical bytes, the alloc-free
+# fingerprint GET and goroutine leaks (DESIGN.md §13).
 #
 # The binary lands in bin/aarcvet (gitignored) so CI can cache it
-# between the lint and test jobs; `go build` is itself incremental, so
-# a warm cache makes the build step free locally too.
+# between runs; `go build` is itself incremental, so a warm cache
+# makes the build step free locally too.
 #
 # Usage: scripts/lint.sh
 set -euo pipefail
