@@ -101,16 +101,6 @@ func (l Limits) Snap(cfg Config) Config {
 	return l.Clamp(c)
 }
 
-// CPUValues enumerates the CPU grid from MinCPU to MaxCPU inclusive.
-func (l Limits) CPUValues() []float64 {
-	return gridValues(l.MinCPU, l.MaxCPU, l.CPUStep)
-}
-
-// MemValues enumerates the memory grid from MinMemMB to MaxMemMB inclusive.
-func (l Limits) MemValues() []float64 {
-	return gridValues(l.MinMemMB, l.MaxMemMB, l.MemStepMB)
-}
-
 // Normalize maps cfg into [0,1]² relative to the limit box (used by the
 // Bayesian-optimization kernel).
 func (l Limits) Normalize(cfg Config) (cpu01, mem01 float64) {
@@ -125,15 +115,6 @@ func (l Limits) Denormalize(cpu01, mem01 float64) Config {
 		CPU:   l.MinCPU + clamp(cpu01, 0, 1)*(l.MaxCPU-l.MinCPU),
 		MemMB: l.MinMemMB + clamp(mem01, 0, 1)*(l.MaxMemMB-l.MinMemMB),
 	}
-}
-
-func gridValues(lo, hi, step float64) []float64 {
-	n := int(math.Floor((hi-lo)/step+1e-9)) + 1
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, lo+float64(i)*step)
-	}
-	return out
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -94,24 +94,6 @@ func TestSnap(t *testing.T) {
 	}
 }
 
-func TestGridValues(t *testing.T) {
-	l := DefaultLimits()
-	cpus := l.CPUValues()
-	mems := l.MemValues()
-	if len(cpus) != 100 {
-		t.Errorf("CPU grid size = %d, want 100 (0.1..10 step 0.1)", len(cpus))
-	}
-	if len(mems) != 159 {
-		t.Errorf("Mem grid size = %d, want 159 (128..10240 step 64)", len(mems))
-	}
-	if cpus[0] != 0.1 || !almost(cpus[len(cpus)-1], 10, 1e-9) {
-		t.Errorf("CPU grid endpoints: %v .. %v", cpus[0], cpus[len(cpus)-1])
-	}
-	if mems[0] != 128 || mems[len(mems)-1] != 10240 {
-		t.Errorf("Mem grid endpoints: %v .. %v", mems[0], mems[len(mems)-1])
-	}
-}
-
 func TestNormalizeDenormalizeRoundTrip(t *testing.T) {
 	l := DefaultLimits()
 	cfg := Config{CPU: 3.7, MemMB: 4096}

@@ -1,15 +1,12 @@
-// Batched admission: bursts of *distinct* fingerprints used to pay one
-// full search each, serially from the caller's point of view. The batch
+// Batched admission: a burst of *distinct* fingerprints would pay one
+// full search each, serially from each caller's point of view. The batch
 // path fingerprints every item up front, answers store hits immediately,
-// dedupes repeats within the batch, and drives all remaining misses
-// through one experiments.Pool run — the PR 1 worker-pool harness, whose
-// per-cell determinism guarantees batched results are byte-identical to
-// sequential singleton requests. Each miss is registered with the flight
-// group per item, so concurrent singleton requests for a fingerprint the
-// batch is searching attach to the batch's in-flight item (and vice
-// versa: a batch item whose fingerprint is already in flight elsewhere
-// waits instead of searching again). Errors are isolated per item: one
-// bad spec fails only its slot.
+// dedupes repeats within the batch, and runs the remaining misses on one
+// experiments.Pool run, whose per-cell determinism makes batched results
+// byte-identical to sequential singleton requests. A miss enters the same
+// flight (flightGroup.do) as a singleton miss when a pool worker starts
+// it, so no caller ever waits on an item still queued. Errors are
+// isolated per item: one bad spec fails only its slot.
 
 package service
 
@@ -62,16 +59,6 @@ var ErrBatchTooLarge = fmt.Errorf("service: batch exceeds the per-request bound 
 // errNilSpec is the per-item error for a nil batch spec.
 var errNilSpec = errors.New("service: batch item with nil spec")
 
-// pendingSearch is one claimed miss awaiting a pooled batch run: the
-// flight call it leads, and everything searchMiss needs to run it.
-type pendingSearch struct {
-	fp       string
-	c        *flightCall
-	spec     *workflow.Spec
-	specJSON []byte
-	r        resolved
-}
-
 // ConfigureBatch answers a batch of configure requests as one admission:
 // per-item fingerprinting, immediate store hits, batch-internal dedupe,
 // and a single pooled run (Config.BatchWorkers wide) over the remaining
@@ -88,26 +75,15 @@ func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]Batc
 	results := make([]BatchResult, len(items))
 	firstOf := make(map[string]int, len(items)) // fingerprint -> first item index
 	dups := make(map[int]int)                   // duplicate item index -> first index
-	var runs []*pendingSearch                   // misses this batch leads
-	type attached struct {
-		item int
-		c    *flightCall
+	type miss struct {
+		item     int
+		specJSON []byte
+		r        resolved
 	}
-	var waits []attached // misses already in flight elsewhere
+	var misses []miss
 
-	// The batch leads every flight in runs, so — like the singleton
-	// leader's deferred abandon — a panic anywhere between a claim and its
-	// finish must publish the sentinel instead of wedging the fingerprint
-	// for every future caller. After a clean pass every flight is
-	// finished and abandon is a no-op.
-	defer func() {
-		for _, p := range runs {
-			s.flight.abandon(p.fp, p.c)
-		}
-	}()
-
-	// Phase 1 — identify: resolve and fingerprint every item, answer store
-	// hits, claim the misses. Item-level failures stop here, in their slot.
+	// Identify: resolve and fingerprint every item, answer store hits,
+	// collect the misses. Item-level failures stop here, in their slot.
 	for i := range items {
 		it := &items[i]
 		if it.Spec == nil {
@@ -137,70 +113,34 @@ func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]Batc
 			continue
 		}
 		s.misses.Add(1)
-		if c, leader := s.flight.claim(fp); leader {
-			runs = append(runs, &pendingSearch{fp: fp, c: c, spec: it.Spec, specJSON: specJSON, r: r})
-		} else {
-			waits = append(waits, attached{item: i, c: c})
-		}
+		misses = append(misses, miss{item: i, specJSON: specJSON, r: r})
 	}
 
-	// Phase 2 — run: one pooled run over the misses this batch leads. The
-	// pool is a barrier, so every flight in runs is finished afterwards and
-	// its published result can be read without waiting.
-	if len(runs) > 0 {
-		s.runPending(ctx, runs)
-		for _, p := range runs {
-			i := firstOf[p.fp]
-			if p.c.err != nil {
-				results[i].Err = p.c.err
-			} else {
-				results[i].Body = p.c.val.([]byte)
-			}
-		}
+	// Run: one pooled run; each miss enters its flight when a worker
+	// starts it. The callback never returns an error (that would stop the
+	// pool starting later items), and a panic fails only its slot.
+	if len(misses) > 0 {
+		s.batchRuns.Add(1)
+		_ = s.batch.Do(len(misses), func(k int) error {
+			m := misses[k]
+			res := &results[m.item]
+			defer func() {
+				if p := recover(); p != nil {
+					res.Err = fmt.Errorf("service: search for %s panicked: %v", res.Fingerprint, p)
+				}
+			}()
+			res.Body, res.Err = s.flight.do(ctx, res.Fingerprint, func() ([]byte, error) {
+				return s.searchMiss(ctx, res.Fingerprint, items[m.item].Spec, m.specJSON, m.r, false)
+			})
+			return nil
+		})
 	}
 
-	// Phase 3 — attach: wait on fingerprints some other caller (a
-	// singleton leader, another batch) is searching.
-	// This comes after the pooled run so two batches leading disjoint
-	// subsets of each other's fingerprints release one another.
-	for _, a := range waits {
-		results[a.item].Body, results[a.item].Err = s.flightResult(ctx, a.c)
-	}
-
-	// Phase 4 — duplicates inherit their first occurrence's outcome.
+	// Inherit: duplicates copy their first occurrence's outcome.
 	for i, j := range dups {
 		results[i].Body = results[j].Body
 		results[i].CacheHit = results[j].CacheHit
 		results[i].Err = results[j].Err
 	}
 	return results, nil
-}
-
-// runPending drives one pooled batch run over claimed misses. Each item
-// finishes its own flight as it completes, so singleton callers attached
-// to any one fingerprint are released by that item, not by the whole
-// batch; the pool's worker bound caps how many searches run at once.
-func (s *Service) runPending(ctx context.Context, runs []*pendingSearch) {
-	s.batchRuns.Add(1)
-	// Per-item error isolation: the pool callback never returns an error
-	// (which would stop the pool from claiming later items) — failures
-	// travel inside each item's flight instead.
-	_ = s.batch.Do(len(runs), func(i int) error {
-		s.searchPending(ctx, runs[i])
-		return nil
-	})
-}
-
-// searchPending runs one claimed miss and finishes its flight, always: a
-// panicking search (a malformed spec tripping an invariant deep in the
-// runner) is recovered into that item's error, so one bad item can
-// neither leak a claimed flight nor take down the pool worker.
-func (s *Service) searchPending(ctx context.Context, p *pendingSearch) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.flight.finish(p.fp, p.c, nil, fmt.Errorf("service: search for %s panicked: %v", p.fp, r))
-		}
-	}()
-	body, err := s.searchMiss(ctx, p.fp, p.spec, p.specJSON, p.r, false)
-	s.flight.finish(p.fp, p.c, body, err)
 }

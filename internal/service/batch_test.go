@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,6 +164,7 @@ func TestConfigureBatchDedupAndHits(t *testing.T) {
 
 	fresh := testSpec(t, 1)
 	before := stubSearches.Load()
+	st0 := svc.Stats()
 	results, err := svc.ConfigureBatch(ctx, []BatchItem{
 		{Spec: primed}, // store hit
 		{Spec: fresh},  // the one real miss
@@ -173,6 +176,17 @@ func TestConfigureBatchDedupAndHits(t *testing.T) {
 	}
 	if got := stubSearches.Load() - before; got != 1 {
 		t.Errorf("batch with one unique miss ran %d searches, want 1", got)
+	}
+	// Duplicates ride along uncounted: one hit, one miss, one pooled run.
+	st := svc.Stats()
+	if d := st.Hits - st0.Hits; d != 1 {
+		t.Errorf("batch counted %d hits, want 1", d)
+	}
+	if d := st.Misses - st0.Misses; d != 1 {
+		t.Errorf("batch counted %d misses, want 1", d)
+	}
+	if d := st.BatchRuns - st0.BatchRuns; d != 1 {
+		t.Errorf("batch counted %d pooled runs, want 1", d)
 	}
 	for i, res := range results {
 		if res.Err != nil {
@@ -317,8 +331,9 @@ func TestBatchAttachesToSingletonSearch(t *testing.T) {
 			{Spec: testSpec(t, 1)},                 // fresh: searched by the batch (stub)
 		})
 	}()
-	// The batch runs its own misses before waiting on attached flights, so
-	// the fresh item completes while the shared one is still gated.
+	// Both batch misses are counted before the pool starts. The shared
+	// item waits inside its worker for the singleton's search; the fresh
+	// one is searched by whichever worker starts it.
 	for svc.Stats().Misses < 3 {
 		time.Sleep(time.Millisecond)
 	}
@@ -337,6 +352,135 @@ func TestBatchAttachesToSingletonSearch(t *testing.T) {
 	}
 	if results[1].Err != nil || len(results[1].Body) == 0 {
 		t.Errorf("fresh batch item: err=%v body=%d bytes", results[1].Err, len(results[1].Body))
+	}
+}
+
+// TestBatchQueuedItemDoesNotBlockSingleton is the head-of-line
+// regression test: a singleton request for a fingerprint that a batch
+// has queued but not started searches it itself, instead of waiting
+// behind the batch's earlier items. The batch's item then reads the
+// stored result.
+func TestBatchQueuedItemDoesNotBlockSingleton(t *testing.T) {
+	svc := stubService(t, Config{BatchWorkers: 1})
+	gateStarted = make(chan struct{}, 8)
+	gateRelease = make(chan struct{})
+	x := testSpec(t, 0) // gated: holds the batch's only worker
+	y := testSpec(t, 1) // stub: queued behind x
+
+	var results []BatchResult
+	var batchErr error
+	batchDone := make(chan struct{})
+	go func() {
+		defer close(batchDone)
+		results, batchErr = svc.ConfigureBatch(context.Background(), []BatchItem{
+			{Spec: x, Options: RequestOptions{Method: "gate"}},
+			{Spec: y},
+		})
+	}()
+	<-gateStarted // x is searching; y waits for the worker
+
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	body, _, err := svc.ConfigureJSON(ctx, y, RequestOptions{})
+	elapsed := time.Since(start)
+	close(gateRelease)
+	<-batchDone
+
+	if err != nil {
+		t.Fatalf("singleton for a fingerprint queued in a batch: %v after %.2fs", err, elapsed.Seconds())
+	}
+	if batchErr != nil || results[0].Err != nil || results[1].Err != nil {
+		t.Fatalf("batch err=%v, items: %v, %v", batchErr, results[0].Err, results[1].Err)
+	}
+	if !bytes.Equal(results[1].Body, body) {
+		t.Error("batch's y slot differs from the singleton body")
+	}
+	if got := svc.Stats().Searches; got != 2 {
+		t.Errorf("searches = %d, want 2 (x by the batch, y by the singleton)", got)
+	}
+}
+
+// TestConfigureBatchCrossedBatches: two one-worker batches over the same
+// two fingerprints, in opposite orders, both complete and share the two
+// searches. Each batch enters a fingerprint's flight only when it starts
+// that item, and a running search waits on no other flight, so neither
+// batch can wait on work the other has only queued.
+func TestConfigureBatchCrossedBatches(t *testing.T) {
+	svc := stubService(t, Config{BatchWorkers: 1})
+	gateStarted = make(chan struct{}, 8)
+	gateRelease = make(chan struct{})
+	gated := RequestOptions{Method: "gate"}
+	x := BatchItem{Spec: testSpec(t, 0), Options: gated}
+	y := BatchItem{Spec: testSpec(t, 1), Options: gated}
+	before := gateSearches.Load()
+
+	orders := [][]BatchItem{{x, y}, {y, x}}
+	results := make([][]BatchResult, len(orders))
+	errs := make([]error, len(orders))
+	var wg sync.WaitGroup
+	for i, items := range orders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = svc.ConfigureBatch(context.Background(), items)
+		}()
+	}
+	// Hold the first search until both batches have counted their misses,
+	// so the other batch starts its first item while that search runs.
+	<-gateStarted
+	for svc.Stats().Misses < 4 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gateRelease)
+	wg.Wait()
+
+	for i := range orders {
+		if errs[i] != nil {
+			t.Fatalf("batch %d: %v", i, errs[i])
+		}
+		for j, res := range results[i] {
+			if res.Err != nil {
+				t.Fatalf("batch %d item %d: %v", i, j, res.Err)
+			}
+		}
+	}
+	if !bytes.Equal(results[0][0].Body, results[1][1].Body) || !bytes.Equal(results[0][1].Body, results[1][0].Body) {
+		t.Error("crossed batches served different bodies for one fingerprint")
+	}
+	if got := gateSearches.Load() - before; got != 2 {
+		t.Errorf("crossed batches ran %d searches, want 2", got)
+	}
+}
+
+// TestConfigureBatchPanickingItem: a panicking search fails only its own
+// slot, and it releases its flight: the same batch again searches the
+// panicking item afresh (its slot names the panic again, not the
+// abandoned-flight sentinel) while the healthy item is a store hit.
+func TestConfigureBatchPanickingItem(t *testing.T) {
+	svc := stubService(t, Config{BatchWorkers: 1})
+	items := []BatchItem{
+		{Spec: testSpec(t, 0), Options: RequestOptions{Method: "panicky"}},
+		{Spec: testSpec(t, 1)},
+	}
+	for run := 1; run <= 2; run++ {
+		results, err := svc.ConfigureBatch(context.Background(), items)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if err := results[0].Err; err == nil || !strings.Contains(err.Error(), "panicked: panicky: searcher exploded") {
+			t.Errorf("run %d: panicking slot error = %v, want one naming the panic", run, err)
+		}
+		if results[1].Err != nil || len(results[1].Body) == 0 {
+			t.Errorf("run %d: healthy slot: err=%v body=%d bytes", run, results[1].Err, len(results[1].Body))
+		}
+		if hit := results[1].CacheHit; hit != (run == 2) {
+			t.Errorf("run %d: healthy slot cache hit = %v", run, hit)
+		}
+	}
+	// Run 1 searched both items, run 2 the panicking one again.
+	if got := svc.Stats().Searches; got != 3 {
+		t.Errorf("searches = %d, want 3", got)
 	}
 }
 

@@ -651,19 +651,9 @@ func (s *Service) putStore(fp string, e store.Entry) {
 	s.logger.Info("store put", "fingerprint", fp)
 }
 
-// flightResult waits on an in-flight call and narrows its value to the
-// served bytes.
-func (s *Service) flightResult(ctx context.Context, c *flightCall) ([]byte, error) {
-	v, err := s.flight.wait(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]byte), nil
-}
-
-// searchMiss is the miss path behind an owned flight claim: re-check the
-// store (a previous leader may have filled it between this caller's miss
-// and its claim), take an admission slot, search, persist. shed selects
+// searchMiss is the miss path a flight leader runs: re-check the store
+// (a previous leader may have filled it between this caller's miss and
+// its flight), take an admission slot, search, persist. shed selects
 // the saturation policy (see acquireSearch). Failed searches — including
 // shed and timed-out ones — are never written to any tier: the store
 // stays untouched and the next request retries.
@@ -723,19 +713,11 @@ func (s *Service) ConfigureJSON(ctx context.Context, spec *workflow.Spec, ro Req
 		return se.Body, true, nil
 	}
 	s.misses.Add(1)
-	c, leader := s.flight.claim(fp)
-	if !leader {
-		// Another caller — a singleton leader or a batch item — is
-		// already searching this fingerprint: wait for its result.
-		body, err = s.flightResult(ctx, c)
-		return body, false, err
-	}
-	// This caller is the leader and searches inline. Abandon is deferred
-	// so a panic publishes a sentinel error to followers (see flightGroup)
-	// instead of an unset result.
-	defer s.flight.abandon(fp, c)
-	body, err = s.searchMiss(ctx, fp, spec, specJSON, r, true)
-	s.flight.finish(fp, c, body, err)
+	// The first caller for fp searches inline; one arriving while a
+	// singleton or a started batch item searches fp waits for its result.
+	body, err = s.flight.do(ctx, fp, func() ([]byte, error) {
+		return s.searchMiss(ctx, fp, spec, specJSON, r, true)
+	})
 	return body, false, err
 }
 

@@ -8,19 +8,19 @@ import (
 	"time"
 )
 
-// flightDo drives the group as every production leader does: claim,
-// then wait as a follower or run fn and finish, with abandon deferred.
-// shared reports whether this caller received a leader's result.
-func flightDo(ctx context.Context, g *flightGroup, key string, fn func() (any, error)) (val any, err error, shared bool) {
-	c, leader := g.claim(key)
-	if !leader {
-		val, err = g.wait(ctx, c)
-		return val, err, true
-	}
-	defer g.abandon(key, c)
-	val, err = fn()
-	g.finish(key, c, val, err)
-	return val, err, false
+// attachCtx reports through attached when a do call starts waiting as a
+// follower: do reads ctx.Done() only after it has found the key in
+// flight, so once attached is closed the caller is committed to the
+// running leader's result.
+type attachCtx struct {
+	context.Context
+	once     sync.Once
+	attached chan struct{}
+}
+
+func (c *attachCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.attached) })
+	return c.Context.Done()
 }
 
 func TestFlightGroupLeaderAndFollowersShareOneRun(t *testing.T) {
@@ -28,17 +28,17 @@ func TestFlightGroupLeaderAndFollowersShareOneRun(t *testing.T) {
 	var runs int
 	const callers = 16
 	var wg sync.WaitGroup
-	vals := make([]any, callers)
+	vals := make([][]byte, callers)
 	errs := make([]error, callers)
 	release := make(chan struct{})
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], errs[i], _ = flightDo(context.Background(), &g, "k", func() (any, error) {
+			vals[i], errs[i] = g.do(context.Background(), "k", func() ([]byte, error) {
 				runs++ // only ever one runner: no lock needed, -race verifies
 				<-release
-				return "result", nil
+				return []byte("result"), nil
 			})
 		}(i)
 	}
@@ -50,8 +50,8 @@ func TestFlightGroupLeaderAndFollowersShareOneRun(t *testing.T) {
 		t.Errorf("%d callers ran fn %d times, want 1", callers, runs)
 	}
 	for i := range vals {
-		if errs[i] != nil || vals[i] != "result" {
-			t.Errorf("caller %d got (%v, %v)", i, vals[i], errs[i])
+		if errs[i] != nil || string(vals[i]) != "result" {
+			t.Errorf("caller %d got (%q, %v)", i, vals[i], errs[i])
 		}
 	}
 }
@@ -60,9 +60,11 @@ func TestFlightGroupFollowerContextCancel(t *testing.T) {
 	var g flightGroup
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	defer close(release)
+	leaderDone := make(chan struct{})
+	defer func() { close(release); <-leaderDone }()
 	go func() {
-		flightDo(context.Background(), &g, "k", func() (any, error) {
+		defer close(leaderDone)
+		g.do(context.Background(), "k", func() ([]byte, error) {
 			close(entered)
 			<-release
 			return nil, nil
@@ -71,20 +73,20 @@ func TestFlightGroupFollowerContextCancel(t *testing.T) {
 	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err, shared := flightDo(ctx, &g, "k", func() (any, error) {
+	v, err := g.do(ctx, "k", func() ([]byte, error) {
 		t.Error("cancelled follower became leader")
 		return nil, nil
 	})
-	if !errors.Is(err, context.Canceled) || !shared {
-		t.Errorf("cancelled follower got (err=%v, shared=%v), want ctx.Err(), true", err, shared)
+	if !errors.Is(err, context.Canceled) || v != nil {
+		t.Errorf("cancelled follower got (%q, %v), want (nil, ctx.Err())", v, err)
 	}
 }
 
 // TestFlightGroupLeaderPanicPublishesSentinel is the regression test for
-// the panicking-leader hole: the deferred cleanup used to close done with
-// val and err both unset, so followers observed (nil, nil) — a
-// "successful" nil body that Service.configure would then dereference.
-// The leader must publish errLeaderPanicked before closing.
+// the panicking-leader hole: a cleanup that closed done with val and err
+// both unset let followers observe (nil, nil) — a "successful" nil body
+// the configure path would then serve. A panicking leader must publish
+// errLeaderPanicked, release the key, and keep panicking.
 func TestFlightGroupLeaderPanicPublishesSentinel(t *testing.T) {
 	var g flightGroup
 	entered := make(chan struct{})
@@ -94,10 +96,10 @@ func TestFlightGroupLeaderPanicPublishesSentinel(t *testing.T) {
 		defer close(leaderDone)
 		defer func() {
 			if recover() == nil {
-				t.Error("flightDo swallowed the leader's panic")
+				t.Error("do swallowed the leader's panic")
 			}
 		}()
-		flightDo(context.Background(), &g, "k", func() (any, error) {
+		g.do(context.Background(), "k", func() ([]byte, error) {
 			close(entered)
 			<-release
 			panic("search exploded")
@@ -105,41 +107,52 @@ func TestFlightGroupLeaderPanicPublishesSentinel(t *testing.T) {
 	}()
 	<-entered
 
-	// The leader is parked inside fn, so the key is still claimed: this
-	// claim is guaranteed to attach as a follower.
-	c, leader := g.claim("k")
-	if leader {
-		t.Fatal("second claim became leader while the first was in flight")
-	}
+	// The leader is parked inside fn, so the key is still held: this do
+	// attaches as a follower, and release waits until it has.
+	follower := &attachCtx{Context: context.Background(), attached: make(chan struct{})}
+	var v []byte
+	var err error
+	followerDone := make(chan struct{})
+	go func() {
+		defer close(followerDone)
+		v, err = g.do(follower, "k", func() ([]byte, error) {
+			t.Error("second do became leader while the first was in flight")
+			follower.once.Do(func() { close(follower.attached) })
+			return nil, nil
+		})
+	}()
+	<-follower.attached
 	close(release)
-	v, err := g.wait(context.Background(), c)
+	<-followerDone
 	if !errors.Is(err, errLeaderPanicked) {
 		t.Errorf("follower of a panicked leader got err %v, want errLeaderPanicked", err)
 	}
 	if v != nil {
-		t.Errorf("follower of a panicked leader got value %v, want nil", v)
+		t.Errorf("follower of a panicked leader got value %q, want nil", v)
 	}
 	<-leaderDone
 
 	// The key was released: the next caller starts a fresh flight.
-	if _, leader := g.claim("k"); !leader {
-		t.Error("key still claimed after the panicked flight was abandoned")
+	ran := false
+	g.do(context.Background(), "k", func() ([]byte, error) {
+		ran = true
+		return nil, nil
+	})
+	if !ran {
+		t.Error("key still held after the panicked flight")
 	}
 }
 
+// TestFlightGroupFinishReleasesKey: a leader's normal return releases the
+// key, so the next do for it runs its own fn instead of reading the
+// published result.
 func TestFlightGroupFinishReleasesKey(t *testing.T) {
 	var g flightGroup
-	c, leader := g.claim("k")
-	if !leader {
-		t.Fatal("first claim was not the leader")
+	ctx := context.Background()
+	if v, err := g.do(ctx, "k", func() ([]byte, error) { return []byte("first"), nil }); string(v) != "first" || err != nil {
+		t.Fatalf("first do = (%q, %v), want (first, nil)", v, err)
 	}
-	g.finish("k", c, 42, nil)
-	if v, err := g.wait(context.Background(), c); v != 42 || err != nil {
-		t.Errorf("wait after finish = (%v, %v), want (42, nil)", v, err)
-	}
-	// abandon after finish must not overwrite the published result.
-	g.abandon("k", c)
-	if v, err := g.wait(context.Background(), c); v != 42 || err != nil {
-		t.Errorf("wait after abandon-of-finished = (%v, %v), want (42, nil)", v, err)
+	if v, err := g.do(ctx, "k", func() ([]byte, error) { return []byte("second"), nil }); string(v) != "second" || err != nil {
+		t.Errorf("do after a finished flight = (%q, %v), want (second, nil)", v, err)
 	}
 }

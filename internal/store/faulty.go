@@ -17,12 +17,12 @@ var ErrInjected = errors.New("store: injected fault")
 // (Script, FailAll, FailFor) are runtime methods on Faulty, layered on
 // top of this static configuration.
 type FaultConfig struct {
-	// GetFailProb / PutFailProb / DeleteFailProb inject ErrInjected on
-	// that fraction of ops, drawn from a Seed-determined stream: two
-	// wrappers with the same seed fault the same ops in the same order.
-	GetFailProb    float64
-	PutFailProb    float64
-	DeleteFailProb float64
+	// GetFailProb / PutFailProb inject ErrInjected on that fraction of
+	// Gets / Puts, drawn from a Seed-determined stream: two wrappers with
+	// the same seed fault the same ops in the same order. Deletes fault
+	// only by script, switch or deadline.
+	GetFailProb float64
+	PutFailProb float64
 	// FailFirstPerKey fails each key's first Get and first Put once
 	// (ErrInjected), passing every later op on that key through — a
 	// deterministic transient-fault pattern that a >= 2-attempt Retry
@@ -198,7 +198,7 @@ func (f *Faulty) Put(key string, e Entry) error {
 
 // Delete implements Store.
 func (f *Faulty) Delete(key string) error {
-	if err := f.fault(opDelete, key, f.cfg.DeleteFailProb); err != nil {
+	if err := f.fault(opDelete, key, 0); err != nil {
 		return err
 	}
 	return f.inner.Delete(key)
