@@ -21,15 +21,14 @@
 // pooled run with per-item error isolation.
 //
 // The daemon degrades rather than fails: the disk tier (when present)
-// sits behind a retry wrapper and a circuit breaker, so a failing disk
-// opens the breaker after -breaker-threshold consecutive errors and the
-// service keeps serving from memory; /readyz answers 503 while degraded
-// (and while draining on shutdown) so balancers route elsewhere, then
-// recovers via a half-open probe after -breaker-cooldown. Cold searches
-// are bounded by -search-timeout and capped by
+// sits behind a retry wrapper and a circuit breaker with fixed
+// settings, so a failing disk opens the breaker after 5 consecutive
+// errors and the service keeps serving from memory; /readyz answers 503
+// while degraded (and while draining on shutdown) so balancers route
+// elsewhere, then recovers via a half-open probe after 15s. Cold
+// searches are bounded by -search-timeout and capped by
 // -max-concurrent-searches (excess requests are shed with 429 +
-// Retry-After). -chaos-disk-down is a built-in drill that fails the
-// disk tier for a window at startup to exercise the whole path.
+// Retry-After).
 //
 // Only a request writes the store, and stderr carries one line per
 // successful write, the store's change record:
@@ -85,9 +84,6 @@ func main() {
 
 		searchTimeout = flag.Duration("search-timeout", 0, "server-side deadline per cold search; timed-out searches fail, never cached (0 = unbounded)")
 		maxSearches   = flag.Int("max-concurrent-searches", 0, "cold searches allowed at once; excess singleton misses get 429 + Retry-After (0 = unlimited)")
-		breakerK      = flag.Int("breaker-threshold", 5, "consecutive disk failures that open the disk-tier breaker (with -cache-dir)")
-		breakerCool   = flag.Duration("breaker-cooldown", 15*time.Second, "how long an open breaker waits before its half-open probe")
-		chaosDiskDown = flag.Duration("chaos-disk-down", 0, "chaos drill: fail every disk op for this long after start, then recover (0 = off)")
 
 		readTimeout  = flag.Duration("read-timeout", time.Minute, "http.Server ReadTimeout: full request (headers+body) read deadline")
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "http.Server WriteTimeout: response write deadline; bounds a request's total service time")
@@ -106,8 +102,6 @@ func main() {
 		aarc.WithBatchWorkers(*batchWork),
 		aarc.WithSearchTimeout(*searchTimeout),
 		aarc.WithMaxConcurrentSearches(*maxSearches),
-		aarc.WithBreaker(*breakerK, *breakerCool),
-		aarc.WithChaosDiskOutage(*chaosDiskDown),
 		aarc.WithBudget(aarc.Budget{
 			MaxSamples: *maxSamples,
 			// Scale before converting: time.Duration(*maxSimMS) would

@@ -1,5 +1,5 @@
 // Command aarcvet is the project's vet suite: five analyzers that
-// machine-check the serving stack's context, store-composition and
+// machine-check the serving stack's context, store-write and
 // concurrency invariants (DESIGN.md §13–§14), one of them a local
 // shadow check. Run it through cmd/go:
 //

@@ -57,15 +57,14 @@
 // /readyz).
 //
 // The serving layer degrades rather than fails: a WithCacheDir disk
-// tier sits behind bounded retries and a circuit breaker (WithBreaker),
-// so a dead disk is skipped after a few consecutive failures and the
-// service serves memory-only until a half-open probe heals the tier;
-// /readyz reports 503 while degraded or draining. WithSearchTimeout
-// bounds each cold search server-side (timed-out searches fail and are
-// never cached), WithMaxConcurrentSearches sheds excess cold traffic
-// with HTTP 429 + Retry-After, handler panics are recovered into JSON
-// 500s, and WithChaosDiskOutage is a built-in chaos drill that fails
-// the disk tier for a window at startup. See DESIGN.md section 10.
+// tier sits behind bounded retries and a circuit breaker with fixed
+// settings, so a dead disk is skipped after 5 consecutive failures and
+// the service serves memory-only until a half-open probe, 15s later,
+// heals the tier; /readyz reports 503 while degraded or draining.
+// WithSearchTimeout bounds each cold search server-side (timed-out
+// searches fail and are never cached), WithMaxConcurrentSearches sheds
+// excess cold traffic with HTTP 429 + Retry-After, and handler panics
+// are recovered into JSON 500s. See DESIGN.md section 10.
 //
 // A Service writes its store only when a request does: a search's
 // result is put, DELETE invalidates, and nothing runs in the background
@@ -78,12 +77,14 @@
 // Tier-1 tests pin those whose every site a test reaches: canonical
 // bytes and fingerprints that are pure functions of content, method
 // versions that move with their stored bodies, an alloc-free
-// fingerprint GET, and a service that leaks no goroutine. cmd/aarcvet,
+// fingerprint GET, a service that leaks no goroutine, and the order of
+// the disk tier's resilience stack, which one constructor
+// (store.NewDurable) builds. cmd/aarcvet,
 // a project-specific go/analysis suite run through `go vet -vettool`
 // (scripts/lint.sh, and CI, fail on any finding), checks those that
 // bind every function in the module: contexts threaded through the
 // request path, no store I/O or searches under a mutex and no
-// lock-order cycle, the canonical store-wrapper order, guaranteed-nil
+// lock-order cycle, no store write on an error path, guaranteed-nil
 // dereferences and shadowed variables. Deliberate exceptions are
 // waived in-source by reasoned //aarc: markers. A stdlib-only
 // CFG/dataflow layer (internal/analysis/flow) carries the two

@@ -200,9 +200,14 @@ func NewHandler(s *Service) http.Handler {
 		})
 	})
 	mux.HandleFunc("POST /v1/dispatch", func(w http.ResponseWriter, r *http.Request) {
-		var req dispatchRequest
-		if err := readJSON(w, r, &req); err != nil {
+		raw, err := readBody(w, r)
+		if err != nil {
 			writeError(w, bodyStatus(err), err)
+			return
+		}
+		var req dispatchRequest
+		if err := decodeBody(raw, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		spec, err := req.spec()
@@ -223,9 +228,14 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, res)
 	})
 	mux.HandleFunc("POST /v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
-		var req evaluateRequest
-		if err := readJSON(w, r, &req); err != nil {
+		raw, err := readBody(w, r)
+		if err != nil {
 			writeError(w, bodyStatus(err), err)
+			return
+		}
+		var req evaluateRequest
+		if err := decodeBody(raw, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		if req.Fingerprint == "" {
@@ -478,16 +488,9 @@ type evaluateResponse struct {
 	MeanCost    float64       `json:"mean_cost"`
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("request: decoding body: %w", err)
-	}
-	return nil
-}
-
 // readBody reads a whole request body of at most maxRequestBody bytes, in
-// one allocation when the client sent its length.
+// one allocation when the client sent its length. Every POST route reads
+// through it, so a body past the limit answers 413 wherever its JSON ends.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= maxRequestBody {
@@ -499,8 +502,8 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeBody decodes a body read by readBody as readJSON would have read
-// it: encoding/json's first value, the rest ignored.
+// decodeBody decodes a body read by readBody: encoding/json's first
+// value, the rest ignored.
 func decodeBody(body []byte, dst any) error {
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(dst); err != nil {
 		return fmt.Errorf("request: decoding body: %w", err)

@@ -18,16 +18,25 @@ import (
 )
 
 // TestHTTPBodyTooLarge: a body one byte past maxRequestBody answers 413,
-// with the usual JSON error body, on every POST route.
+// with the usual JSON error body, on every POST route — also when the
+// body is a short request the route would serve, padded past the limit.
 func TestHTTPBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const head, tail = `{"workload":"`, `"}`
-	body := head + strings.Repeat("x", maxRequestBody+1-len(head)-len(tail)) + tail
-	for _, path := range []string{"/v1/configure", "/v1/configure:batch", "/v1/dispatch", "/v1/evaluate"} {
-		resp, b := postJSON(t, ts.URL+path, body)
-		var e struct{ Error string }
-		if err := json.Unmarshal(b, &e); resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
-			t.Errorf("%s: status %d, body %.200s; want 413 with a JSON error", path, resp.StatusCode, b)
+	long := head + strings.Repeat("x", maxRequestBody+1-len(head)-len(tail)) + tail
+	padded := func(short string) string { return short + strings.Repeat(" ", maxRequestBody+1-len(short)) }
+	for path, short := range map[string]string{
+		"/v1/configure":       `{"workload":"chatbot"}`,
+		"/v1/configure:batch": `{"requests":[{"workload":"chatbot"}]}`,
+		"/v1/dispatch":        `{"workload":"video-analysis","scale":1.4}`,
+		"/v1/evaluate":        `{"fingerprint":"sha256:0"}`,
+	} {
+		for shape, body := range map[string]string{"long value": long, "short value, padded": padded(short)} {
+			resp, b := postJSON(t, ts.URL+path, body)
+			var e struct{ Error string }
+			if err := json.Unmarshal(b, &e); resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+				t.Errorf("%s, %s: status %d, body %.200s; want 413 with a JSON error", path, shape, resp.StatusCode, b)
+			}
 		}
 	}
 }

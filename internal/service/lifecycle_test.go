@@ -30,9 +30,6 @@ func TestIdleServiceRunsNothing(t *testing.T) {
 		CacheSize:             2,
 		MaxConcurrentSearches: 2,
 		SearchTimeout:         time.Second,
-		ChaosDiskDown:         time.Millisecond,
-		BreakerThreshold:      1,
-		BreakerCooldown:       time.Millisecond,
 	})
 	ctx := context.Background()
 	fps := make([]string, 4)
@@ -156,57 +153,77 @@ func TestChangeRecordOnlyForSuccessfulWrites(t *testing.T) {
 	}
 }
 
-// TestRecommendationsListing covers the listing of stored entries.
+// TestRecommendationsListing covers the listing of stored entries, over
+// the memory store and over a CacheDir store that holds more entries
+// than its memory tier. Listing reads without promoting: it leaves the
+// memory tier's entries and evictions as they were.
 func TestRecommendationsListing(t *testing.T) {
-	svc := stubService(t, Config{})
-	srv := httptest.NewServer(NewHandler(svc))
-	defer srv.Close()
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		entries int
+	}{
+		{"memory", Config{}, 3},
+		{"cache-dir", Config{CacheDir: t.TempDir(), CacheSize: 4}, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := stubService(t, tc.cfg)
+			srv := httptest.NewServer(NewHandler(svc))
+			defer srv.Close()
 
-	fps := make(map[string]bool)
-	for i := 0; i < 3; i++ {
-		rec, _, err := svc.Configure(context.Background(), testSpec(t, i), RequestOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps[rec.Fingerprint] = true
-	}
+			fps := make(map[string]bool)
+			for i := 0; i < tc.entries; i++ {
+				rec, _, err := svc.Configure(context.Background(), testSpec(t, i), RequestOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fps[rec.Fingerprint] = true
+			}
+			before := svc.Stats()
 
-	resp, err := http.Get(srv.URL + "/v1/recommendations")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("listing status = %d", resp.StatusCode)
-	}
-	var out struct {
-		Recommendations []RecommendationInfo `json:"recommendations"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Recommendations) != len(fps) {
-		t.Fatalf("listed %d entries, want %d", len(out.Recommendations), len(fps))
-	}
-	for i, info := range out.Recommendations {
-		if !fps[info.Fingerprint] {
-			t.Fatalf("listing[%d] unknown fingerprint %s", i, info.Fingerprint)
-		}
-		if info.Method != "Stub" {
-			t.Fatalf("listing[%d].Method = %q", i, info.Method)
-		}
-		if info.MethodVersion != 1 {
-			t.Fatalf("listing[%d].MethodVersion = %d", i, info.MethodVersion)
-		}
-		if info.SLOMS <= 0 {
-			t.Fatalf("listing[%d].SLOMS = %v", i, info.SLOMS)
-		}
-		if info.AgeS < 0 {
-			t.Fatalf("listing[%d].AgeS = %v", i, info.AgeS)
-		}
-		if i > 0 && out.Recommendations[i-1].Fingerprint > info.Fingerprint {
-			t.Fatal("listing is not sorted by fingerprint")
-		}
+			resp, err := http.Get(srv.URL + "/v1/recommendations")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("listing status = %d", resp.StatusCode)
+			}
+			var out struct {
+				Recommendations []RecommendationInfo `json:"recommendations"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Recommendations) != len(fps) {
+				t.Fatalf("listed %d entries, want %d", len(out.Recommendations), len(fps))
+			}
+			for i, info := range out.Recommendations {
+				if !fps[info.Fingerprint] {
+					t.Fatalf("listing[%d] unknown fingerprint %s", i, info.Fingerprint)
+				}
+				if info.Method != "Stub" {
+					t.Fatalf("listing[%d].Method = %q", i, info.Method)
+				}
+				if info.MethodVersion != 1 {
+					t.Fatalf("listing[%d].MethodVersion = %d", i, info.MethodVersion)
+				}
+				if info.SLOMS <= 0 {
+					t.Fatalf("listing[%d].SLOMS = %v", i, info.SLOMS)
+				}
+				if info.AgeS < 0 {
+					t.Fatalf("listing[%d].AgeS = %v", i, info.AgeS)
+				}
+				if i > 0 && out.Recommendations[i-1].Fingerprint > info.Fingerprint {
+					t.Fatal("listing is not sorted by fingerprint")
+				}
+			}
+			after := svc.Stats()
+			if after.Evictions != before.Evictions || after.Tiers["memory"] != before.Tiers["memory"] {
+				t.Errorf("listing moved evictions %d -> %d and memory entries %d -> %d; want both unchanged",
+					before.Evictions, after.Evictions, before.Tiers["memory"], after.Tiers["memory"])
+			}
+		})
 	}
 }
 

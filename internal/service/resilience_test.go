@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -127,30 +128,76 @@ func TestWriteFaultsNeverPoisonCache(t *testing.T) {
 	}
 }
 
-// TestOpenBreakerServesMemoryOnly is the headline degradation contract:
-// with the disk tier hard down, the breaker opens within Threshold
-// failures, a 64-way concurrent burst against a warm fingerprint
-// completes with zero errors and byte-identical bodies, the open
-// breaker short-circuits every disk touch, /readyz reports degraded,
-// and after the fault clears one half-open probe closes the breaker.
+// fakeClock is a manual clock for the breaker's cooldown: the test
+// advances it instead of sleeping.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// TestOpenBreakerServesMemoryOnly is the headline degradation contract,
+// over store.NewDurable's stack with its default settings (the breaker
+// opens on 5 failures and probes after 15 s) and a fake clock. With the
+// disk tier hard down: cold configures still answer and their disk
+// failures open the breaker; /healthz stays 200 and reports the open
+// breaker and the retries spent; /readyz answers 503 with a reason; a
+// configure made during the outage repeats as a byte-identical hit; and
+// a 64-way concurrent burst against a fingerprint warmed before the
+// outage completes with zero errors and byte-identical bodies without
+// touching the disk. After the fault clears and the cooldown passes, the
+// next cold configure's first disk op is the half-open probe, and its
+// success closes the breaker and turns /readyz back to 200.
 func TestOpenBreakerServesMemoryOnly(t *testing.T) {
 	disk, err := store.OpenDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	faulty := store.NewFaulty(disk, store.FaultConfig{})
-	retrier := store.NewRetry(faulty, store.RetryConfig{
-		BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
-	})
-	breaker := store.NewBreaker(retrier, store.BreakerConfig{
-		Threshold: 3,
-		Cooldown:  50 * time.Millisecond,
-		Logf:      t.Logf,
-	})
-	tiered := store.NewTiered(store.NewMemory(128), breaker)
-	svc := stubService(t, Config{Store: tiered})
-	handler := NewHandler(svc)
+	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	svc, ts := newTestServer(t, Config{Store: store.NewDurable(faulty, 128, store.BreakerConfig{Clock: clock.now, Logf: t.Logf})})
 	spec := testSpec(t, 0)
+	configure := func(variant int) (*http.Response, []byte) {
+		t.Helper()
+		return postJSON(t, ts.URL+"/v1/configure", fmt.Sprintf(`{"spec": %s}`, specBody(t, variant)))
+	}
+	health := func() Stats {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h struct{ Stats Stats }
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz: status %d, err %v; want 200 with stats", resp.StatusCode, err)
+		}
+		return h.Stats
+	}
+	readyz := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
 
 	// Warm one fingerprint while healthy: it lands in both tiers.
 	want, _, err := svc.ConfigureJSON(context.Background(), spec, RequestOptions{})
@@ -158,28 +205,31 @@ func TestOpenBreakerServesMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Disk goes hard down. Cold configures still succeed (memory tier
-	// takes the write) and their slow-tier failures trip the breaker.
+	// Disk goes hard down. Cold configures still succeed (the memory tier
+	// takes the writes), and their disk failures open the breaker: each
+	// is a read, a re-check and a write, so the second one opens it.
 	faulty.FailAll(nil)
+	var outageBody []byte
 	for i := 1; i <= 2; i++ {
-		if _, _, err := svc.Configure(context.Background(), testSpec(t, i), RequestOptions{}); err != nil {
-			t.Fatalf("cold Configure %d during disk outage: %v", i, err)
+		resp, b := configure(i)
+		var rec Recommendation
+		if err := json.Unmarshal(b, &rec); resp.StatusCode != http.StatusOK || err != nil || len(rec.Assignment) == 0 {
+			t.Fatalf("cold configure %d during disk outage: status %d, body %.200s", i, resp.StatusCode, b)
 		}
+		outageBody = b
 	}
-	if got := breaker.State(); got != store.BreakerOpen {
-		t.Fatalf("breaker state after outage traffic = %v, want open", got)
+	if hs := health(); hs.BreakerState != "open" || hs.Retries == 0 {
+		t.Fatalf("/healthz during outage: breaker_state %q, retries %d; want open with retries > 0", hs.BreakerState, hs.Retries)
 	}
-	if svc.Stats().Retries == 0 {
-		t.Fatal("retry tier saw a disk outage but Stats.Retries is 0")
+	if code, body := readyz(); code != http.StatusServiceUnavailable || !strings.Contains(body, "breaker") {
+		t.Fatalf("/readyz while breaker open = %d %s, want 503 naming the breaker", code, body)
 	}
 
-	rr := httptest.NewRecorder()
-	handler.ServeHTTP(rr, httptest.NewRequest("GET", "/readyz", nil))
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz while breaker open = %d, want 503", rr.Code)
-	}
-	if !strings.Contains(rr.Body.String(), "breaker") {
-		t.Fatalf("/readyz degraded body gives no reason: %s", rr.Body.String())
+	// The configure made during the outage repeats as a hit, byte for
+	// byte, off the dead disk.
+	if resp, b := configure(2); resp.Header.Get("X-Aarc-Cache") != "hit" || !bytes.Equal(b, outageBody) {
+		t.Fatalf("repeat during outage: X-Aarc-Cache %q, same bytes %v; want a byte-identical hit",
+			resp.Header.Get("X-Aarc-Cache"), bytes.Equal(b, outageBody))
 	}
 
 	// 64-way burst against the warm fingerprint: all served from memory,
@@ -210,23 +260,21 @@ func TestOpenBreakerServesMemoryOnly(t *testing.T) {
 		t.Fatalf("burst reached the dead disk %d times, want 0 (fast-fail)", got)
 	}
 
-	// Fault clears; after the cooldown the next disk op is the half-open
-	// probe, and its success closes the breaker.
+	// Fault clears; once the cooldown has passed the breaker reports
+	// half-open, and the next cold configure's probe closes it.
 	faulty.Recover()
-	time.Sleep(60 * time.Millisecond)
+	clock.advance(16 * time.Second)
 	if got := svc.BreakerState(); got != "half-open" {
 		t.Fatalf("breaker state after cooldown = %q, want half-open", got)
 	}
-	if _, _, err := svc.Configure(context.Background(), testSpec(t, 3), RequestOptions{}); err != nil {
-		t.Fatalf("post-recovery Configure: %v", err)
+	if resp, b := configure(3); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-recovery configure: status %d, body %.200s", resp.StatusCode, b)
 	}
-	if got := breaker.State(); got != store.BreakerClosed {
-		t.Fatalf("breaker state after successful probe = %v, want closed", got)
+	if hs := health(); hs.BreakerState != "closed" {
+		t.Fatalf("/healthz after the probe: breaker_state %q, want closed", hs.BreakerState)
 	}
-	rr = httptest.NewRecorder()
-	handler.ServeHTTP(rr, httptest.NewRequest("GET", "/readyz", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/readyz after recovery = %d, want 200", rr.Code)
+	if code, body := readyz(); code != http.StatusOK {
+		t.Fatalf("/readyz after recovery = %d %s, want 200", code, body)
 	}
 }
 

@@ -74,7 +74,7 @@ import (
 // goroutine between requests, so only a request writes the store.
 type Config struct {
 	Method       string  // search method; default "aarc"
-	Seed         uint64  // simulator+searcher seed; default 42
+	Seed         uint64  // simulator+searcher seed; no default here, 0 is a seed (the facade and aarcd default to 42)
 	HostCores    float64 // host CPU capacity; 0 disables contention
 	Noise        bool    // measurement noise on the simulated testbed
 	InputScale   float64 // default input scale; 0 means 1.0
@@ -105,31 +105,16 @@ type Config struct {
 	// disables the cap.
 	MaxConcurrentSearches int
 
-	// BreakerThreshold and BreakerCooldown tune the circuit breaker
-	// wrapped around the disk tier of a CacheDir store: Threshold
-	// consecutive disk failures open it (fail-fast, memory-only
-	// serving), and after Cooldown a single probe op decides between
-	// closing it and re-opening. Defaults 5 and 15s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// ChaosDiskDown, when positive (and CacheDir is set), wraps the disk
-	// tier in a deterministic fault injector that fails every disk op
-	// for the first ChaosDiskDown of the process's life, then recovers —
-	// a built-in chaos drill that exercises the breaker open → half-open
-	// → closed path end to end (aarcd -chaos-disk-down).
-	ChaosDiskDown time.Duration
-
-	// CacheDir, when set (and Store is nil), stores recommendations in a
-	// tiered store: a CacheSize-bounded memory tier over a durable disk
-	// tier rooted here — behind a Retry and a Breaker wrapper — warmed
-	// from disk on construction. Restarts serve the previous process's
-	// entries as hits.
+	// CacheDir, when set (and Store is nil), stores recommendations in
+	// store.NewDurable's tiered store: a CacheSize-bounded memory tier
+	// over a durable disk tier rooted here, behind a Retry and a Breaker
+	// with their default settings, warmed from disk on construction.
+	// Restarts serve the previous process's entries as hits.
 	CacheDir string
-	// Store, when non-nil, is used as-is (CacheSize, CacheDir and the
-	// breaker/retry wrapping are skipped). The Service takes ownership:
-	// Close closes it. A Breaker or Retry tier inside it is observed
-	// (Stats, /readyz) through store.StatsOf.
+	// Store, when non-nil, is used as-is (CacheSize and CacheDir are
+	// skipped). The Service takes ownership: Close closes it. A Breaker
+	// or Retry tier inside it is observed (Stats, /readyz) through
+	// store.StatsOf.
 	Store store.Store
 }
 
@@ -257,12 +242,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 15 * time.Second
-	}
 	st := cfg.Store
 	if st == nil {
 		if cfg.CacheDir != "" {
@@ -270,24 +249,7 @@ func New(cfg Config) (*Service, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The resilient disk stack: breaker over retry over the raw
-			// tier. Transient errors are absorbed by bounded retries; a
-			// dead disk opens the breaker and the tiered store above
-			// degrades to memory-only serving — no syscall per request.
-			var slow store.Store = disk
-			if cfg.ChaosDiskDown > 0 {
-				chaos := store.NewFaulty(slow, store.FaultConfig{})
-				chaos.FailFor(cfg.ChaosDiskDown)
-				slow = chaos
-			}
-			breaker := store.NewBreaker(store.NewRetry(slow, store.RetryConfig{}), store.BreakerConfig{
-				Threshold: cfg.BreakerThreshold,
-				Cooldown:  cfg.BreakerCooldown,
-				Logf:      log.Printf,
-			})
-			tiered := store.NewTiered(store.NewMemory(cfg.CacheSize), breaker)
-			tiered.Warm(cfg.CacheSize)
-			st = tiered
+			st = store.NewDurable(disk, cfg.CacheSize, store.BreakerConfig{Logf: log.Printf})
 		} else {
 			st = store.NewMemory(cfg.CacheSize)
 		}

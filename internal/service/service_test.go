@@ -502,6 +502,10 @@ func TestStatsTieredKindOverCacheDir(t *testing.T) {
 	if st.Store != "tiered" || st.Tiers["memory"] != 1 || st.Tiers["disk"] != 1 {
 		t.Errorf("tiered stats = %+v, want memory=1 disk=1", st)
 	}
+	// The breaker state proves CacheDir builds store.NewDurable's stack.
+	if st.BreakerState != "closed" {
+		t.Errorf("BreakerState = %q, want closed", st.BreakerState)
+	}
 }
 
 // spyStore records every write that reaches its tier, so tests can assert

@@ -14,13 +14,13 @@ var ErrInjected = errors.New("store: injected fault")
 // FaultConfig shapes a Faulty wrapper's steady-state behavior. All fields
 // are optional; the zero value is a fully quiescent wrapper that passes
 // the conformance suite unchanged. Scripted and switched faults
-// (Script, FailAll, FailFor) are runtime methods on Faulty, layered on
-// top of this static configuration.
+// (Script, FailAll) are runtime methods on Faulty, layered on top of
+// this static configuration.
 type FaultConfig struct {
 	// GetFailProb / PutFailProb inject ErrInjected on that fraction of
 	// Gets / Puts, drawn from a Seed-determined stream: two wrappers with
 	// the same seed fault the same ops in the same order. Deletes fault
-	// only by script, switch or deadline.
+	// only by script or switch.
 	GetFailProb float64
 	PutFailProb float64
 	// FailFirstPerKey fails each key's first Get and first Put once
@@ -44,22 +44,20 @@ type FaultConfig struct {
 	Seed uint64
 }
 
-// Faulty is a deterministic fault-injection Store wrapper: the test and
-// chaos harness for the resilience stack (Retry, Breaker, Tiered
-// degradation). It injects errors by probability (FaultConfig), by
-// script (Script), by switch (FailAll/Recover) or by deadline (FailFor),
-// optionally with latency and torn writes. Quiescent, it is a
-// transparent pass-through. Safe for concurrent use when the inner store
-// is.
+// Faulty is a deterministic fault-injection Store wrapper: the test
+// harness for the resilience stack (Retry, Breaker, Tiered degradation).
+// It injects errors by probability (FaultConfig), by script (Script) or
+// by switch (FailAll/Recover), optionally with latency and torn writes.
+// Quiescent, it is a transparent pass-through. Safe for concurrent use
+// when the inner store is.
 type Faulty struct {
 	inner Store
 	cfg   FaultConfig
 
 	mu        sync.Mutex
 	rng       *rand.Rand
-	script    []error // consumed one per fault-eligible op; nil slot = clean
-	switchErr error   // FailAll sentinel; nil = off
-	downUntil time.Time
+	script    []error                    // consumed one per fault-eligible op; nil slot = clean
+	switchErr error                      // FailAll sentinel; nil = off
 	firstSeen map[opKind]map[string]bool // FailFirstPerKey bookkeeping
 
 	ops      atomic.Int64
@@ -95,20 +93,11 @@ func (f *Faulty) FailAll(err error) {
 	f.mu.Unlock()
 }
 
-// FailFor fails every op with ErrInjected for the next d, then recovers
-// on its own — the chaos-drill mode behind aarcd's -chaos-disk-down.
-func (f *Faulty) FailFor(d time.Duration) {
-	f.mu.Lock()
-	f.downUntil = time.Now().Add(d)
-	f.mu.Unlock()
-}
-
-// Recover clears FailAll and FailFor; probability and scripted faults
-// are unaffected.
+// Recover clears FailAll; probability and scripted faults are
+// unaffected.
 func (f *Faulty) Recover() {
 	f.mu.Lock()
 	f.switchErr = nil
-	f.downUntil = time.Time{}
 	f.mu.Unlock()
 }
 
@@ -149,10 +138,6 @@ func (f *Faulty) fault(kind opKind, key string, prob float64) error {
 	if f.switchErr != nil {
 		f.injected.Add(1)
 		return f.switchErr
-	}
-	if !f.downUntil.IsZero() && time.Now().Before(f.downUntil) {
-		f.injected.Add(1)
-		return ErrInjected
 	}
 	if f.cfg.FailFirstPerKey && kind != opDelete {
 		if f.firstSeen == nil {

@@ -74,24 +74,6 @@ func TestFaultySwitchAndRecover(t *testing.T) {
 	}
 }
 
-func TestFaultyFailForWindow(t *testing.T) {
-	f := store.NewFaulty(store.NewMemory(4), store.FaultConfig{})
-	f.FailFor(25 * time.Millisecond)
-	if err := f.Put(key(1), entry(1)); !errors.Is(err, store.ErrInjected) {
-		t.Errorf("in-window Put err = %v, want ErrInjected", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if err := f.Put(key(1), entry(1)); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("FailFor window never expired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestFaultyDeterministicProbabilityStream(t *testing.T) {
 	cfg := store.FaultConfig{GetFailProb: 0.5, Seed: 7}
 	a := store.NewFaulty(store.NewMemory(4), cfg)
@@ -387,8 +369,16 @@ func TestBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
 	}
 }
 
-// TestResilientStackEndToEnd drives the production composition —
-// Breaker(Retry(Faulty(Disk))) — through an outage and recovery.
+// TestResilientStackEndToEnd drives NewDurable's stack,
+// Tiered(Memory, Breaker(Retry(disk))), with its default settings over a
+// disk that fails every op after one healthy Put, then through recovery.
+// It pins the order: each inversion fails one reading.
+//
+//   - Retry(Breaker(disk)) opens the breaker on the 2nd failing Put, not
+//     the 5th: each retry attempt counts against the threshold.
+//   - Breaker(disk) without Retry reads 0 retries.
+//   - Retry(disk) without Breaker reports no breaker state.
+//   - Breaker outside Tiered fast-fails the key the memory tier holds.
 func TestResilientStackEndToEnd(t *testing.T) {
 	disk, err := store.OpenDisk(t.TempDir())
 	if err != nil {
@@ -396,43 +386,67 @@ func TestResilientStackEndToEnd(t *testing.T) {
 	}
 	clock := newFakeClock()
 	faulty := store.NewFaulty(disk, store.FaultConfig{})
-	retry := store.NewRetry(faulty, store.RetryConfig{})
-	breaker := store.NewBreaker(retry, store.BreakerConfig{Threshold: 2, Cooldown: time.Minute, Clock: clock.now})
-	defer breaker.Close()
+	st := store.NewDurable(faulty, 128, store.BreakerConfig{Clock: clock.now})
+	defer st.Close()
 
-	// Healthy writes land on disk.
-	if err := breaker.Put(key(1), entry(1)); err != nil {
+	// A healthy write lands in both tiers.
+	if err := st.Put(key(0), entry(0)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Outage: each breaker-visible failure is a full retry burst.
+	// Outage: each failing Put is one breaker failure and one retry
+	// burst of 3 disk ops; the 5th opens the breaker.
 	faulty.FailAll(nil)
-	for i := 0; i < 2; i++ {
-		if _, _, err := breaker.Get(key(1)); err == nil {
-			t.Fatal("outage Get succeeded")
+	opsBefore := faulty.Ops()
+	for i := 1; i <= 5; i++ {
+		if err := st.Put(key(i), entry(i)); !errors.Is(err, store.ErrInjected) {
+			t.Fatalf("failing Put %d: err = %v, want ErrInjected", i, err)
+		}
+		want := store.BreakerClosed.String()
+		if i == 5 {
+			want = store.BreakerOpen.String()
+		}
+		if got := store.StatsOf(st).Breaker; got != want {
+			t.Fatalf("breaker after %d failing Puts = %q, want %q", i, got, want)
 		}
 	}
-	if breaker.State() != store.BreakerOpen {
-		t.Fatalf("state = %v, want open", breaker.State())
+	if got := store.StatsOf(st).Retries; got != 10 {
+		t.Errorf("Retries after 5 failing Puts = %d, want 10", got)
 	}
-	opsBefore := faulty.Ops()
-	_, _, _ = breaker.Get(key(1))
-	if faulty.Ops() != opsBefore {
-		t.Error("open breaker retried into the dead tier")
+	if got := faulty.Ops() - opsBefore; got != 15 {
+		t.Errorf("5 failing Puts made %d disk ops, want 15", got)
 	}
 
-	// Recovery: fault clears, cooldown elapses, the probe closes the
-	// breaker and the durable entry is readable again.
+	// Open: a 6th Put fails fast without reaching the disk.
+	opsBefore = faulty.Ops()
+	if err := st.Put(key(6), entry(6)); !errors.Is(err, store.ErrBreakerOpen) {
+		t.Errorf("Put while open: err = %v, want ErrBreakerOpen", err)
+	}
+	if got := faulty.Ops() - opsBefore; got != 0 {
+		t.Errorf("Put while open reached the disk %d times, want 0", got)
+	}
+
+	// The memory tier keeps serving what it holds.
+	if got, ok, err := st.Get(key(0)); err != nil || !ok || !bytes.Equal(got.Body, entry(0).Body) {
+		t.Fatalf("memory-held Get while open = ok=%v err=%v", ok, err)
+	}
+
+	// Recovery: the fault clears, the 15 s cooldown elapses, and the
+	// half-open probe closes the breaker; the healthy write is on disk.
 	faulty.Recover()
-	clock.advance(2 * time.Minute)
-	got, ok, err := breaker.Get(key(1))
-	if err != nil || !ok || !bytes.Equal(got.Body, entry(1).Body) {
-		t.Fatalf("post-recovery Get = ok=%v err=%v", ok, err)
+	clock.advance(16 * time.Second)
+	if got := store.StatsOf(st).Breaker; got != store.BreakerHalfOpen.String() {
+		t.Fatalf("breaker after cooldown = %q, want half-open", got)
 	}
-	if breaker.State() != store.BreakerClosed {
-		t.Errorf("state after recovery = %v, want closed", breaker.State())
+	if err := st.Put(key(7), entry(7)); err != nil {
+		t.Fatalf("probe Put: %v", err)
 	}
-	if retry.Retries() == 0 {
-		t.Error("outage consumed no retries — the retry tier never engaged")
+	if got := store.StatsOf(st).Breaker; got != store.BreakerClosed.String() {
+		t.Errorf("breaker after the probe = %q, want closed", got)
+	}
+	for _, i := range []int{0, 7} {
+		if got, ok, err := disk.Get(key(i)); err != nil || !ok || !bytes.Equal(got.Body, entry(i).Body) {
+			t.Errorf("disk Get %d after recovery = ok=%v err=%v", i, ok, err)
+		}
 	}
 }

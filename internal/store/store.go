@@ -18,7 +18,8 @@
 //     or in another layout — degrades to a miss, never an error.
 //   - Tiered: Memory over Disk with write-through on Put and
 //     promote-on-hit on Get — the serving default when a cache directory
-//     is configured.
+//     is configured, where NewDurable puts a Retry and a Breaker
+//     around the disk tier.
 //
 // Values are the already-serialized response body plus a caller-defined
 // metadata blob (the service stores the canonical spec JSON and runner
@@ -93,4 +94,19 @@ func StatsOf(s Store) Stats {
 		return sr.Stats()
 	}
 	return Stats{Kind: "custom", Tiers: map[string]int{"custom": s.Len()}}
+}
+
+// Peek reads key as Get does, except that a *Tiered answers from its
+// fast tier and then its slow tier without promoting a slow-tier hit into
+// the fast tier. A pass over every key, such as a listing, reads through
+// Peek so that it does not replace a tiered store's working set.
+func Peek(s Store, key string) (Entry, bool, error) {
+	t, ok := s.(*Tiered)
+	if !ok {
+		return s.Get(key)
+	}
+	if e, ok, err := t.fast.Get(key); err != nil || ok {
+		return e, ok, err
+	}
+	return t.slow.Get(key)
 }

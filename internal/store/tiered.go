@@ -31,6 +31,25 @@ func NewTiered(fast, slow Store) *Tiered {
 	return &Tiered{fast: fast, slow: slow}
 }
 
+// NewDurable builds the serving layer's durable store over disk, the one
+// place the disk tier's resilience stack is composed:
+//
+//	Tiered(Memory(cacheSize), Breaker(Retry(disk)))
+//
+// warmed with up to cacheSize entries. The order is load-bearing. Tiered
+// is outermost, so the memory tier keeps serving while the breaker is
+// open. Breaker is outside Retry, so one logical op counts once against
+// the breaker's threshold however many attempts it takes, and an open
+// breaker fails fast before any backoff. The retry tier keeps
+// RetryConfig's defaults; bc sets the breaker (the service passes only
+// Logf, so its defaults hold too). The result owns disk.
+// TestResilientStackEndToEnd pins the order.
+func NewDurable(disk Store, cacheSize int, bc BreakerConfig) *Tiered {
+	t := NewTiered(NewMemory(cacheSize), NewBreaker(NewRetry(disk, RetryConfig{}), bc))
+	t.Warm(cacheSize)
+	return t
+}
+
 // Get implements Store, promoting slow-tier hits into the fast tier.
 // The fast-tier hit branch is on the serving fast path and alloc-free;
 // the slow-tier promotion is the miss path and may allocate inside the

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"strconv"
 
-	"aarc/internal/dag"
-	"aarc/internal/perfmodel"
 	"aarc/internal/resources"
 )
 
@@ -221,54 +219,13 @@ func DecodeCanonicalSpec(b []byte) (*Spec, error) {
 	if err := json.Unmarshal(b, &cs); err != nil {
 		return nil, fmt.Errorf("workflow: decoding canonical spec: %w", err)
 	}
-	g := dag.New()
-	profiles := make(map[string]perfmodel.Profile, len(cs.Nodes))
-	groups := make(map[string]string)
-	for _, n := range cs.Nodes {
-		if err := g.AddNode(n.ID); err != nil {
-			return nil, err
+	return newSpec(cs.Name, cs.SLOMS, cs.Nodes, cs.Edges, cs.Limits.limits(), func(*Spec) resources.Assignment {
+		base := make(resources.Assignment, len(cs.Base))
+		for grp, c := range cs.Base {
+			base[grp] = resources.Config{CPU: c.CPU, MemMB: c.MemMB}
 		}
-		profiles[n.ID] = perfmodel.Profile{
-			Name:           n.ID,
-			CPUWorkMS:      n.Profile.CPUWorkMS,
-			ParallelFrac:   n.Profile.ParallelFrac,
-			MaxParallel:    n.Profile.MaxParallel,
-			IOMS:           n.Profile.IOMS,
-			FootprintMB:    n.Profile.FootprintMB,
-			MinMemMB:       n.Profile.MinMemMB,
-			PressureK:      n.Profile.PressureK,
-			NoiseStd:       n.Profile.NoiseStd,
-			InputSensitive: n.Profile.InputSensitive,
-		}
-		if n.Group != "" {
-			groups[n.ID] = n.Group
-		}
-	}
-	for _, e := range cs.Edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
-		}
-	}
-	base := make(resources.Assignment, len(cs.Base))
-	for grp, c := range cs.Base {
-		base[grp] = resources.Config{CPU: c.CPU, MemMB: c.MemMB}
-	}
-	spec := &Spec{
-		Name:     cs.Name,
-		G:        g,
-		Profiles: profiles,
-		Groups:   groups,
-		SLOMS:    cs.SLOMS,
-		Base:     base,
-		Limits: resources.Limits{
-			MinCPU: cs.Limits.MinCPU, MaxCPU: cs.Limits.MaxCPU, CPUStep: cs.Limits.CPUStep,
-			MinMemMB: cs.Limits.MinMemMB, MaxMemMB: cs.Limits.MaxMemMB, MemStepMB: cs.Limits.MemStepMB,
-		},
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return spec, nil
+		return base
+	})
 }
 
 // Fingerprint returns "sha256:<hex>" over the spec's canonical JSON. It is

@@ -79,6 +79,13 @@ type limitsJSON struct {
 	MemStepMB float64 `json:"mem_step_mb"`
 }
 
+func (l limitsJSON) limits() resources.Limits {
+	return resources.Limits{
+		MinCPU: l.MinCPU, MaxCPU: l.MaxCPU, CPUStep: l.CPUStep,
+		MinMemMB: l.MinMemMB, MaxMemMB: l.MaxMemMB, MemStepMB: l.MemStepMB,
+	}
+}
+
 // DecodeSpec reads a JSON workflow definition whole and validates it. A
 // StrictReader reads the bytes in one pass; when it declines, encoding/json
 // decodes the same bytes as it always has (its first value, unknown members
@@ -121,10 +128,26 @@ func jsonDoc(b []byte) (*Doc, error) {
 // buildSpec builds a definition into a Spec — graph, profiles, groups, the
 // uniform base and the limits — and validates it.
 func buildSpec(sj *specJSON) (*Spec, error) {
+	lim := resources.DefaultLimits()
+	if sj.Limits != nil {
+		lim = sj.Limits.limits()
+	}
+	uniform := resources.Config{CPU: sj.Base.CPU, MemMB: sj.Base.MemMB}
+	return newSpec(sj.Name, sj.SLOMS, sj.Nodes, sj.Edges, lim, func(spec *Spec) resources.Assignment {
+		return resources.Uniform(spec.FunctionGroups(), uniform)
+	})
+}
+
+// newSpec builds nodes and edges into a Spec's graph, profiles and groups,
+// sets its limits and the base assignment that base returns for it (base
+// runs once the groups are known), and validates it. It is the one builder
+// behind both wire formats: DecodeSpec's uniform base and the canonical
+// form's per-group base.
+func newSpec(name string, sloMS float64, nodes []nodeJSON, edges [][2]string, lim resources.Limits, base func(*Spec) resources.Assignment) (*Spec, error) {
 	g := dag.New()
-	profiles := make(map[string]perfmodel.Profile, len(sj.Nodes))
+	profiles := make(map[string]perfmodel.Profile, len(nodes))
 	groups := make(map[string]string)
-	for _, n := range sj.Nodes {
+	for _, n := range nodes {
 		if err := g.AddNode(n.ID); err != nil {
 			return nil, err
 		}
@@ -144,30 +167,20 @@ func buildSpec(sj *specJSON) (*Spec, error) {
 			groups[n.ID] = n.Group
 		}
 	}
-	for _, e := range sj.Edges {
+	for _, e := range edges {
 		if err := g.AddEdge(e[0], e[1]); err != nil {
 			return nil, err
 		}
 	}
-
-	lim := resources.DefaultLimits()
-	if sj.Limits != nil {
-		lim = resources.Limits{
-			MinCPU: sj.Limits.MinCPU, MaxCPU: sj.Limits.MaxCPU, CPUStep: sj.Limits.CPUStep,
-			MinMemMB: sj.Limits.MinMemMB, MaxMemMB: sj.Limits.MaxMemMB, MemStepMB: sj.Limits.MemStepMB,
-		}
-	}
-
 	spec := &Spec{
-		Name:     sj.Name,
+		Name:     name,
 		G:        g,
 		Profiles: profiles,
 		Groups:   groups,
-		SLOMS:    sj.SLOMS,
+		SLOMS:    sloMS,
 		Limits:   lim,
 	}
-	base := resources.Config{CPU: sj.Base.CPU, MemMB: sj.Base.MemMB}
-	spec.Base = resources.Uniform(spec.FunctionGroups(), base)
+	spec.Base = base(spec)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

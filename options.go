@@ -26,11 +26,8 @@ type settings struct {
 
 	batchWorkers int // ConfigureBatch + NewService: 0 = GOMAXPROCS
 
-	searchTimeout    time.Duration // NewService: 0 = no server-side search deadline
-	maxConcSearches  int           // NewService: 0 = unlimited cold searches
-	breakerThreshold int           // NewService: 0 = default 5
-	breakerCooldown  time.Duration // NewService: 0 = default 15s
-	chaosDiskDown    time.Duration // NewService: 0 = no chaos drill
+	searchTimeout   time.Duration // NewService: 0 = no server-side search deadline
+	maxConcSearches int           // NewService: 0 = unlimited cold searches
 }
 
 func defaultSettings() settings {
@@ -124,10 +121,13 @@ func WithShards(n int) Option {
 
 // WithCacheDir makes NewService's recommendation store durable: a
 // WithCacheSize-bounded memory tier over a disk tier rooted at dir
-// (write-through, promote-on-hit, warmed from disk on start). A
-// restarted service answers fingerprints its predecessor searched as
-// cache hits, byte-identical. Configure and ConfigureClasses ignore it;
-// WithStore overrides it.
+// (write-through, promote-on-hit, warmed from disk on start). The disk
+// tier sits behind bounded retries and a circuit breaker with fixed
+// settings: 5 consecutive failures open it (memory-only serving,
+// /readyz degraded), and after 15s one probe op decides between closing
+// and re-opening. A restarted service answers fingerprints its
+// predecessor searched as cache hits, byte-identical. Configure and
+// ConfigureClasses ignore it; WithStore overrides it.
 func WithCacheDir(dir string) Option {
 	return func(s *settings) { s.cacheDir = dir }
 }
@@ -161,29 +161,6 @@ func WithSearchTimeout(d time.Duration) Option {
 // ignore it.
 func WithMaxConcurrentSearches(n int) Option {
 	return func(s *settings) { s.maxConcSearches = n }
-}
-
-// WithBreaker tunes the circuit breaker NewService wraps around a
-// WithCacheDir disk tier: threshold consecutive disk failures open it
-// (disk skipped, memory-only serving, /readyz degraded) and after
-// cooldown one probe op decides between closing and re-opening.
-// Defaults: 5 failures, 15s cooldown. Ignored without WithCacheDir (a
-// memory-only store has no tier to break).
-func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(s *settings) {
-		s.breakerThreshold = threshold
-		s.breakerCooldown = cooldown
-	}
-}
-
-// WithChaosDiskOutage is the built-in chaos drill: NewService wraps a
-// WithCacheDir disk tier in a deterministic fault injector that fails
-// every disk op for the first d of the service's life, then recovers —
-// driving the breaker through open → half-open → closed while the
-// memory tier keeps serving. Intended for smoke tests (aarcd
-// -chaos-disk-down); zero (the default) injects nothing.
-func WithChaosDiskOutage(d time.Duration) Option {
-	return func(s *settings) { s.chaosDiskDown = d }
 }
 
 // WithStore plugs a caller-built recommendation store (see the Store

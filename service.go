@@ -72,16 +72,15 @@ func NewTieredStore(fast, slow Store) Store { return store.NewTiered(fast, slow)
 // NewService builds the serving layer with the same functional options as
 // Configure (WithMethod, WithSeed, WithHostCores, WithNoise, WithSLO,
 // WithInputScale) plus the service-specific WithCacheSize, WithShards,
-// WithCacheDir, WithStore and WithBatchWorkers, the resilience knobs
-// WithSearchTimeout, WithMaxConcurrentSearches, WithBreaker and
-// WithChaosDiskOutage. The service starts no background work: only a
-// request writes its store, and each successful write is one Info record,
-// "store put" or "store invalidated" with the key fingerprint, on the
-// slog.Default logger in place when the service is built. A WithBudget
-// budget becomes the server-side cap: requests may tighten it, never
-// exceed it. The error is the backing store's (opening a cache directory
-// can fail; a memory-only service cannot). Close the service to release
-// the store.
+// WithCacheDir, WithStore and WithBatchWorkers, and the resilience knobs
+// WithSearchTimeout and WithMaxConcurrentSearches. The service starts no
+// background work: only a request writes its store, and each successful
+// write is one Info record, "store put" or "store invalidated" with the
+// key fingerprint, on the slog.Default logger in place when the service
+// is built. A WithBudget budget becomes the server-side cap: requests may
+// tighten it, never exceed it. The error is the backing store's (opening
+// a cache directory can fail; a memory-only service cannot). Close the
+// service to release the store.
 func NewService(opts ...Option) (*Service, error) {
 	s := newSettings(opts)
 	return service.New(service.Config{
@@ -101,9 +100,6 @@ func NewService(opts ...Option) (*Service, error) {
 
 		SearchTimeout:         s.searchTimeout,
 		MaxConcurrentSearches: s.maxConcSearches,
-		BreakerThreshold:      s.breakerThreshold,
-		BreakerCooldown:       s.breakerCooldown,
-		ChaosDiskDown:         s.chaosDiskDown,
 	})
 }
 
