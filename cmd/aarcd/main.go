@@ -56,6 +56,7 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"math"
 	"net/http"
 	"os/signal"
 	"strconv"
@@ -90,6 +91,12 @@ func main() {
 		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout: keep-alive connection idle deadline")
 	)
 	flag.Parse()
+	// flag.Float64 parses NaN and infinities, which no cache key carries:
+	// the service refuses them in -cores, and the conversion to a
+	// Duration below would turn them into a negative cap.
+	if math.IsNaN(*maxSimMS) || math.IsInf(*maxSimMS, 0) {
+		log.Fatalf("-max-sim-cost-ms %v: want a finite number", *maxSimMS)
+	}
 
 	svc, err := aarc.NewService(
 		aarc.WithMethod(*method),

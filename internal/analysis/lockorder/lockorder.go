@@ -8,8 +8,12 @@
 // which only surfaced under load. The one sanctioned exception is a mutex that
 // *owns* the callee — the runner-pool shards, where the shard mutex is
 // exactly what makes a non-thread-safe Runner usable — and such sites
-// carry an //aarc:locked <reason> marker. Tests can deadlock too, so
-// this check covers _test.go files and _test packages.
+// carry an //aarc:locked <reason> marker. A call to a same-package
+// function that does one of these on its caller's goroutine — itself, or
+// through further same-package calls, outside a waiver — counts as the
+// operation: each function gets that summary, propagated over the static
+// calls the lock-order graph records. Tests can deadlock too, so this
+// check covers _test.go files and _test packages.
 //
 // Lock order: the whole-program lock-acquisition graph has no cycles —
 // the static form of the deadlock-freedom claim DESIGN.md makes for the
@@ -170,14 +174,21 @@ type callsite struct {
 	pos      token.Pos
 	held     lockSet
 	detached bool
+	// direct marks a call that is itself a search, store I/O or an
+	// evaluation: checkHygiene judges it, not checkHelpers.
+	direct bool
 }
 
 // funcSummary is what one declaration, literals included, contributes
-// to the lock-order graph.
+// to the lock-order graph and to lock hygiene.
 type funcSummary struct {
 	name     string
 	acquires []acquire
 	calls    []callsite
+	// does names the first forbidden operation ("store I/O", ...) the
+	// declaration makes itself on its own goroutine without an
+	// //aarc:locked waiver; "" for none.
+	does string
 }
 
 // body is one function body awaiting the held-lock analysis.
@@ -197,7 +208,7 @@ type checker struct {
 }
 
 func run(pass *analysis.Pass) error {
-	var sums []*funcSummary
+	var sums, all []*funcSummary
 	for _, f := range pass.Files {
 		test := analysis.IsTestFile(pass.Fset, f)
 		for _, d := range f.Decls {
@@ -212,13 +223,63 @@ func run(pass *analysis.Pass) error {
 				c.pending = c.pending[1:]
 				c.analyze(b)
 			}
-			if !test && fn != nil {
-				sums = append(sums, c.sum)
+			if fn != nil {
+				all = append(all, c.sum)
+				if !test {
+					sums = append(sums, c.sum)
+				}
 			}
 		}
 	}
+	checkHelpers(pass, all)
 	checkOrder(pass, sums)
 	return nil
+}
+
+// checkHelpers extends lock hygiene through same-package helpers. A
+// function does a search, store I/O or an evaluation when it makes one
+// itself (outside an //aarc:locked waiver and off any goroutine it
+// spawns) or calls, on its own goroutine, a same-package function that
+// does. A call to such a function while a mutex is held is reported, as
+// the operation itself would be, unless an //aarc:locked waiver covers
+// the call.
+func checkHelpers(pass *analysis.Pass, sums []*funcSummary) {
+	does := map[string]string{}
+	for _, s := range sums {
+		if s.does != "" && does[s.name] == "" {
+			does[s.name] = s.does
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, s := range sums {
+			if does[s.name] != "" {
+				continue
+			}
+			for _, c := range s.calls {
+				if what := does[c.callee]; what != "" && !c.detached {
+					does[s.name] = what
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	for _, s := range sums {
+		for _, c := range s.calls {
+			what := does[c.callee]
+			if what == "" || c.direct || len(c.held) == 0 {
+				continue
+			}
+			if m, ok := pass.Markers().At(pass.Fset, c.pos, "locked"); ok {
+				if m.Arg == "" {
+					pass.Reportf(c.pos, "//aarc:locked marker needs a reason")
+				}
+				continue
+			}
+			pass.Reportf(c.pos, "%s (in %s) while holding mutex %s can deadlock or serialize the serving path; move it outside the critical section or mark //aarc:locked <reason>", what, analysis.ShortName(c.callee), c.held.names())
+		}
+	}
 }
 
 // analyze runs the held-lock dataflow over one body, then replays each
@@ -317,38 +378,46 @@ func (c *checker) scan(n ast.Node, held lockSet, detached bool) {
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
-			if len(held) > 0 {
-				c.checkHygiene(x, fn, held)
+			what := forbidden(fn)
+			if what != "" && !detached && c.sum.does == "" {
+				if _, waived := c.pass.Markers().At(c.pass.Fset, x.Pos(), "locked"); !waived {
+					c.sum.does = what
+				}
 			}
-			c.sum.calls = append(c.sum.calls, callsite{fullName(fn), x.Pos(), held, detached})
+			if what != "" && len(held) > 0 {
+				c.checkHygiene(x, what, held)
+			}
+			c.sum.calls = append(c.sum.calls, callsite{fullName(fn), x.Pos(), held, detached, what != ""})
 		}
 		return true
 	})
 }
 
-// checkHygiene reports call if it is one of the operations forbidden
-// under a mutex and no //aarc:locked waiver covers it.
-func (c *checker) checkHygiene(call *ast.CallExpr, fn *types.Func, held lockSet) {
+// forbidden names the operation fn is when it is one lock hygiene
+// forbids under a mutex: a search, store I/O or a workflow evaluation;
+// "" otherwise.
+func forbidden(fn *types.Func) string {
 	if fn.Signature().Recv() == nil {
-		return
+		return ""
 	}
-	var what string
 	switch pkg := fn.Pkg().Name(); fn.Name() {
 	case "Search":
-		what = "a search"
+		return "a search"
 	case "Get", "Put", "Delete", "Keys", "Warm":
-		if pkg != "store" {
-			return
+		if pkg == "store" {
+			return "store I/O"
 		}
-		what = "store I/O"
 	case "Evaluate", "EvaluateInto", "EvaluateScale", "MeanEvaluate":
-		if pkg != "workflow" {
-			return
+		if pkg == "workflow" {
+			return "a workflow evaluation"
 		}
-		what = "a workflow evaluation"
-	default:
-		return
 	}
+	return ""
+}
+
+// checkHygiene reports call, the operation what, made while held, unless
+// an //aarc:locked waiver covers it.
+func (c *checker) checkHygiene(call *ast.CallExpr, what string, held lockSet) {
 	pass := c.pass
 	if m, ok := pass.Markers().At(pass.Fset, call.Pos(), "locked"); ok {
 		if m.Arg == "" {

@@ -1,7 +1,8 @@
 // Fixture for lockscope: target calls (Search, store I/O, Evaluate and
 // its variants) made while a sync mutex is statically held must be
-// flagged; calls after release, on fresh goroutines, or under an
-// //aarc:locked waiver must not.
+// flagged, and so must calls to same-package helpers that make them;
+// calls after release, on fresh goroutines, or under an //aarc:locked
+// waiver must not.
 package svc
 
 import (
@@ -172,4 +173,52 @@ func (s *S) selectAcquire(ch chan int) {
 	default:
 	}
 	_ = s.st.Put("k", nil) // want `store I/O while holding mutex s\.mu`
+}
+
+// readThrough does store I/O itself, holding nothing.
+func (s *S) readThrough(k string) []byte {
+	b, _ := s.st.Get(k)
+	return b
+}
+
+// lookup reaches store I/O through readThrough.
+func (s *S) lookup(k string) []byte { return s.readThrough(k) }
+
+// helperUnderLock calls helpers that do store I/O, directly and through
+// another helper, with the lock held: each call is the I/O itself.
+func (s *S) helperUnderLock(k string) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_ = s.readThrough(k) // want `store I/O \(in svc\.\(S\)\.readThrough\) while holding mutex s\.mu`
+	return s.lookup(k)   // want `store I/O \(in svc\.\(S\)\.lookup\) while holding mutex s\.mu`
+}
+
+// helperAfterUnlock calls the same helper once the lock is released.
+func (s *S) helperAfterUnlock(k string) []byte {
+	s.mu.Lock()
+	s.mu.Unlock()
+	return s.readThrough(k) // ok: lock already released
+}
+
+// ownedHelper evaluates under a waiver only, so it does nothing the
+// rule forbids, and neither does calling it under another lock.
+func (s *S) ownedHelper() float64 {
+	return s.run.Evaluate(nil) //aarc:locked the caller's mutex owns this Runner
+}
+
+func (s *S) waivedHelperUnderLock() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ownedHelper() // ok: the helper's evaluation carries its own waiver
+}
+
+// spawnsSearch searches on a goroutine it spawns, not on its caller's.
+func (s *S) spawnsSearch(q string) {
+	go s.eng.Search(q)
+}
+
+func (s *S) spawnerUnderLock(q string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.spawnsSearch(q) // ok: the search runs on its own goroutine
 }

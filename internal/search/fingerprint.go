@@ -9,6 +9,10 @@ import "encoding/json"
 // otherwise-identical searches with and without a progress callback as the
 // same search. The serving layer hashes these bytes (together with the
 // spec's canonical JSON and the runner/method identity) into its cache key.
+//
+// SLOMS and MaxSimCostMS must be finite: JSON has no NaN or infinity, so
+// CanonicalJSON panics on one. The service refuses them before keying
+// (a request's as a 400, a Config's in service.New).
 func (o Options) CanonicalJSON() []byte {
 	b, err := json.Marshal(struct {
 		SLOMS        float64 `json:"slo_ms"`
@@ -16,7 +20,7 @@ func (o Options) CanonicalJSON() []byte {
 		MaxSimCostMS float64 `json:"max_sim_cost_ms"`
 	}{o.SLOMS, o.MaxSamples, o.MaxSimCostMS})
 	if err != nil {
-		// Three scalar fields cannot fail to marshal.
+		// Finite scalars cannot fail to marshal.
 		panic(err)
 	}
 	return b

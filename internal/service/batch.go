@@ -1,6 +1,6 @@
 // Batched admission: a burst of *distinct* fingerprints would pay one
 // full search each, serially from each caller's point of view. The batch
-// path fingerprints every item up front, answers store hits immediately,
+// path keys every item up front, answers store hits immediately,
 // dedupes repeats within the batch, and runs the remaining misses on one
 // experiments.Pool run, whose per-cell determinism makes batched results
 // byte-identical to sequential singleton requests. A miss enters the same
@@ -69,51 +69,56 @@ var errNilSpec = errors.New("service: batch item with nil spec")
 // Counters: every non-duplicate item is one hit or one miss; duplicates
 // ride along uncounted.
 func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
-	if len(items) > MaxBatchItems {
+	return s.configureBatch(ctx, len(items), func(i int) (key, error) {
+		if items[i].Spec == nil {
+			return key{}, errNilSpec
+		}
+		return s.keySpec(items[i].Spec, items[i].Options, nil)
+	})
+}
+
+// configureBatch is ConfigureBatch over n items that keyOf keys: built
+// specs (keySpec) or, from POST /v1/configure:batch, decoded requests
+// (keyRequest), so each batch item takes the singleton route's lookup.
+func (s *Service) configureBatch(ctx context.Context, n int, keyOf func(i int) (key, error)) ([]BatchResult, error) {
+	if n > MaxBatchItems {
 		return nil, ErrBatchTooLarge
 	}
-	results := make([]BatchResult, len(items))
-	firstOf := make(map[string]int, len(items)) // fingerprint -> first item index
-	dups := make(map[int]int)                   // duplicate item index -> first index
+	results := make([]BatchResult, n)
+	firstOf := make(map[string]int, n) // fingerprint -> first item index
+	dups := make(map[int]int)          // duplicate item index -> first index
 	type miss struct {
-		item     int
-		specJSON []byte
-		r        resolved
+		item int
+		k    key
 	}
 	var misses []miss
 
-	// Identify: resolve and fingerprint every item, answer store hits,
-	// collect the misses. Item-level failures stop here, in their slot.
-	for i := range items {
-		it := &items[i]
-		if it.Spec == nil {
-			results[i].Err = errNilSpec
-			continue
-		}
-		r, err := s.resolve(it.Spec, it.Options)
+	// Identify: key every item, answer store hits, collect the misses.
+	// Item-level failures stop here, in their slot.
+	for i := range results {
+		k, err := keyOf(i)
 		if err != nil {
 			results[i].Err = err
 			continue
 		}
-		fp, specJSON, err := s.fingerprint(it.Spec, r)
-		if err != nil {
-			results[i].Err = err
-			continue
-		}
-		results[i].Fingerprint = fp
-		if j, ok := firstOf[fp]; ok {
+		results[i].Fingerprint = k.fp
+		if j, ok := firstOf[k.fp]; ok {
 			dups[i] = j
 			continue
 		}
-		firstOf[fp] = i
-		if se, ok := s.getStore(fp); ok {
+		firstOf[k.fp] = i
+		if se, ok := s.getStore(k.fp); ok {
 			s.hits.Add(1)
 			results[i].Body = se.Body
 			results[i].CacheHit = true
 			continue
 		}
+		if err := s.build(&k); err != nil {
+			results[i].Err = err
+			continue
+		}
 		s.misses.Add(1)
-		misses = append(misses, miss{item: i, specJSON: specJSON, r: r})
+		misses = append(misses, miss{item: i, k: k})
 	}
 
 	// Run: one pooled run; each miss enters its flight when a worker
@@ -121,16 +126,16 @@ func (s *Service) ConfigureBatch(ctx context.Context, items []BatchItem) ([]Batc
 	// pool starting later items), and a panic fails only its slot.
 	if len(misses) > 0 {
 		s.batchRuns.Add(1)
-		_ = s.batch.Do(len(misses), func(k int) error {
-			m := misses[k]
+		_ = s.batch.Do(len(misses), func(j int) error {
+			m := &misses[j]
 			res := &results[m.item]
 			defer func() {
 				if p := recover(); p != nil {
 					res.Err = fmt.Errorf("service: search for %s panicked: %v", res.Fingerprint, p)
 				}
 			}()
-			res.Body, res.Err = s.flight.do(ctx, res.Fingerprint, func() ([]byte, error) {
-				return s.searchMiss(ctx, res.Fingerprint, items[m.item].Spec, m.specJSON, m.r, false)
+			res.Body, res.Err = s.flight.do(ctx, m.k.fp, func() ([]byte, error) {
+				return s.searchMiss(ctx, m.k.fp, m.k.spec, m.k.specJSON, m.k.r, false)
 			})
 			return nil
 		})

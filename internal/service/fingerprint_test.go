@@ -159,3 +159,13 @@ func TestSplicedKeyAndMetaMatchMarshal(t *testing.T) {
 		}
 	}
 }
+
+// fingerprint is the fingerprint a spec gets under r, and its canonical
+// JSON: what keySpec computes without a wire key to reuse.
+func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (fp string, specJSON []byte, err error) {
+	if specJSON, err = workflow.CanonicalJSON(spec); err != nil {
+		return "", nil, err
+	}
+	fp, err = s.keyOf(specJSON, r)
+	return fp, specJSON, err
+}

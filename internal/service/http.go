@@ -106,12 +106,12 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		spec, err := req.spec()
+		k, err := s.keyRequest(req.specSource, req.options())
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeServiceError(s, w, err)
 			return
 		}
-		body, hit, err := s.ConfigureJSON(r.Context(), spec, req.options())
+		body, hit, err := s.serve(r.Context(), k)
 		if err != nil {
 			writeServiceError(s, w, err)
 			return
@@ -137,19 +137,11 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, http.StatusBadRequest, ErrBatchTooLarge)
 			return
 		}
-		// Decode every item's spec up front; a bad item keeps its slot (a
-		// per-item 400) without failing the batch.
-		items := make([]BatchItem, len(req.Requests))
-		decodeErrs := make([]error, len(req.Requests))
-		for i, cr := range req.Requests {
-			spec, err := cr.spec()
-			if err != nil {
-				decodeErrs[i] = err
-				continue
-			}
-			items[i] = BatchItem{Spec: spec, Options: cr.options()}
-		}
-		results, err := s.ConfigureBatch(r.Context(), items)
+		// A bad item keeps its slot (a per-item 400) without failing the
+		// batch.
+		results, err := s.configureBatch(r.Context(), len(req.Requests), func(i int) (key, error) {
+			return s.keyRequest(req.Requests[i].specSource, req.Requests[i].options())
+		})
 		if err != nil {
 			writeServiceError(s, w, err)
 			return
@@ -157,11 +149,6 @@ func NewHandler(s *Service) http.Handler {
 		out := batchConfigureResponse{Results: make([]batchItemResponse, len(results))}
 		for i := range results {
 			item := &out.Results[i]
-			if decodeErrs[i] != nil {
-				item.Status = http.StatusBadRequest
-				item.Error = decodeErrs[i].Error()
-				continue
-			}
 			if results[i].Err != nil {
 				item.Status = statusOf(results[i].Err)
 				item.Error = results[i].Err.Error()

@@ -46,6 +46,7 @@ import (
 	"cmp"
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -228,11 +229,15 @@ type Service struct {
 	panics         atomic.Int64
 }
 
-// New builds a Service. Zero Config fields take the documented defaults;
-// the error is the backing store's (a memory-only service cannot fail).
+// New builds a Service. Zero Config fields take the documented defaults.
+// It fails on a float field that is NaN or infinite, which no cache key
+// can carry, and with the backing store's error.
 // The service's change record goes to the slog.Default logger in place
 // at this call.
 func New(cfg Config) (*Service, error) {
+	if err := checkFinite("Config.", []namedFloat{{"HostCores", cfg.HostCores}, {"InputScale", cfg.InputScale}, {"SLOMS", cfg.SLOMS}, {"MaxSimCostMS", cfg.MaxSimCostMS}}); err != nil {
+		return nil, err
+	}
 	if cfg.Method == "" {
 		cfg.Method = "aarc"
 	}
@@ -500,6 +505,16 @@ type resolved struct {
 }
 
 func (s *Service) resolve(spec *workflow.Spec, ro RequestOptions) (resolved, error) {
+	return s.resolveSLO(ro, spec.SLOMS)
+}
+
+// resolveSLO is resolve for a spec whose SLO is specSLO. A request SLO,
+// budget or input scale that is NaN or infinite is a requestError: no
+// cache key carries it.
+func (s *Service) resolveSLO(ro RequestOptions, specSLO float64) (resolved, error) {
+	if err := checkFinite("request ", []namedFloat{{"slo_ms", ro.SLOMS}, {"max_sim_cost_ms", ro.MaxSimCostMS}, {"input_scale", ro.InputScale}}); err != nil {
+		return resolved{}, requestError{err}
+	}
 	r := resolved{method: s.cfg.Method, seed: s.cfg.Seed}
 	if ro.Method != "" {
 		r.method = ro.Method
@@ -527,7 +542,7 @@ func (s *Service) resolve(spec *workflow.Spec, ro RequestOptions) (resolved, err
 		sloMS = ro.SLOMS
 	}
 	if sloMS <= 0 {
-		sloMS = spec.SLOMS
+		sloMS = specSLO
 	}
 	r.sopts = search.Options{
 		SLOMS:        sloMS,
@@ -536,6 +551,23 @@ func (s *Service) resolve(spec *workflow.Spec, ro RequestOptions) (resolved, err
 		Summary:      true, // a Recommendation reads only the trace's count and totals
 	}
 	return r, nil
+}
+
+// namedFloat is one float setting checkFinite checks, by name.
+type namedFloat struct {
+	name string
+	v    float64
+}
+
+// checkFinite fails on the first of fs that is NaN or infinite: the cache
+// key spells every one of them in JSON, which has neither.
+func checkFinite(what string, fs []namedFloat) error {
+	for _, f := range fs {
+		if !finite(f.v) {
+			return fmt.Errorf("service: %s%s is %v, want a finite number", what, f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // capBudget applies the server-side cap: the request may tighten the
@@ -554,16 +586,12 @@ func capBudgetF(req, cap float64) float64 {
 	return req
 }
 
-// fingerprint builds the content-addressed cache key. The method's
-// implementation version is part of the key: bumping a method's
-// registered version changes every fingerprint it produces, so stale
-// entries — including persisted ones — are simply never addressed again.
-// It also returns the spec's canonical JSON, which a miss stores as-is.
-func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (fp string, specJSON []byte, err error) {
-	specJSON, err = workflow.CanonicalJSON(spec)
-	if err != nil {
-		return "", nil, err
-	}
+// keyOf builds the content-addressed cache key of a spec whose canonical
+// JSON is specJSON, searched with r. The method's implementation version
+// is part of the key: bumping a method's registered version changes every
+// fingerprint it produces, so stale entries — including persisted ones —
+// are simply never addressed again.
+func (s *Service) keyOf(specJSON []byte, r resolved) (string, error) {
 	// The key is {"spec": specJSON, then these fields}; see writeSpecObject.
 	rest, err := json.Marshal(struct {
 		Search        json.RawMessage `json:"search"`
@@ -583,11 +611,116 @@ func (s *Service) fingerprint(spec *workflow.Spec, r resolved) (fp string, specJ
 		InputScale:    r.ropts.InputScale,
 	})
 	if err != nil {
-		return "", nil, err
+		return "", err
 	}
 	h := sha256.New()
 	writeSpecObject(h, specJSON, rest)
-	return fmt.Sprintf("sha256:%x", h.Sum(nil)), specJSON, nil
+	var fp [len("sha256:") + 2*sha256.Size]byte
+	hex.Encode(fp[copy(fp[:], "sha256:"):], h.Sum(nil))
+	return string(fp[:]), nil
+}
+
+// A key is one configure request identified by its fingerprint, with what
+// its miss searches: the spec, its canonical JSON (stored in the entry's
+// meta) and the resolved options. A key found by an inline spec's wire
+// bytes (keyRequest) has no spec until its lookup misses and build builds
+// it; doc and ro are what build reads.
+type key struct {
+	fp       string
+	spec     *workflow.Spec
+	specJSON []byte
+	r        resolved
+
+	doc *workflow.Doc
+	ro  RequestOptions
+}
+
+// keySpec keys a built spec: resolve, CanonicalJSON, hash. wire, when not
+// nil, is the key of the canonical bytes the request's inline spec was
+// sent as: a spec whose canonical JSON equals them reuses its hash.
+func (s *Service) keySpec(spec *workflow.Spec, ro RequestOptions, wire *key) (key, error) {
+	r, err := s.resolve(spec, ro)
+	if err != nil {
+		return key{}, err
+	}
+	specJSON, err := workflow.CanonicalJSON(spec)
+	if err != nil {
+		return key{}, err
+	}
+	k := key{spec: spec, specJSON: specJSON, r: r}
+	if wire != nil && bytes.Equal(specJSON, wire.specJSON) {
+		k.fp = wire.fp // the same bytes under the same options
+	} else if k.fp, err = s.keyOf(specJSON, r); err != nil {
+		return key{}, err
+	}
+	return k, nil
+}
+
+// keyRequest keys a decoded request's spec half. An inline spec the
+// strict reader read is first keyed by its wire bytes (wireKey): when the
+// store holds that key (store.Contains, which reads no tier), it is the
+// request's key, and the spec is built only if the lookup misses. The
+// store holds only keys hashed over validated specs' canonical JSON, and
+// wire bytes equal to one are that spec's, so the key is the one the
+// built spec would get. Any other request is built and keyed by keySpec;
+// a spec that does not build is a requestError.
+func (s *Service) keyRequest(src specSource, ro RequestOptions) (key, error) {
+	var wire *key
+	if w, ok := s.wireKey(src, ro); ok {
+		if store.Contains(s.st, w.fp) {
+			return w, nil
+		}
+		wire = &w
+	}
+	spec, err := src.spec()
+	if err != nil {
+		return key{}, requestError{err}
+	}
+	return s.keySpec(spec, ro, wire)
+}
+
+// wireKey keys an inline spec the strict reader read by the canonical
+// bytes its document writes (workflow.Doc.CanonicalJSON), without
+// building it: of the spec's values it parses only the SLO. ok is false
+// for a request it cannot key so: a workload, a body the reader declined,
+// an SLO out of range, options that do not resolve.
+func (s *Service) wireKey(src specSource, ro RequestOptions) (w key, ok bool) {
+	if src.doc == nil || src.Workload != "" {
+		return key{}, false
+	}
+	slo, ok := src.doc.SLOMS()
+	if !ok {
+		return key{}, false
+	}
+	r, err := s.resolveSLO(ro, slo)
+	if err != nil {
+		return key{}, false
+	}
+	w = key{specJSON: src.doc.CanonicalJSON(), r: r, doc: src.doc, ro: ro}
+	if w.fp, err = s.keyOf(w.specJSON, r); err != nil {
+		return key{}, false
+	}
+	return w, true
+}
+
+// build builds the spec of a key keyRequest found by its wire bytes, for
+// the miss its lookup turned out to be, and keys it as keySpec does
+// (reusing the wire bytes' hash, which the spec's canonical JSON equals).
+// A key with a spec is left as it is.
+func (s *Service) build(k *key) error {
+	if k.spec != nil {
+		return nil
+	}
+	spec, err := k.doc.Spec()
+	if err != nil {
+		return requestError{err}
+	}
+	built, err := s.keySpec(spec, k.ro, k)
+	if err != nil {
+		return err
+	}
+	*k = built
+	return nil
 }
 
 // getStore reads the store, degrading store errors to misses (a broken
@@ -662,23 +795,28 @@ func (s *Service) ConfigureJSON(ctx context.Context, spec *workflow.Spec, ro Req
 	if spec == nil {
 		return nil, false, errors.New("service: Configure with nil spec")
 	}
-	r, err := s.resolve(spec, ro)
+	k, err := s.keySpec(spec, ro, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	fp, specJSON, err := s.fingerprint(spec, r)
-	if err != nil {
-		return nil, false, err
-	}
-	if se, ok := s.getStore(fp); ok {
+	return s.serve(ctx, k)
+}
+
+// serve answers a keyed request: the stored body on a hit; otherwise the
+// key's spec is built if it has none yet, and the request is a miss. The
+// first caller for a fingerprint searches inline; one arriving while a
+// singleton or a started batch item searches it waits for its result.
+func (s *Service) serve(ctx context.Context, k key) (body []byte, cacheHit bool, err error) {
+	if se, ok := s.getStore(k.fp); ok {
 		s.hits.Add(1)
 		return se.Body, true, nil
 	}
+	if err := s.build(&k); err != nil {
+		return nil, false, err
+	}
 	s.misses.Add(1)
-	// The first caller for fp searches inline; one arriving while a
-	// singleton or a started batch item searches fp waits for its result.
-	body, err = s.flight.do(ctx, fp, func() ([]byte, error) {
-		return s.searchMiss(ctx, fp, spec, specJSON, r, true)
+	body, err = s.flight.do(ctx, k.fp, func() ([]byte, error) {
+		return s.searchMiss(ctx, k.fp, k.spec, k.specJSON, k.r, true)
 	})
 	return body, false, err
 }
@@ -703,29 +841,24 @@ func (s *Service) RecommendationJSON(fp string) ([]byte, error) {
 // Invalidate removes a fingerprint from every store tier, drops its
 // runner pool and records "store invalidated"; existed reports whether
 // there was an entry to remove. The next Configure for the same content
-// re-searches. Existence is checked against the key index (Keys), not
-// Get: a tiered Get would read the whole body off disk and promote it
-// into memory just to delete it. An absent fingerprint skips the Delete
-// entirely, and a failed Delete returns its error: neither is recorded.
+// re-searches. Existence is checked against the stores' indexes
+// (store.Contains), not Get: a tiered Get would read the whole body off
+// disk and promote it into memory just to delete it. An absent
+// fingerprint skips the Delete entirely, and a failed Delete returns its
+// error: neither is recorded.
 func (s *Service) Invalidate(fp string) (existed bool, err error) {
-	for _, k := range s.st.Keys() {
-		if k == fp {
-			existed = true
-			break
-		}
-	}
-	if !existed {
+	if !store.Contains(s.st, fp) {
 		return false, nil
 	}
 	if err := s.st.Delete(fp); err != nil {
 		s.storeErrs.Add(1)
-		return existed, err
+		return true, err
 	}
 	s.mu.Lock()
 	s.pools.remove(fp)
 	s.mu.Unlock()
 	s.logger.Info("store invalidated", "fingerprint", fp)
-	return existed, nil
+	return true, nil
 }
 
 // runSearch performs one search and builds its storable form: the served

@@ -634,6 +634,14 @@ func (d *Disk) Keys() []string {
 	return keys
 }
 
+// contains reports whether key is indexed, reading no file.
+func (d *Disk) contains(key string) bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	_, ok := d.index[key]
+	return ok
+}
+
 // Len implements Store.
 func (d *Disk) Len() int {
 	d.mu.RLock()

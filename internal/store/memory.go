@@ -107,6 +107,14 @@ func (m *Memory) Keys() []string {
 	return keys
 }
 
+// contains reports whether key is stored, leaving its recency as it is.
+func (m *Memory) contains(key string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.items[key]
+	return ok
+}
+
 // Len implements Store.
 func (m *Memory) Len() int {
 	m.mu.Lock()

@@ -27,6 +27,8 @@
 // A Store never interprets either.
 package store
 
+import "slices"
+
 // Entry is one stored recommendation: the exact response bytes served
 // for its fingerprint, plus opaque caller metadata persisted alongside.
 type Entry struct {
@@ -94,6 +96,30 @@ func StatsOf(s Store) Stats {
 		return sr.Stats()
 	}
 	return Stats{Kind: "custom", Tiers: map[string]int{"custom": s.Len()}}
+}
+
+// Contains reports whether s holds key, from the index of the store that
+// holds it: a Memory's map, a Disk's index, and through a Tiered, a
+// Breaker, a Retry or a Faulty, the stores inside. Like Keys and Len, it
+// reads no file and passes no breaker or retry bookkeeping, and it does
+// not touch the memory tier's recency, so a caller can check a key it may
+// not go on to read. Any other Store is asked for its Keys.
+func Contains(s Store, key string) bool {
+	switch s := s.(type) {
+	case *Memory:
+		return s.contains(key)
+	case *Disk:
+		return s.contains(key)
+	case *Tiered:
+		return Contains(s.fast, key) || Contains(s.slow, key)
+	case *Breaker:
+		return Contains(s.inner, key)
+	case *Retry:
+		return Contains(s.inner, key)
+	case *Faulty:
+		return Contains(s.inner, key)
+	}
+	return slices.Contains(s.Keys(), key)
 }
 
 // Peek reads key as Get does, except that a *Tiered answers from its

@@ -81,6 +81,25 @@ func TestConformance(t *testing.T) {
 					t.Errorf("round trip mutated entry:\n got %q %q\nwant %q %q", got.Body, got.Meta, want.Body, want.Meta)
 				}
 			})
+			t.Run("Contains", func(t *testing.T) {
+				st := open(t)
+				defer st.Close()
+				if store.Contains(st, key(1)) {
+					t.Fatal("empty store Contains a key")
+				}
+				if err := st.Put(key(1), entry(1)); err != nil {
+					t.Fatal(err)
+				}
+				if !store.Contains(st, key(1)) || store.Contains(st, key(2)) {
+					t.Fatalf("after one Put: Contains(1) = %v, Contains(2) = %v", store.Contains(st, key(1)), store.Contains(st, key(2)))
+				}
+				if err := st.Delete(key(1)); err != nil {
+					t.Fatal(err)
+				}
+				if store.Contains(st, key(1)) {
+					t.Fatal("Contains a deleted key")
+				}
+			})
 			t.Run("Overwrite", func(t *testing.T) {
 				st := open(t)
 				defer st.Close()
@@ -563,6 +582,77 @@ func TestTieredWarm(t *testing.T) {
 		t.Errorf("Warm(0) = %d, want all 6", warmed)
 	}
 }
+
+// TestContainsReadsNoTier: Contains answers from the indexes of the
+// durable stack NewDurable builds, for a key held in memory and for one
+// only on disk, with the breaker open: no disk op, no breaker or retry
+// count, and the memory tier's recency untouched. A store of another
+// kind is asked for its Keys.
+func TestContainsReadsNoTier(t *testing.T) {
+	disk, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := newFakeClock()
+	faulty := store.NewFaulty(disk, store.FaultConfig{})
+	st := store.NewDurable(faulty, 2, store.BreakerConfig{Clock: clock.now})
+	defer st.Close()
+	for i := 1; i <= 3; i++ { // key 1 is evicted from memory: disk only
+		if err := st.Put(key(i), entry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faulty.FailAll(nil)
+	for i := 10; i < 15; i++ { // five failing Puts open the breaker
+		_ = st.Put(key(i), entry(i))
+	}
+	if got := store.StatsOf(st).Breaker; got != store.BreakerOpen.String() {
+		t.Fatalf("breaker = %q, want open", got)
+	}
+	ops, stats := faulty.Ops(), store.StatsOf(st)
+	for i, want := range map[int]bool{1: true, 2: true, 3: true, 4: false} {
+		if got := store.Contains(st, key(i)); got != want {
+			t.Errorf("Contains(%d) = %v, want %v", i, got, want)
+		}
+	}
+	if got := faulty.Ops() - ops; got != 0 {
+		t.Errorf("Contains made %d disk ops, want 0", got)
+	}
+	if after := store.StatsOf(st); after.Retries != stats.Retries || after.Breaker != stats.Breaker {
+		t.Errorf("Contains moved the stack's stats: %+v, then %+v", stats, after)
+	}
+
+	// Key 1 is a memory store's least recently used entry; Contains
+	// leaves it so, and the next insert evicts it.
+	mem := store.NewMemory(2)
+	for i := 1; i <= 2; i++ {
+		if err := mem.Put(key(i), entry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Contains(mem, key(1))
+	if err := mem.Put(key(3), entry(3)); err != nil {
+		t.Fatal(err)
+	}
+	if store.Contains(mem, key(1)) || !store.Contains(mem, key(2)) {
+		t.Errorf("after Contains(1) and an insert: Contains(1) = %v, Contains(2) = %v; want the LRU key 1 evicted",
+			store.Contains(mem, key(1)), store.Contains(mem, key(2)))
+	}
+
+	if !store.Contains(keysStore{key(5)}, key(5)) || store.Contains(keysStore{key(5)}, key(6)) {
+		t.Error("Contains over a custom store disagrees with its Keys")
+	}
+}
+
+// keysStore is a custom store that only lists its keys.
+type keysStore []string
+
+func (keysStore) Get(string) (store.Entry, bool, error) { return store.Entry{}, false, nil }
+func (keysStore) Put(string, store.Entry) error         { return nil }
+func (keysStore) Delete(string) error                   { return nil }
+func (k keysStore) Keys() []string                      { return k }
+func (k keysStore) Len() int                            { return len(k) }
+func (keysStore) Close() error                          { return nil }
 
 func TestStatsOfCustomStore(t *testing.T) {
 	st := store.StatsOf(nopStore{})

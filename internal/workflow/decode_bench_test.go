@@ -55,3 +55,27 @@ func BenchmarkCanonicalJSON(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDocCanonicalJSON writes the same specs' canonical bytes from
+// the body as sent, as the configure route looks a spec up: the strict
+// reader's spans and the writer, with no number parsed, no graph built
+// and nothing validated.
+func BenchmarkDocCanonicalJSON(b *testing.B) {
+	for _, n := range benchSizes {
+		spec := testutil.ScaleSpec(b, workloads.TopologyLayered, n, 1)
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, testutil.EncodeSpec(b, spec)); err != nil {
+			b.Fatal(err)
+		}
+		body := compact.Bytes()
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, ok := workflow.WireCanonicalJSON(body); !ok {
+					b.Fatal("the strict reader declined")
+				}
+			}
+		})
+	}
+}

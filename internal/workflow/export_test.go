@@ -8,13 +8,42 @@ import (
 // SampleSpecJSON is the hand-written definition TestDecodeSpec reads.
 const SampleSpecJSON = sampleSpecJSON
 
-// StrictDoc and EncodingJSONDoc are DecodeSpec's two ways to read a
-// definition: the strict reader (ok false when it declined) and the
-// encoding/json fallback it is checked against.
-var (
-	StrictDoc       = strictDoc
-	EncodingJSONDoc = jsonDoc
-)
+// ReadDoc is a definition as one of DecodeSpec's two ways reads it, with
+// its numbers parsed: the values encoding/json decodes it to, and the
+// spec they build.
+type ReadDoc struct{ sj specJSON }
+
+// Spec builds the definition, as DecodeSpec does.
+func (d *ReadDoc) Spec() (*Spec, error) { return buildSpec(&d.sj) }
+
+// StrictDoc reads b as DecodeSpec's strict reader does and parses the
+// numbers it recorded; ok is false when the reader declined or a number
+// is out of range, which sends DecodeSpec to encoding/json instead.
+func StrictDoc(b []byte) (*ReadDoc, bool) {
+	d, ok := strictDoc(b)
+	if !ok {
+		return nil, false
+	}
+	sj, ok := d.parse()
+	return &ReadDoc{sj}, ok
+}
+
+// EncodingJSONDoc reads b as DecodeSpec's encoding/json fallback does,
+// the oracle StrictDoc is checked against.
+func EncodingJSONDoc(b []byte) (*ReadDoc, error) {
+	sj, err := jsonDoc(b)
+	return &ReadDoc{*sj}, err
+}
+
+// WireCanonicalJSON writes b's canonical bytes as the strict reader reads
+// them (Doc.CanonicalJSON); ok is false when the reader declined.
+func WireCanonicalJSON(b []byte) (canon []byte, d *Doc, ok bool) {
+	d, ok = strictDoc(b)
+	if !ok {
+		return nil, nil, false
+	}
+	return d.CanonicalJSON(), d, true
+}
 
 // MarshalCanonical is the canonical encoding as json.Marshal writes it from
 // a built canonicalSpec: the oracle CanonicalJSON must equal byte for byte.

@@ -70,7 +70,10 @@ func buildPermutedSpec(rng *rand.Rand) *Spec {
 // TestCanonicalJSONByteStableUnderMapOrderPerturbation: 100
 // independently permuted constructions of the same workflow must
 // canonicalize to byte-identical JSON, and therefore to one
-// fingerprint. A single differing byte here splits the cache.
+// fingerprint. A single differing byte here splits the cache. Each one
+// is also sent as EncodeSpec writes it, its nodes and edges in the
+// permuted order, and the document's own canonical bytes (the configure
+// route's lookup key) must be the same bytes.
 func TestCanonicalJSONByteStableUnderMapOrderPerturbation(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xaa2c))
 	ref, err := CanonicalJSON(buildPermutedSpec(rng))
@@ -96,6 +99,17 @@ func TestCanonicalJSONByteStableUnderMapOrderPerturbation(t *testing.T) {
 		}
 		if fp != refFP {
 			t.Fatalf("run %d: fingerprint diverged: %s vs %s", run, fp, refFP)
+		}
+		var sent bytes.Buffer
+		if err := EncodeSpec(&sent, spec); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		d, ok := strictDoc(sent.Bytes())
+		if !ok {
+			t.Fatalf("run %d: the strict reader declined EncodeSpec's output", run)
+		}
+		if wire := d.CanonicalJSON(); !bytes.Equal(wire, ref) {
+			t.Fatalf("run %d: the document's canonical bytes diverged\nref:  %s\nwire: %s", run, ref, wire)
 		}
 	}
 }

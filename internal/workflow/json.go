@@ -102,11 +102,11 @@ func DecodeSpec(r io.Reader) (*Spec, error) {
 	if d, ok := strictDoc(buf.Bytes()); ok {
 		return d.Spec()
 	}
-	d, err := jsonDoc(buf.Bytes())
+	sj, err := jsonDoc(buf.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("workflow: decoding spec: %w", err)
 	}
-	return d.Spec()
+	return buildSpec(sj)
 }
 
 // strictDoc reads b with a StrictReader; ok is false when it declined.
@@ -118,11 +118,11 @@ func strictDoc(b []byte) (d *Doc, ok bool) {
 
 // jsonDoc decodes b with encoding/json: its first value, unknown members
 // refused.
-func jsonDoc(b []byte) (*Doc, error) {
-	d := new(Doc)
+func jsonDoc(b []byte) (*specJSON, error) {
+	sj := new(specJSON)
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
-	return d, dec.Decode(&d.sj)
+	return sj, dec.Decode(sj)
 }
 
 // buildSpec builds a definition into a Spec — graph, profiles, groups, the

@@ -1,21 +1,28 @@
 package workflow
 
-import "strconv"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"strconv"
+)
 
 // StrictReader reads a JSON document in one pass over its bytes, straight
 // into the values its caller asks for. It handles exactly the layouts that
 // json.Marshal and EncodeSpec emit, with whitespace anywhere JSON allows
 // it: exact-case known keys, each at most once; strings of printable ASCII
 // without escapes; numbers in the JSON grammar, parsed by strconv as
-// encoding/json parses them; true and false; nothing but whitespace after
-// the top-level value.
+// encoding/json parses them; true and false; null for a definition's
+// nodes or edges, as json.Marshal writes a nil slice; nothing but
+// whitespace after the top-level value.
 //
 // On anything else the reader declines: End reports false, and every read
 // after the first deviation returns a zero value, so a caller reads a whole
 // document straight through and checks End once. A decline is not an
 // error. The caller decodes the same bytes with encoding/json instead,
 // which keeps everything the reader leaves out — case-folded and repeated
-// keys, null, escapes, unknown members, trailing data — and its errors.
+// keys, other nulls, escapes, unknown members, trailing data — and its
+// errors.
 // Whatever the reader accepts, encoding/json decodes to the same values.
 type StrictReader struct {
 	b   []byte
@@ -83,45 +90,80 @@ func (r *StrictReader) More(close byte, n int) bool {
 // equals. A name not in names, or one whose bit (its index in names) is
 // already set in seen, declines; otherwise Key sets the bit.
 func (r *StrictReader) Key(seen *uint64, names []string) string {
+	if k := r.key(seen, names); k >= 0 {
+		return names[k]
+	}
+	return ""
+}
+
+// key is Key returning the name's index in names, -1 when it declined.
+func (r *StrictReader) key(seen *uint64, names []string) int {
 	k := r.quoted()
 	r.Expect(':')
-	for i, name := range names {
-		if string(k) == name {
+	// Members mostly come in names' order, as json.Marshal writes them,
+	// so the search starts after the last name read.
+	start := bits.Len64(*seen)
+	for j := range names {
+		i := start + j
+		if i >= len(names) {
+			i -= len(names)
+		}
+		if string(k) == names[i] {
 			if *seen&(1<<i) != 0 {
 				break
 			}
 			*seen |= 1 << i
-			return name
+			return i
 		}
 	}
 	r.decline()
-	return ""
+	return -1
 }
 
 // quoted reads a string token and returns the bytes between its quotes.
-func (r *StrictReader) quoted() []byte {
+func (r *StrictReader) quoted() []byte { return r.quotedSpan().in(r.b) }
+
+// quotedSpan is quoted returning where the bytes sit.
+func (r *StrictReader) quotedSpan() span {
 	r.ws()
 	if r.bad || r.i >= len(r.b) || r.b[r.i] != '"' {
 		r.decline()
-		return nil
+		return span{}
 	}
 	start := r.i + 1
-	for i := start; i < len(r.b); i++ {
-		switch c := r.b[i]; {
-		case c == '"':
-			r.i = i + 1
-			return r.b[start:i]
-		case c < 0x20 || c > 0x7e || c == '\\':
-			r.decline()
-			return nil
-		}
+	i := start
+	for i < len(r.b) && plain[r.b[i]] {
+		i++
 	}
-	r.decline()
-	return nil
+	if i == len(r.b) || r.b[i] != '"' {
+		r.decline()
+		return span{}
+	}
+	r.i = i + 1
+	return span{int32(start), int32(i)}
 }
+
+// plain marks the bytes a string the reader accepts holds as they are:
+// printable ASCII other than the quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c <= 0x7e; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 // Text reads a string.
 func (r *StrictReader) Text() string { return string(r.quoted()) }
+
+// null consumes a null token, when one comes next.
+func (r *StrictReader) null() bool {
+	r.ws()
+	if r.bad || len(r.b)-r.i < 4 || string(r.b[r.i:r.i+4]) != "null" {
+		return false
+	}
+	r.i += 4
+	return true
+}
 
 // boolean reads true or false.
 func (r *StrictReader) boolean() bool {
@@ -142,46 +184,48 @@ func (r *StrictReader) boolean() bool {
 }
 
 // number reads a token in the JSON number grammar and returns its bytes.
-func (r *StrictReader) number() []byte {
+func (r *StrictReader) number() []byte { return r.numberSpan().in(r.b) }
+
+// numberSpan is number returning where the token sits.
+func (r *StrictReader) numberSpan() span {
 	r.ws()
 	b, i := r.b, r.i
-	digits := func() bool {
-		start := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > start
-	}
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
+	ok := true
+	if i < len(b) && b[i] == '0' {
 		i++
-	case !digits():
-		r.decline()
-		return nil
+	} else {
+		i, ok = digits(b, i)
 	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			r.decline()
-			return nil
-		}
+	if ok && i < len(b) && b[i] == '.' {
+		i, ok = digits(b, i+1)
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	if ok && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if !digits() {
-			r.decline()
-			return nil
-		}
+		i, ok = digits(b, i)
+	}
+	if !ok {
+		r.decline()
+		return span{}
 	}
 	start := r.i
 	r.i = i
-	return b[start:i]
+	return span{int32(start), int32(i)}
+}
+
+// digits skips the decimal digits of b from i on; ok reports whether
+// there was at least one.
+func digits(b []byte, i int) (end int, ok bool) {
+	end = i
+	for end < len(b) && '0' <= b[end] && b[end] <= '9' {
+		end++
+	}
+	return end, end > i
 }
 
 // Float reads a number into a float64, declining when it is out of range.
@@ -229,11 +273,123 @@ func (r *StrictReader) Uint() uint64 {
 }
 
 // A Doc is a workflow definition as submitted, in the DecodeSpec format,
-// read but not yet built into a Spec.
-type Doc struct{ sj specJSON }
+// read but not built: where each of its values sits in the bytes it was
+// read from. Its numbers are parsed only when it is built (Spec), so its
+// canonical bytes (CanonicalJSON) are written without parsing or
+// formatting one.
+type Doc struct {
+	b          []byte // the bytes the spans index
+	start, end int    // the definition object's extent in b
+	name, slo  span
+	nodes      []wireNode // in the order read; nil when the member is absent or null
+	edges      [][2]span  // in the order read; nil when the member is absent or null
+	base       [2]span    // in configKeys order
+	limits     [6]span    // in limitsKeys order, when hasLimits
+	hasLimits  bool
+}
 
-// Spec builds and validates the definition, as DecodeSpec does.
-func (d *Doc) Spec() (*Spec, error) { return buildSpec(&d.sj) }
+// A span is the bytes b[off:end] of the buffer a Doc or a canonicalForm
+// reads: a string's content between its quotes, or a number token. An
+// empty span is a member left out, or an empty string, which builds and
+// writes as one left out.
+type span struct{ off, end int32 }
+
+func (s span) in(b []byte) []byte { return b[s.off:s.end] }
+
+func (s span) empty() bool { return s.off == s.end }
+
+// A wireNode is one node of a Doc or a canonicalForm: its id, its group,
+// and its profile's numbers in profileKeys order, input_sensitive aside.
+type wireNode struct {
+	id, group span
+	profile   [8]span
+	sensitive bool
+}
+
+// Spec builds and validates the definition, as DecodeSpec does. A number
+// outside float64's range, which the reader leaves to this step, sends
+// the definition's bytes to encoding/json, as a decline does, and its
+// error is the one returned.
+func (d *Doc) Spec() (*Spec, error) {
+	sj, ok := d.parse()
+	if !ok {
+		std, err := jsonDoc(d.b[d.start:d.end])
+		if err != nil {
+			return nil, fmt.Errorf("workflow: decoding spec: %w", err)
+		}
+		sj = *std
+	}
+	return buildSpec(&sj)
+}
+
+// SLOMS parses the definition's slo_ms, 0 when it has none; ok is false
+// when the number is out of range.
+func (d *Doc) SLOMS() (slo float64, ok bool) {
+	p := parser{b: d.b, ok: true}
+	return p.float(d.slo), p.ok
+}
+
+// parse reads the document into the values encoding/json decodes it to;
+// ok is false when a number is out of range.
+func (d *Doc) parse() (sj specJSON, ok bool) {
+	p := parser{b: d.b, ok: true}
+	sj.Name = string(d.name.in(d.b))
+	sj.SLOMS = p.float(d.slo)
+	if d.nodes != nil {
+		sj.Nodes = make([]nodeJSON, len(d.nodes))
+	}
+	for i := range d.nodes {
+		n, pr := &d.nodes[i], &d.nodes[i].profile
+		sj.Nodes[i] = nodeJSON{
+			ID:    string(n.id.in(d.b)),
+			Group: string(n.group.in(d.b)),
+			Profile: profileJSON{
+				CPUWorkMS:      p.float(pr[0]),
+				ParallelFrac:   p.float(pr[1]),
+				MaxParallel:    p.float(pr[2]),
+				IOMS:           p.float(pr[3]),
+				FootprintMB:    p.float(pr[4]),
+				MinMemMB:       p.float(pr[5]),
+				PressureK:      p.float(pr[6]),
+				NoiseStd:       p.float(pr[7]),
+				InputSensitive: n.sensitive,
+			},
+		}
+	}
+	if d.edges != nil {
+		sj.Edges = make([][2]string, len(d.edges))
+	}
+	for i, e := range d.edges {
+		sj.Edges[i] = [2]string{string(e[0].in(d.b)), string(e[1].in(d.b))}
+	}
+	sj.Base = configJSON{CPU: p.float(d.base[0]), MemMB: p.float(d.base[1])}
+	if d.hasLimits {
+		l := &d.limits
+		sj.Limits = &limitsJSON{
+			MinCPU: p.float(l[0]), MaxCPU: p.float(l[1]), CPUStep: p.float(l[2]),
+			MinMemMB: p.float(l[3]), MaxMemMB: p.float(l[4]), MemStepMB: p.float(l[5]),
+		}
+	}
+	return sj, p.ok
+}
+
+// parser parses a document's number spans as encoding/json parses
+// numbers, an empty span as 0, and keeps whether every one was in range.
+type parser struct {
+	b  []byte
+	ok bool
+}
+
+func (p *parser) float(s span) float64 {
+	if s.empty() {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(s.in(p.b)), 64)
+	if err != nil {
+		p.ok = false
+	}
+	return f
+}
 
 // The member names of the DecodeSpec format, in the order of the fields
 // they fill (a test holds them to the json tags).
@@ -245,129 +401,98 @@ var (
 	limitsKeys  = []string{"min_cpu", "max_cpu", "cpu_step", "min_mem_mb", "max_mem_mb", "mem_step_mb"}
 )
 
-// Spec reads a workflow definition object in the DecodeSpec format. It
-// returns nil when the reader declined.
+// Spec reads a workflow definition object in the DecodeSpec format,
+// recording where each value sits and parsing no number. It returns nil
+// when the reader declined.
 func (r *StrictReader) Spec() *Doc {
-	d := new(Doc)
-	sj := &d.sj
+	if len(r.b) > math.MaxInt32 { // past what a span holds: encoding/json reads it
+		r.decline()
+		return nil
+	}
+	r.ws()
+	d := &Doc{b: r.b, start: r.i}
 	var seen uint64
 	r.Expect('{')
 	for n := 0; r.More('}', n); n++ {
 		switch r.Key(&seen, specKeys) {
 		case "name":
-			sj.Name = r.Text()
+			d.name = r.quotedSpan()
 		case "slo_ms":
-			sj.SLOMS = r.Float()
+			d.slo = r.numberSpan()
 		case "nodes":
-			sj.Nodes = []nodeJSON{}
+			if r.null() {
+				break
+			}
+			// Sized from the bytes left, which EncodeSpec spends 230-290 of
+			// a node, up to 64 nodes: a batch body holds more specs after.
+			d.nodes = make([]wireNode, 0, min((len(r.b)-r.i)/256+1, 64))
 			r.Expect('[')
 			for m := 0; r.More(']', m); m++ {
-				sj.Nodes = append(sj.Nodes, r.node())
+				d.nodes = append(d.nodes, r.node())
 			}
 		case "edges":
-			sj.Edges = [][2]string{}
+			if r.null() { // as json.Marshal writes a nil slice
+				break
+			}
+			d.edges = make([][2]span, 0, 2*len(d.nodes)+1) // generated specs have under two edges a node
 			r.Expect('[')
 			for m := 0; r.More(']', m); m++ {
-				var e [2]string
+				var e [2]span
 				r.Expect('[')
-				e[0] = r.Text()
+				e[0] = r.quotedSpan()
 				r.Expect(',')
-				e[1] = r.Text()
+				e[1] = r.quotedSpan()
 				r.Expect(']')
-				sj.Edges = append(sj.Edges, e)
+				d.edges = append(d.edges, e)
 			}
 		case "base":
-			sj.Base = r.config()
+			r.numbers(d.base[:], configKeys)
 		case "limits":
-			sj.Limits = r.limits()
+			d.hasLimits = true
+			r.numbers(d.limits[:], limitsKeys)
 		}
 	}
 	if r.bad {
 		return nil
 	}
+	d.end = r.i
 	return d
 }
 
-func (r *StrictReader) node() nodeJSON {
-	var n nodeJSON
+func (r *StrictReader) node() wireNode {
+	var n wireNode
 	var seen uint64
 	r.Expect('{')
 	for i := 0; r.More('}', i); i++ {
 		switch r.Key(&seen, nodeKeys) {
 		case "id":
-			n.ID = r.Text()
+			n.id = r.quotedSpan()
 		case "group":
-			n.Group = r.Text()
+			n.group = r.quotedSpan()
 		case "profile":
-			n.Profile = r.profile()
+			var pseen uint64
+			r.Expect('{')
+			for j := 0; r.More('}', j); j++ {
+				switch k := r.key(&pseen, profileKeys); {
+				case k == len(n.profile):
+					n.sensitive = r.boolean()
+				case k >= 0:
+					n.profile[k] = r.numberSpan()
+				}
+			}
 		}
 	}
 	return n
 }
 
-func (r *StrictReader) profile() profileJSON {
-	var p profileJSON
+// numbers reads an object of number members named by keys into spans,
+// one per key.
+func (r *StrictReader) numbers(spans []span, keys []string) {
 	var seen uint64
 	r.Expect('{')
 	for i := 0; r.More('}', i); i++ {
-		switch r.Key(&seen, profileKeys) {
-		case "cpu_work_ms":
-			p.CPUWorkMS = r.Float()
-		case "parallel_frac":
-			p.ParallelFrac = r.Float()
-		case "max_parallel":
-			p.MaxParallel = r.Float()
-		case "io_ms":
-			p.IOMS = r.Float()
-		case "footprint_mb":
-			p.FootprintMB = r.Float()
-		case "min_mem_mb":
-			p.MinMemMB = r.Float()
-		case "pressure_k":
-			p.PressureK = r.Float()
-		case "noise_std":
-			p.NoiseStd = r.Float()
-		case "input_sensitive":
-			p.InputSensitive = r.boolean()
+		if k := r.key(&seen, keys); k >= 0 {
+			spans[k] = r.numberSpan()
 		}
 	}
-	return p
-}
-
-func (r *StrictReader) config() configJSON {
-	var c configJSON
-	var seen uint64
-	r.Expect('{')
-	for i := 0; r.More('}', i); i++ {
-		switch r.Key(&seen, configKeys) {
-		case "cpu":
-			c.CPU = r.Float()
-		case "mem_mb":
-			c.MemMB = r.Float()
-		}
-	}
-	return c
-}
-
-func (r *StrictReader) limits() *limitsJSON {
-	l := new(limitsJSON)
-	var seen uint64
-	r.Expect('{')
-	for i := 0; r.More('}', i); i++ {
-		switch r.Key(&seen, limitsKeys) {
-		case "min_cpu":
-			l.MinCPU = r.Float()
-		case "max_cpu":
-			l.MaxCPU = r.Float()
-		case "cpu_step":
-			l.CPUStep = r.Float()
-		case "min_mem_mb":
-			l.MinMemMB = r.Float()
-		case "max_mem_mb":
-			l.MaxMemMB = r.Float()
-		case "mem_step_mb":
-			l.MemStepMB = r.Float()
-		}
-	}
-	return l
 }

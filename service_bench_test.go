@@ -143,10 +143,14 @@ func BenchmarkServiceConfigureBatch(b *testing.B) {
 // path against the POST-configure hit paths it bypasses. Direct is the
 // store lookup itself (no HTTP); HTTPGet, HTTPPostHit and
 // HTTPPostHitInline drive the handler. HTTPPostHit names a built-in
-// workload, so it skips the spec decode; HTTPPostHitInline posts a
-// 32-node Scale spec inline, compacted as aarcload sends it, so its
-// difference from HTTPGet is what the spec body — read, build,
-// canonicalize, hash — costs per hit.
+// workload, so it builds and canonicalizes the workload's spec;
+// HTTPPostHitInline posts a 32-node Scale spec inline, compacted as
+// aarcload sends it, so its difference from HTTPGet is what the spec
+// body costs per hit: the strict read, the canonical bytes written from
+// it and their hash. HTTPPostHitInlineDisk posts two 32-node specs in
+// turn to a service over a cache directory whose memory tier holds one
+// entry, so every hit reads, verifies and promotes its entry from disk,
+// as each configure of a restart does.
 func BenchmarkServiceFingerprintGet(b *testing.B) {
 	svc := benchService(b)
 	ts := httptest.NewServer(aarc.NewServiceHandler(svc))
@@ -212,6 +216,45 @@ func BenchmarkServiceFingerprintGet(b *testing.B) {
 			b.Fatal(err)
 		}
 		postHit(b, `{"spec":`+compact.String()+`}`)
+	})
+	b.Run("HTTPPostHitInlineDisk", func(b *testing.B) {
+		svc, err := aarc.NewService(aarc.WithSeed(benchSeed), aarc.WithCacheDir(b.TempDir()), aarc.WithCacheSize(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer svc.Close()
+		ts := httptest.NewServer(aarc.NewServiceHandler(svc))
+		defer ts.Close()
+		var bodies [2]string
+		for i := range bodies {
+			scale, err := aarc.ScaleWorkload(aarc.ScaleOptions{Topology: "layered", Nodes: 32, Seed: uint64(i + 1)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := svc.Configure(context.Background(), scale, aarc.ServiceRequest{}); err != nil {
+				b.Fatal(err)
+			}
+			var pretty, compact bytes.Buffer
+			if err := aarc.EncodeSpec(&pretty, scale); err != nil {
+				b.Fatal(err)
+			}
+			if err := json.Compact(&compact, pretty.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+			bodies[i] = `{"spec":` + compact.String() + `}`
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := http.Post(ts.URL+"/v1/configure", "application/json", strings.NewReader(bodies[i%2]))
+			if err != nil {
+				b.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Aarc-Cache") != "hit" {
+				b.Fatalf("status %d, X-Aarc-Cache %q", resp.StatusCode, resp.Header.Get("X-Aarc-Cache"))
+			}
+		}
 	})
 }
 
