@@ -16,12 +16,12 @@
 // in for the golang.org/x/tools SSA packages this offline build cannot
 // import. lockorder runs one held-lock dataflow per function for both
 // of its checks: no search, store I/O or evaluation under a mutex, and
-// no lock-order cycles. It is interprocedural: it exports per-package
-// facts through the vet .cfg/vetx protocol, so a lock acquired in
-// internal/store and another in internal/service can still form a
-// reported cycle. DESIGN.md §13 records which defects each analyzer
-// catches that no tier-1 test does; §14 documents the IR and the
-// canonical lock order the suite enforces.
+// no mutex acquired while another is held, each followed through
+// same-package calls. Every analyzer checks one package at a time; none
+// exchanges facts. DESIGN.md §13 records which defects each analyzer
+// catches that no tier-1 test does; §14 documents the IR and why
+// checking the leaf-lock rule per package misses no cross-package
+// deadlock.
 package main
 
 import (

@@ -83,12 +83,12 @@
 // a project-specific go/analysis suite run through `go vet -vettool`
 // (scripts/lint.sh, and CI, fail on any finding), checks those that
 // bind every function in the module: contexts threaded through the
-// request path, no store I/O or searches under a mutex and no
-// lock-order cycle, no store write on an error path, guaranteed-nil
-// dereferences and shadowed variables. Deliberate exceptions are
-// waived in-source by reasoned //aarc: markers. A stdlib-only
-// CFG/dataflow layer (internal/analysis/flow) carries the two
-// flow-sensitive checks. See DESIGN.md sections 13–14.
+// request path, no store I/O or searches under a mutex and no mutex
+// taken while another is held, no store write on an error path,
+// guaranteed-nil dereferences and shadowed variables. Deliberate
+// exceptions are waived in-source by reasoned //aarc: markers. A
+// stdlib-only CFG/dataflow layer (internal/analysis/flow) carries the
+// two flow-sensitive checks. See DESIGN.md sections 13–14.
 //
 // Start with the examples, which use only this public API:
 //

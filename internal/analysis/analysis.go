@@ -7,24 +7,13 @@
 // Reportf — so the project analyzers under internal/analysis/... would
 // port to the real framework by changing one import path.
 //
-// Facts are supported in a simplified form: an Analyzer that sets
-// Facts exports one JSON-serializable summary per package via
-// Pass.ExportFact, and reads its dependencies' summaries from
-// Pass.Facts, keyed by package path. The unitchecker carries them
-// between packages in the vetx files cmd/go already schedules for
-// fact propagation; analysistest emulates the same flow over fixture
-// imports. Unlike x/tools there are no per-object facts — one blob
-// per (analyzer, package) is enough for per-function summaries, and it
-// keeps the encoding trivial.
-//
-// Deliberately omitted relative to x/tools: Requires/ResultOf (no
-// analyzer depends on another), SuggestedFixes (no analyzer proposes
-// an edit), and the inspector (packages are small; ast.Inspect is
-// fine).
+// Deliberately omitted relative to x/tools: facts (every analyzer
+// here checks one package at a time), Requires/ResultOf (no analyzer
+// depends on another), SuggestedFixes (no analyzer proposes an edit),
+// and the inspector (packages are small; ast.Inspect is fine).
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -45,12 +34,6 @@ type Analyzer struct {
 	// pass.Report; the error return is for operational failures,
 	// not "found a violation".
 	Run func(*Pass) error
-
-	// Facts declares that this analyzer exports a per-package summary
-	// (via Pass.ExportFact) and wants its dependencies' summaries
-	// (Pass.Facts). Fact-less analyzers leave it false and skip the
-	// propagation passes entirely.
-	Facts bool
 }
 
 func (a *Analyzer) String() string { return a.Name }
@@ -66,29 +49,7 @@ type Pass struct {
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
 
-	// Facts holds this analyzer's summaries for the packages this one
-	// transitively imports, keyed by package path. Populated only for
-	// analyzers with Facts set; nil otherwise (and in drivers that do
-	// not propagate facts).
-	Facts map[string]json.RawMessage
-
-	// ExportFact records v — which must marshal cleanly to JSON — as
-	// this analyzer's summary of this package, for Pass.Facts of the
-	// packages that import it. Calling it twice overwrites; nil in
-	// drivers that do not propagate facts.
-	ExportFact func(v any)
-
 	markers *MarkerIndex
-}
-
-// ImportFact unmarshals the analyzer's summary of pkgPath into out,
-// reporting whether one was present.
-func (p *Pass) ImportFact(pkgPath string, out any) bool {
-	raw, ok := p.Facts[pkgPath]
-	if !ok {
-		return false
-	}
-	return json.Unmarshal(raw, out) == nil
 }
 
 // A Diagnostic is one finding at a source position.

@@ -21,7 +21,6 @@
 package analysistest
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -47,18 +46,13 @@ var (
 	fset   = token.NewFileSet()
 	stdImp types.ImporterFrom
 	pkgs   = map[string]*loadedPkg{}
-
-	// factsCache memoizes per-fixture fact computation for Facts
-	// analyzers, keyed by analyzer name + fixture package name.
-	factsCache = map[string]map[string]json.RawMessage{}
 )
 
 type loadedPkg struct {
-	pkg      *types.Package
-	info     *types.Info
-	files    []*ast.File
-	testdata string // the testdata root the fixture was loaded from
-	err      error
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
+	err   error
 }
 
 // Run applies the analyzer to each fixture package under
@@ -89,7 +83,7 @@ func loadLocked(t *testing.T, dir, name string) *loadedPkg {
 	if lp, ok := pkgs[abs]; ok {
 		return lp
 	}
-	lp := &loadedPkg{testdata: dir}
+	lp := &loadedPkg{}
 	pkgs[abs] = lp
 
 	entries, err := os.ReadDir(abs)
@@ -153,54 +147,6 @@ func (fi *fixtureImporter) ImportFrom(path, srcDir string, mode types.ImportMode
 	return stdImp.ImportFrom(path, srcDir, mode)
 }
 
-// fixtureFacts computes a Facts analyzer's summaries for one fixture
-// package and everything it transitively imports under the same
-// testdata root: the imported packages' facts are computed first
-// (recursively, memoized), then the analyzer runs over the package
-// with diagnostics discarded and its export joins the map — the same
-// bottom-up order cmd/go's VetxOnly scheduling produces.
-func fixtureFacts(t *testing.T, a *analysis.Analyzer, dir, name string) map[string]json.RawMessage {
-	if st, err := os.Stat(filepath.Join(dir, "src", name)); err != nil || !st.IsDir() {
-		return nil // stdlib or unknown import: no facts
-	}
-	key := a.Name + "\x00" + name
-	if facts, ok := factsCache[key]; ok {
-		return facts
-	}
-	facts := map[string]json.RawMessage{}
-	factsCache[key] = facts // pre-register; import graphs are acyclic
-
-	lp := load(t, dir, name)
-	if lp.err != nil {
-		return facts
-	}
-	for _, imp := range lp.pkg.Imports() {
-		mergeFacts(facts, fixtureFacts(t, a, dir, imp.Path()))
-	}
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     lp.files,
-		Pkg:       lp.pkg,
-		TypesInfo: lp.info,
-		Report:    func(analysis.Diagnostic) {},
-		Facts:     facts,
-	}
-	pass.ExportFact = func(v any) {
-		if raw, err := json.Marshal(v); err == nil {
-			facts[name] = raw
-		}
-	}
-	_ = a.Run(pass)
-	return facts
-}
-
-func mergeFacts(dst, src map[string]json.RawMessage) {
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
 type want struct {
 	file string
 	line int
@@ -221,16 +167,6 @@ func runOne(t *testing.T, a *analysis.Analyzer, lp *loadedPkg, name string) {
 		Pkg:       lp.pkg,
 		TypesInfo: lp.info,
 		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if a.Facts {
-		// Emulate the unitchecker's cross-package fact flow: run the
-		// analyzer over imported fixture packages first (diagnostics
-		// discarded) and hand their summaries to this pass.
-		pass.Facts = map[string]json.RawMessage{}
-		for _, imp := range lp.pkg.Imports() {
-			mergeFacts(pass.Facts, fixtureFacts(t, a, lp.testdata, imp.Path()))
-		}
-		pass.ExportFact = func(any) {}
 	}
 	if err := a.Run(pass); err != nil {
 		t.Errorf("%s/%s: analyzer error: %v", a.Name, name, err)

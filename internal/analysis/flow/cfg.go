@@ -11,9 +11,8 @@
 //   - a generic worklist dataflow engine over caller-supplied join
 //     semilattices, with per-edge refinement (branch conditions).
 //
-// Analyzers that need facts across functions or packages build their
-// own per-function summaries and carry them in the unitchecker's
-// cross-package fact files.
+// An analyzer that needs to follow calls builds its own per-function
+// summaries over one package.
 //
 // Deliberately omitted relative to x/tools/go/ssa: no phi nodes, no
 // value numbering, no instruction rewriting. The analyzers here need

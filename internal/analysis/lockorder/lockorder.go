@@ -8,50 +8,45 @@
 // which only surfaced under load. The one sanctioned exception is a mutex that
 // *owns* the callee — the runner-pool shards, where the shard mutex is
 // exactly what makes a non-thread-safe Runner usable — and such sites
-// carry an //aarc:locked <reason> marker. A call to a same-package
-// function that does one of these on its caller's goroutine — itself, or
-// through further same-package calls, outside a waiver — counts as the
-// operation: each function gets that summary, propagated over the static
-// calls the lock-order graph records. Tests can deadlock too, so this
+// carry an //aarc:locked <reason> marker. Tests can deadlock too, so this
 // check covers _test.go files and _test packages.
 //
-// Lock order: the whole-program lock-acquisition graph has no cycles —
-// the static form of the deadlock-freedom claim DESIGN.md makes for the
-// serving stack's mutexes (service shards, flightGroup).
-// The graph is built from non-test code only. It is
-// interprocedural: each package exports, as a unitchecker fact, the set
-// of locks every function may transitively acquire and the
-// acquired-while-held edges observed so far; importing packages
-// splice those summaries into their own graphs, so an edge created by
-// calling into another package (service holds Service.mu → store takes
-// Memory.mu) materializes without re-analyzing the callee.
+// Leaf locks: in non-test code, no classed mutex is acquired while
+// another may be held. Every mutex in the serving stack is a leaf lock
+// (DESIGN.md §14), and locks that never nest cannot deadlock on order.
+// The rule is checked one package at a time, which misses nothing
+// while every mutex is an unexported, unembedded field or package
+// variable: only its own package can lock it, so a nesting in package P
+// holds a lock of P and takes one of P or, through a call, one of a
+// package P imports, and an order cycle across packages would need an
+// import cycle. The waiver is //aarc:lockorder <reason> on the acquire
+// or call site.
+//
+// Both rules follow same-package calls. Each function gets two
+// summaries: the first forbidden operation it makes on its own goroutine
+// outside an //aarc:locked waiver, and the first classed lock it
+// acquires there, each closed over the static calls it makes to
+// same-package functions on that goroutine. A call made while a mutex
+// may be held counts as what its callee's summary names.
 //
 // The held-lock analysis runs flow.Analysis once per function body and
 // once per function literal. Its state is the set of locks that may be
 // held: Lock/RLock adds, Unlock/RUnlock removes, a join takes the union
 // of the incoming sets, and `defer mu.Unlock()` keeps the lock held to
 // the function's exit. A held lock is keyed by its printed receiver
-// (s.mu): that key is what a release matches and what a hygiene finding
-// names. It also carries its class, the declaration site that orders
-// it — "pkgpath.(Type).field" for mutex fields, "pkgpath.var" for
-// package-level mutexes. Two shards of one pool share a class, so a
-// self-edge on a sharded lock is reported too: acquiring two instances
-// of the same class in arbitrary order is the classic sharded deadlock.
-// Function-local mutexes have no class; they count for hygiene but make
-// no edges, since they cannot form a cross-function cycle. The body of
-// a `go` literal starts with nothing held, and what it acquires or
-// calls stays out of the spawner's may-acquire set: a goroutine's locks
-// are ordered on its own stack. Any other literal starts with the set
-// held where it appears (a literal built under a lock is overwhelmingly
-// run under it: sort.Slice callbacks, inline wrappers).
-//
-// A cycle is reported once, at the smallest-position local edge
-// participating in it. Cycles whose edges all come from imported facts
-// are re-reported only in package main — the one place that sees every
-// package and cannot be imported itself — so a cross-package cycle
-// between siblings neither of which imports the other still surfaces.
-// The waiver is //aarc:lockorder <reason> on the acquire (or call)
-// site whose edge the cycle should not include.
+// (s.mu): that key is what a release matches and what a finding names.
+// It also carries its class, the declaration site of the mutex —
+// "pkgpath.(Type).field" for mutex fields, "pkgpath.var" for
+// package-level mutexes. Two shards of one pool share a class, so
+// locking one shard while holding another is reported: acquiring two
+// instances of one class in arbitrary order is the classic sharded
+// deadlock. Function-local mutexes have no class; they count for
+// hygiene but not for the leaf rule. The body of a `go` literal starts
+// with nothing held, and what it acquires or calls stays out of the
+// spawner's summaries: a goroutine's locks are held on its own stack.
+// Any other literal starts with the set held where it appears (a
+// literal built under a lock is overwhelmingly run under it:
+// sort.Slice callbacks, inline wrappers).
 package lockorder
 
 import (
@@ -61,7 +56,6 @@ import (
 	"go/token"
 	"go/types"
 	"slices"
-	"sort"
 	"strings"
 
 	"aarc/internal/analysis"
@@ -69,30 +63,9 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:  "lockorder",
-	Doc:   "flag search/store/publish/evaluate calls made while a mutex is held, and cycles in the cross-package lock-acquisition graph (potential deadlocks)",
-	Run:   run,
-	Facts: true,
-}
-
-// Fact is one package's contribution to the whole-program graph.
-type Fact struct {
-	// Acquires maps a function's full name (fullName) to the
-	// lock classes it may transitively acquire on the calling
-	// goroutine.
-	Acquires map[string][]string `json:"acquires,omitempty"`
-	// Edges are the acquired-while-held pairs observed in this package
-	// and everything it imports.
-	Edges []Edge `json:"edges,omitempty"`
-}
-
-// Edge records "To was acquired while From was held" at a source site.
-type Edge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	// At is the printable position of the acquire or call site, for
-	// cross-package cycle reports.
-	At string `json:"at"`
+	Name: "lockorder",
+	Doc:  "flag search/store/evaluate calls made while a mutex is held, and a mutex acquired while another is held (every mutex is a leaf lock)",
+	Run:  run,
 }
 
 // heldLock is one lock that may be held: key is the printed receiver,
@@ -120,21 +93,13 @@ func (s lockSet) without(key string) lockSet {
 	return slices.DeleteFunc(slices.Clone(s), func(l heldLock) bool { return l.key == key })
 }
 
-// classes returns the distinct classes in s, sorted, skipping
-// function-local locks.
-func (s lockSet) classes() []string {
-	var out []string
-	for _, l := range s {
-		if l.class != "" && !slices.Contains(out, l.class) {
-			out = append(out, l.class)
-		}
-	}
-	sort.Strings(out)
-	return out
+// classed returns the locks in s that have a class.
+func (s lockSet) classed() lockSet {
+	return slices.DeleteFunc(slices.Clone(s), func(l heldLock) bool { return l.class == "" })
 }
 
-// names renders the held keys for a hygiene finding: the smallest, and
-// a note when there are more (there is almost always exactly one).
+// names renders the held keys for a finding: the smallest, and a note
+// when there are more (there is almost always exactly one).
 func (s lockSet) names() string {
 	for _, l := range s[1:] {
 		if l.key != s[0].key {
@@ -157,14 +122,14 @@ func (lattice) Join(a, b lockSet) lockSet {
 
 func (lattice) Equal(a, b lockSet) bool { return slices.Equal(a, b) }
 
-// acquire is one direct lock acquisition of a classed lock.
+// acquire is one direct acquisition of a classed lock.
 type acquire struct {
-	class string
-	pos   token.Pos
-	held  lockSet // locks that may be held just before
+	lock heldLock
+	pos  token.Pos
+	held lockSet // locks that may be held just before
 	// detached marks acquisitions on a goroutine the function spawns:
-	// they order locks on that goroutine's stack but do not join the
-	// spawner's synchronous may-acquire set.
+	// they are checked against that goroutine's own held set and stay
+	// out of the spawner's summary.
 	detached bool
 }
 
@@ -174,21 +139,18 @@ type callsite struct {
 	pos      token.Pos
 	held     lockSet
 	detached bool
-	// direct marks a call that is itself a search, store I/O or an
-	// evaluation: checkHygiene judges it, not checkHelpers.
-	direct bool
+	// what names the operation lock hygiene forbids that the call itself
+	// is ("store I/O", ...); "" for none.
+	what string
 }
 
-// funcSummary is what one declaration, literals included, contributes
-// to the lock-order graph and to lock hygiene.
+// funcSummary is what one declaration, literals included, records for
+// both rules.
 type funcSummary struct {
 	name     string
+	test     bool // declared in a _test.go file: hygiene only
 	acquires []acquire
 	calls    []callsite
-	// does names the first forbidden operation ("store I/O", ...) the
-	// declaration makes itself on its own goroutine without an
-	// //aarc:locked waiver; "" for none.
-	does string
 }
 
 // body is one function body awaiting the held-lock analysis.
@@ -202,13 +164,13 @@ type body struct {
 // literal found while replaying it, each from the state where the
 // literal appears.
 type checker struct {
-	pass    *analysis.Pass
+	info    *types.Info
 	sum     *funcSummary
 	pending []body
 }
 
 func run(pass *analysis.Pass) error {
-	var sums, all []*funcSummary
+	var sums []*funcSummary
 	for _, f := range pass.Files {
 		test := analysis.IsTestFile(pass.Fset, f)
 		for _, d := range f.Decls {
@@ -217,74 +179,121 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			c := &checker{pass: pass, sum: &funcSummary{name: fullName(fn)}, pending: []body{{block: fd.Body}}}
+			c := &checker{info: pass.TypesInfo, sum: &funcSummary{name: fullName(fn), test: test}, pending: []body{{block: fd.Body}}}
 			for len(c.pending) > 0 {
 				b := c.pending[0]
 				c.pending = c.pending[1:]
 				c.analyze(b)
 			}
-			if fn != nil {
-				all = append(all, c.sum)
-				if !test {
-					sums = append(sums, c.sum)
-				}
+			sums = append(sums, c.sum)
+		}
+	}
+
+	does := closeOverCalls(sums, func(s *funcSummary) string {
+		for _, c := range s.calls {
+			if c.what == "" || c.detached {
+				continue
+			}
+			if _, waived := pass.Markers().At(pass.Fset, c.pos, "locked"); !waived {
+				return c.what
+			}
+		}
+		return ""
+	})
+	locks := closeOverCalls(sums, func(s *funcSummary) string {
+		for _, a := range s.acquires {
+			if !a.detached {
+				return a.lock.class
+			}
+		}
+		return ""
+	})
+	for _, s := range sums {
+		for _, c := range s.calls {
+			checkHygiene(pass, c, does[c.callee])
+		}
+		if s.test {
+			continue
+		}
+		for _, a := range s.acquires {
+			checkLeaf(pass, a.pos, a.held, a.lock.key)
+		}
+		for _, c := range s.calls {
+			if l := locks[c.callee]; l != "" {
+				checkLeaf(pass, c.pos, c.held, fmt.Sprintf("%s (in %s)", analysis.ShortName(l), analysis.ShortName(c.callee)))
 			}
 		}
 	}
-	checkHelpers(pass, all)
-	checkOrder(pass, sums)
 	return nil
 }
 
-// checkHelpers extends lock hygiene through same-package helpers. A
-// function does a search, store I/O or an evaluation when it makes one
-// itself (outside an //aarc:locked waiver and off any goroutine it
-// spawns) or calls, on its own goroutine, a same-package function that
-// does. A call to such a function while a mutex is held is reported, as
-// the operation itself would be, unless an //aarc:locked waiver covers
-// the call.
-func checkHelpers(pass *analysis.Pass, sums []*funcSummary) {
-	does := map[string]string{}
+// closeOverCalls names, per function, the first thing own finds in it
+// or in a same-package function it calls on its own goroutine, through
+// any chain of such calls. Declarations sharing a name (a package's
+// init functions) share one entry.
+func closeOverCalls(sums []*funcSummary, own func(*funcSummary) string) map[string]string {
+	has := map[string]string{}
 	for _, s := range sums {
-		if s.does != "" && does[s.name] == "" {
-			does[s.name] = s.does
+		if what := own(s); what != "" && has[s.name] == "" {
+			has[s.name] = what
 		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, s := range sums {
-			if does[s.name] != "" {
+			if has[s.name] != "" {
 				continue
 			}
 			for _, c := range s.calls {
-				if what := does[c.callee]; what != "" && !c.detached {
-					does[s.name] = what
+				if what := has[c.callee]; what != "" && !c.detached {
+					has[s.name] = what
 					changed = true
 					break
 				}
 			}
 		}
 	}
-	for _, s := range sums {
-		for _, c := range s.calls {
-			what := does[c.callee]
-			if what == "" || c.direct || len(c.held) == 0 {
-				continue
-			}
-			if m, ok := pass.Markers().At(pass.Fset, c.pos, "locked"); ok {
-				if m.Arg == "" {
-					pass.Reportf(c.pos, "//aarc:locked marker needs a reason")
-				}
-				continue
-			}
-			pass.Reportf(c.pos, "%s (in %s) while holding mutex %s can deadlock or serialize the serving path; move it outside the critical section or mark //aarc:locked <reason>", what, analysis.ShortName(c.callee), c.held.names())
-		}
+	return has
+}
+
+// checkHygiene reports c when it is made while a mutex may be held and
+// is a search, store I/O or an evaluation, or calls a same-package
+// function that does one (does), unless an //aarc:locked waiver covers
+// it.
+func checkHygiene(pass *analysis.Pass, c callsite, does string) {
+	what := c.what
+	if what == "" && does != "" {
+		what = fmt.Sprintf("%s (in %s)", does, analysis.ShortName(c.callee))
 	}
+	if what == "" || len(c.held) == 0 || waived(pass, c.pos, "locked") {
+		return
+	}
+	pass.Reportf(c.pos, "%s while holding mutex %s can deadlock or serialize the serving path; move it outside the critical section or mark //aarc:locked <reason>", what, c.held.names())
+}
+
+// checkLeaf reports acquiring lock at pos while a classed mutex may be
+// held, unless an //aarc:lockorder waiver covers the site.
+func checkLeaf(pass *analysis.Pass, pos token.Pos, held lockSet, lock string) {
+	held = held.classed()
+	if len(held) == 0 || waived(pass, pos, "lockorder") {
+		return
+	}
+	pass.Reportf(pos, "acquiring mutex %s while holding mutex %s: every mutex is a leaf lock (DESIGN.md §14); release the held one first or mark //aarc:lockorder <reason>", lock, held.names())
+}
+
+// waived reports whether an //aarc:<kind> marker covers pos, reporting
+// one that gives no reason.
+func waived(pass *analysis.Pass, pos token.Pos, kind string) bool {
+	m, ok := pass.Markers().At(pass.Fset, pos, kind)
+	if ok && m.Arg == "" {
+		pass.Reportf(pos, "//aarc:%s marker needs a reason", kind)
+	}
+	return ok
 }
 
 // analyze runs the held-lock dataflow over one body, then replays each
-// block from its fixpoint in-state to check calls and record
-// acquisitions, the way nilness reports.
+// block from its fixpoint in-state to record calls and acquisitions,
+// the way nilness reports.
 func (c *checker) analyze(b body) {
 	g := flow.New(b.block)
 	res := flow.Analysis[lockSet]{
@@ -307,7 +316,7 @@ func (c *checker) analyze(b body) {
 				continue
 			}
 			if dir > 0 && l.class != "" {
-				c.sum.acquires = append(c.sum.acquires, acquire{l.class, call.Pos(), held, b.detached})
+				c.sum.acquires = append(c.sum.acquires, acquire{l, call.Pos(), held, b.detached})
 			}
 			held = update(held, l, dir)
 		}
@@ -349,9 +358,9 @@ func (c *checker) lockOp(s ast.Stmt) (*ast.CallExpr, heldLock, int) {
 	return call, l, dir
 }
 
-// scan checks and records the calls n makes with held locks, and
-// queues the function literals it builds. A range statement sits whole
-// in its loop head, so only its range expression is scanned there.
+// scan records the calls n makes with held locks, and queues the
+// function literals it builds. A range statement sits whole in its loop
+// head, so only its range expression is scanned there.
 func (c *checker) scan(n ast.Node, held lockSet, detached bool) {
 	switch s := n.(type) {
 	case *ast.RangeStmt:
@@ -374,20 +383,11 @@ func (c *checker) scan(n ast.Node, held lockSet, detached bool) {
 			if _, dir := c.lockCall(x); dir != 0 {
 				return true // lock calls nested in expressions are not tracked
 			}
-			fn := analysis.FuncOf(c.pass.TypesInfo, x)
+			fn := analysis.FuncOf(c.info, x)
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
-			what := forbidden(fn)
-			if what != "" && !detached && c.sum.does == "" {
-				if _, waived := c.pass.Markers().At(c.pass.Fset, x.Pos(), "locked"); !waived {
-					c.sum.does = what
-				}
-			}
-			if what != "" && len(held) > 0 {
-				c.checkHygiene(x, what, held)
-			}
-			c.sum.calls = append(c.sum.calls, callsite{fullName(fn), x.Pos(), held, detached, what != ""})
+			c.sum.calls = append(c.sum.calls, callsite{fullName(fn), x.Pos(), held, detached, forbidden(fn)})
 		}
 		return true
 	})
@@ -395,43 +395,35 @@ func (c *checker) scan(n ast.Node, held lockSet, detached bool) {
 
 // forbidden names the operation fn is when it is one lock hygiene
 // forbids under a mutex: a search, store I/O or a workflow evaluation;
-// "" otherwise.
+// "" otherwise. Store I/O is a store method or one of the package's
+// readers over a Store (Peek, Contains).
 func forbidden(fn *types.Func) string {
-	if fn.Signature().Recv() == nil {
-		return ""
-	}
+	method := fn.Signature().Recv() != nil
 	switch pkg := fn.Pkg().Name(); fn.Name() {
 	case "Search":
-		return "a search"
+		if method {
+			return "a search"
+		}
 	case "Get", "Put", "Delete", "Keys", "Warm":
-		if pkg == "store" {
+		if method && pkg == "store" {
+			return "store I/O"
+		}
+	case "Peek", "Contains":
+		if !method && pkg == "store" {
 			return "store I/O"
 		}
 	case "Evaluate", "EvaluateInto", "EvaluateScale", "MeanEvaluate":
-		if pkg == "workflow" {
+		if method && pkg == "workflow" {
 			return "a workflow evaluation"
 		}
 	}
 	return ""
 }
 
-// checkHygiene reports call, the operation what, made while held, unless
-// an //aarc:locked waiver covers it.
-func (c *checker) checkHygiene(call *ast.CallExpr, what string, held lockSet) {
-	pass := c.pass
-	if m, ok := pass.Markers().At(pass.Fset, call.Pos(), "locked"); ok {
-		if m.Arg == "" {
-			pass.Reportf(call.Pos(), "//aarc:locked marker needs a reason")
-		}
-		return
-	}
-	pass.Reportf(call.Pos(), "%s while holding mutex %s can deadlock or serialize the serving path; move it outside the critical section or mark //aarc:locked <reason>", what, held.names())
-}
-
 // lockCall classifies Lock/RLock (+1) and Unlock/RUnlock (-1) calls on
 // sync mutexes; dir 0 for everything else.
 func (c *checker) lockCall(call *ast.CallExpr) (heldLock, int) {
-	fn := analysis.FuncOf(c.pass.TypesInfo, call)
+	fn := analysis.FuncOf(c.info, call)
 	if fn == nil || fn.Signature().Recv() == nil || analysis.PkgPathOf(fn) != "sync" {
 		return heldLock{}, 0
 	}
@@ -454,7 +446,7 @@ func (c *checker) lockCall(call *ast.CallExpr) (heldLock, int) {
 // lockClass names the mutex expression by declaration site, or ""
 // when it is function-local or unresolvable.
 func (c *checker) lockClass(e ast.Expr) string {
-	info := c.pass.TypesInfo
+	info := c.info
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		// A field: name it by the owning named type.
@@ -487,10 +479,10 @@ func (c *checker) lockClass(e ast.Expr) string {
 	return ""
 }
 
-// fullName names a function for cross-package matching:
+// fullName names a function to match call sites to summaries:
 // "pkgpath.Func" for package functions, "pkgpath.(Recv).Method" for
 // methods (pointer stars dropped, so value and pointer receivers of
-// one type collide deliberately — a lock summary does not care which
+// one type collide deliberately — a summary does not care which
 // receiver form the callee declared).
 func fullName(fn *types.Func) string {
 	if fn == nil {
@@ -511,318 +503,4 @@ func fullName(fn *types.Func) string {
 		}
 	}
 	return pkg + "." + fn.Name()
-}
-
-// checkOrder closes the package's summaries over their call sites and
-// the imported facts, reports lock-order cycles, and exports this
-// package's fact.
-func checkOrder(pass *analysis.Pass, sums []*funcSummary) {
-	factAcquires := map[string][]string{}
-	var depEdges []Edge
-	for path := range pass.Facts {
-		var f Fact
-		if !pass.ImportFact(path, &f) {
-			continue
-		}
-		for fn, locks := range f.Acquires {
-			factAcquires[fn] = locks
-		}
-		depEdges = append(depEdges, f.Edges...)
-	}
-
-	// Transitive may-acquire fixpoint over the local calls, seeded with
-	// direct acquires and imported summaries. Declarations sharing a
-	// name (a package's init functions) share one entry.
-	may := map[string]map[string]bool{}
-	for _, s := range sums {
-		if may[s.name] == nil {
-			may[s.name] = map[string]bool{}
-		}
-		for _, a := range s.acquires {
-			if !a.detached {
-				may[s.name][a.class] = true
-			}
-		}
-	}
-	calleeLocks := func(name string) []string {
-		local, ok := may[name]
-		if !ok {
-			return factAcquires[name]
-		}
-		locks := make([]string, 0, len(local))
-		for l := range local {
-			locks = append(locks, l)
-		}
-		sort.Strings(locks)
-		return locks
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, s := range sums {
-			m := may[s.name]
-			for _, c := range s.calls {
-				if c.detached {
-					continue
-				}
-				for _, l := range calleeLocks(c.callee) {
-					if !m[l] {
-						m[l] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-
-	// Materialize edges: an acquire pairs every held class with the
-	// acquired one; a call pairs every held class with everything the
-	// callee may acquire.
-	type localEdge struct {
-		Edge
-		pos token.Pos
-	}
-	var local []localEdge
-	addEdge := func(from, to string, pos token.Pos) {
-		if m, ok := pass.Markers().At(pass.Fset, pos, "lockorder"); ok {
-			if m.Arg == "" {
-				pass.Reportf(pos, "//aarc:lockorder marker needs a reason")
-			}
-			return
-		}
-		local = append(local, localEdge{Edge{From: from, To: to, At: pass.Fset.Position(pos).String()}, pos})
-	}
-	for _, s := range sums {
-		for _, a := range s.acquires {
-			for _, h := range a.held.classes() {
-				addEdge(h, a.class, a.pos)
-			}
-		}
-		for _, c := range s.calls {
-			held := c.held.classes()
-			if len(held) == 0 {
-				continue
-			}
-			acq := calleeLocks(c.callee)
-			for _, h := range held {
-				for _, l := range acq {
-					addEdge(h, l, c.pos)
-				}
-			}
-		}
-	}
-
-	// Cycle detection over dep + local edges.
-	adj := map[string]map[string]bool{}
-	nodeSet := map[string]bool{}
-	add := func(e Edge) {
-		if adj[e.From] == nil {
-			adj[e.From] = map[string]bool{}
-		}
-		adj[e.From][e.To] = true
-		nodeSet[e.From], nodeSet[e.To] = true, true
-	}
-	for _, e := range depEdges {
-		add(e)
-	}
-	for _, e := range local {
-		add(e.Edge)
-	}
-	var nodes []string
-	for n := range nodeSet {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-
-	for _, scc := range stronglyConnected(nodes, adj) {
-		inSCC := map[string]bool{}
-		for _, n := range scc {
-			inSCC[n] = true
-		}
-		cyclic := len(scc) > 1
-		if !cyclic { // single node: cyclic only via self-edge
-			cyclic = adj[scc[0]][scc[0]]
-		}
-		if !cyclic {
-			continue
-		}
-		desc := cycleString(scc, adj)
-
-		// Prefer reporting at a local edge inside the cycle.
-		best := token.NoPos
-		var bestEdge Edge
-		for _, e := range local {
-			if inSCC[e.From] && inSCC[e.To] && adj[e.From][e.To] {
-				if best == token.NoPos || e.pos < best {
-					best, bestEdge = e.pos, e.Edge
-				}
-			}
-		}
-		if best != token.NoPos {
-			pass.Reportf(best, "lock order cycle %s: this site acquires %s while holding %s; establish one canonical order (see DESIGN.md §14) or mark //aarc:lockorder <reason>", desc, analysis.ShortName(bestEdge.To), analysis.ShortName(bestEdge.From))
-			continue
-		}
-		// No local edge: only main packages re-report imported cycles,
-		// at the package clause for lack of a better anchor.
-		if pass.Pkg.Name() == "main" && len(pass.Files) > 0 {
-			// Every importing package's fact carries the same closed-over
-			// edge set, so dedupe positions and keep the listing short.
-			seen := map[string]bool{}
-			var ats []string
-			for _, e := range depEdges {
-				if inSCC[e.From] && inSCC[e.To] && !seen[e.At] {
-					seen[e.At] = true
-					ats = append(ats, e.At)
-				}
-			}
-			sort.Strings(ats)
-			if len(ats) > 4 {
-				ats = append(ats[:4], fmt.Sprintf("and %d more", len(ats)-4))
-			}
-			pass.Reportf(pass.Files[0].Package, "lock order cycle %s between imported packages (edges at %s); establish one canonical order or mark //aarc:lockorder <reason>", desc, strings.Join(ats, ", "))
-		}
-	}
-
-	// Export this package's view: transitive acquires plus every edge
-	// seen so far, so importers get the closure from direct deps alone.
-	out := Fact{Acquires: map[string][]string{}}
-	for fn, locks := range factAcquires {
-		out.Acquires[fn] = locks
-	}
-	for name, m := range may {
-		if len(m) > 0 {
-			out.Acquires[name] = calleeLocks(name)
-		}
-	}
-	seenEdge := map[Edge]bool{}
-	for _, e := range depEdges {
-		if !seenEdge[e] {
-			seenEdge[e] = true
-			out.Edges = append(out.Edges, e)
-		}
-	}
-	for _, e := range local {
-		if !seenEdge[e.Edge] {
-			seenEdge[e.Edge] = true
-			out.Edges = append(out.Edges, e.Edge)
-		}
-	}
-	sort.Slice(out.Edges, func(i, j int) bool {
-		a, b := out.Edges[i], out.Edges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.At < b.At
-	})
-	if pass.ExportFact != nil {
-		pass.ExportFact(out)
-	}
-}
-
-// stronglyConnected returns Tarjan's SCCs over the adjacency map, in
-// deterministic (smallest-member) order.
-func stronglyConnected(nodes []string, adj map[string]map[string]bool) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-	next := 0
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-
-		var succs []string
-		for s := range adj[v] {
-			succs = append(succs, s)
-		}
-		sort.Strings(succs)
-		for _, s := range succs {
-			if _, seen := index[s]; !seen {
-				strongconnect(s)
-				if low[s] < low[v] {
-					low[v] = low[s]
-				}
-			} else if onStack[s] && index[s] < low[v] {
-				low[v] = index[s]
-			}
-		}
-
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				n := len(stack) - 1
-				wtop := stack[n]
-				stack = stack[:n]
-				onStack[wtop] = false
-				scc = append(scc, wtop)
-				if wtop == v {
-					break
-				}
-			}
-			sort.Strings(scc)
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, v := range nodes {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-	sort.Slice(sccs, func(i, j int) bool { return sccs[i][0] < sccs[j][0] })
-	return sccs
-}
-
-// cycleString renders an SCC as a rotated cycle starting at its
-// smallest lock, following edges within the SCC.
-func cycleString(scc []string, adj map[string]map[string]bool) string {
-	if len(scc) == 1 {
-		s := analysis.ShortName(scc[0])
-		return s + " → " + s
-	}
-	in := map[string]bool{}
-	for _, n := range scc {
-		in[n] = true
-	}
-	// Walk greedily from the smallest node, preferring unvisited
-	// in-SCC successors; good enough for a readable description.
-	start := scc[0]
-	path := []string{start}
-	visited := map[string]bool{start: true}
-	cur := start
-	for len(path) <= len(scc) {
-		var succs []string
-		for s := range adj[cur] {
-			if in[s] {
-				succs = append(succs, s)
-			}
-		}
-		sort.Strings(succs)
-		nextNode := ""
-		for _, s := range succs {
-			if !visited[s] {
-				nextNode = s
-				break
-			}
-		}
-		if nextNode == "" {
-			break
-		}
-		visited[nextNode] = true
-		path = append(path, nextNode)
-		cur = nextNode
-	}
-	parts := make([]string, 0, len(path)+1)
-	for _, p := range path {
-		parts = append(parts, analysis.ShortName(p))
-	}
-	parts = append(parts, analysis.ShortName(start))
-	return strings.Join(parts, " → ")
 }

@@ -13,7 +13,7 @@ import (
 //	//aarc:detached <reason>  — blessed context detachment site (ctxflow)
 //	//aarc:locked <reason>    — call under a mutex that owns the callee (lockorder)
 //	//aarc:errpath <reason>   — deliberate store write on an error path (tierorder)
-//	//aarc:lockorder <reason> — blessed lock-acquisition edge (lockorder)
+//	//aarc:lockorder <reason> — blessed nested lock acquisition (lockorder)
 //	//aarc:nilok <reason>     — dereference proven safe (nilness)
 //
 // A marker waives the diagnostic on its own line or the line directly

@@ -1,6 +1,6 @@
-// Package dep fakes an imported serving package with its own mutexes:
-// TakeBoth establishes the canonical A-before-B edge that the svc
-// fixture's inverted acquisition turns into a cycle via facts.
+// Package dep fakes an imported serving package with its own mutexes,
+// for the svc fixture's nesting of imported mutexes and its call into
+// another package under a lock.
 package dep
 
 import "sync"
@@ -9,17 +9,8 @@ type A struct{ Mu sync.Mutex }
 
 type B struct{ Mu sync.Mutex }
 
-// TakeBoth acquires A then B: the canonical order, exported as the
-// fact edge (A).Mu → (B).Mu.
-func TakeBoth(a *A, b *B) {
-	a.Mu.Lock()
-	defer a.Mu.Unlock()
-	b.Mu.Lock()
-	b.Mu.Unlock()
-}
-
-// LockA acquires only A; callers holding other locks get a call edge
-// onto (A).Mu.
+// LockA acquires only A; a caller holding another lock is not reported,
+// since lockorder follows same-package calls only.
 func LockA(a *A) {
 	a.Mu.Lock()
 	a.Mu.Unlock()

@@ -1,7 +1,8 @@
-// The svc fixture covers the lockorder analyzer's cases: a local
-// two-mutex cycle, a sharded self-cycle, a cross-package cycle closed
-// through dep's exported fact, near-misses that must stay silent, and
-// the waiver marker.
+// The svc fixture covers the lockorder analyzer's leaf rule: a mutex
+// acquired while another may be held is reported at the acquisition,
+// or at the call to a same-package helper that acquires one, whatever
+// order the rest of the package keeps. Near-misses that must stay
+// silent and the waiver marker sit alongside.
 package svc
 
 import (
@@ -17,21 +18,19 @@ type S struct {
 	b   dep.B
 }
 
-// forward acquires mu1 then mu2 — one direction of the local cycle.
-// The report lands here because this is the cycle's smallest-position
-// edge.
+// forward acquires mu1 then mu2, and backward the reverse: each
+// nesting is reported where it happens.
 func (s *S) forward() {
 	s.mu1.Lock()
 	defer s.mu1.Unlock()
-	s.mu2.Lock() // want `lock order cycle`
+	s.mu2.Lock() // want `acquiring mutex s\.mu2 while holding mutex s\.mu1`
 	s.mu2.Unlock()
 }
 
-// backward closes the cycle: mu2 then mu1.
 func (s *S) backward() {
 	s.mu2.Lock()
 	defer s.mu2.Unlock()
-	s.mu1.Lock()
+	s.mu1.Lock() // want `acquiring mutex s\.mu1 while holding mutex s\.mu2`
 	s.mu1.Unlock()
 }
 
@@ -40,21 +39,19 @@ type shard struct{ mu sync.Mutex }
 type pool struct{ shards []shard }
 
 // crossShard locks two instances of the same lock class in arbitrary
-// index order — the classic sharded deadlock, a self-edge on
-// (shard).mu.
+// index order — the classic sharded deadlock.
 func (p *pool) crossShard(i, j int) {
 	p.shards[i].mu.Lock()
 	defer p.shards[i].mu.Unlock()
-	p.shards[j].mu.Lock() // want `lock order cycle`
+	p.shards[j].mu.Lock() // want `acquiring mutex p\.shards\[j\]\.mu while holding mutex p\.shards\[i\]\.mu`
 	p.shards[j].mu.Unlock()
 }
 
-// inverted acquires dep's B then A; dep.TakeBoth's fact carries the
-// A→B edge, so this closes a cross-package cycle.
+// inverted nests two mutexes declared in an imported package.
 func (s *S) inverted() {
 	s.b.Mu.Lock()
 	defer s.b.Mu.Unlock()
-	s.a.Mu.Lock() // want `lock order cycle`
+	s.a.Mu.Lock() // want `acquiring mutex s\.a\.Mu while holding mutex s\.b\.Mu`
 	s.a.Mu.Unlock()
 }
 
@@ -63,23 +60,25 @@ type T struct {
 	y sync.Mutex
 }
 
-// consistent always goes x before y — no cycle, must stay silent.
+// consistent always goes x before y. No reverse nesting exists, but a
+// nesting is reported anyway: every mutex is a leaf lock.
 func (t *T) consistent() {
 	t.x.Lock()
 	defer t.x.Unlock()
-	t.y.Lock()
+	t.y.Lock() // want `acquiring mutex t\.y while holding mutex t\.x`
 	t.y.Unlock()
 }
 
 func (t *T) alsoConsistent() {
 	t.x.Lock()
-	t.y.Lock()
+	t.y.Lock() // want `acquiring mutex t\.y while holding mutex t\.x`
 	t.y.Unlock()
 	t.x.Unlock()
 }
 
-// callEdgeOnly holds its own lock across a dep call: produces call
-// edges x→(A).Mu with no inverse anywhere, so no cycle.
+// callEdgeOnly holds its own lock across a call into another package
+// that locks one of that package's mutexes. Only same-package calls are
+// followed, so this stays silent.
 func (t *T) callEdgeOnly(a *dep.A) {
 	t.x.Lock()
 	defer t.x.Unlock()
@@ -91,8 +90,8 @@ type W struct {
 	n sync.Mutex
 }
 
-// waived inverts the order but carries a reviewed waiver, so the edge
-// is dropped and no cycle forms.
+// waivedForward and waivedBackward nest in both orders, each nesting
+// under a reviewed waiver.
 func (w *W) waivedForward() {
 	w.m.Lock()
 	defer w.m.Unlock()
@@ -113,7 +112,7 @@ type E struct {
 }
 
 // emptyReason: a waiver without a justification is itself a finding
-// (and still drops the edge, like lockscope).
+// (and still waives the nesting, like lock hygiene's).
 func (e *E) emptyReason() {
 	e.p.Lock()
 	defer e.p.Unlock()
@@ -129,10 +128,8 @@ func (e *E) emptyReasonBack() {
 	e.p.Unlock()
 }
 
-// goDetached spawns a goroutine that takes locks in inverse order on
-// its own stack — but since the spawner's held set does not cross the
-// go boundary, only the goroutine's own ordering counts, and it is
-// internally consistent.
+// goDetached spawns a goroutine that takes y on its own stack: the
+// spawner's held set does not cross the go boundary, so nothing nests.
 func (t *T) goDetached() {
 	t.x.Lock()
 	defer t.x.Unlock()
@@ -148,21 +145,20 @@ type C struct {
 }
 
 // condV takes v on the slow path only and keeps it past the join, so
-// the u taken after the join may be taken under v: that v→u edge
-// closes the cycle with uThenV's u→v.
+// the u taken after the join may be taken under v.
 func (c *C) condV(slow bool) {
 	if slow {
 		c.v.Lock()
 		defer c.v.Unlock()
 	}
-	c.u.Lock() // want `lock order cycle`
+	c.u.Lock() // want `acquiring mutex c\.u while holding mutex c\.v`
 	c.u.Unlock()
 }
 
 func (c *C) uThenV() {
 	c.u.Lock()
 	defer c.u.Unlock()
-	c.v.Lock()
+	c.v.Lock() // want `acquiring mutex c\.v while holding mutex c\.u`
 	c.v.Unlock()
 }
 
@@ -184,8 +180,8 @@ func (g *G) spawnB() {
 	}()
 }
 
-// holdAThenSpawn holds a across spawnB, which makes no a→b edge, so
-// holdBThenA's b→a closes no cycle.
+// holdAThenSpawn holds a across spawnB, which acquires nothing on its
+// caller's goroutine, so nothing nests.
 func (g *G) holdAThenSpawn() {
 	g.a.Lock()
 	defer g.a.Unlock()
@@ -195,12 +191,30 @@ func (g *G) holdAThenSpawn() {
 func (g *G) holdBThenA() {
 	g.b.Lock()
 	defer g.b.Unlock()
-	g.a.Lock()
+	g.a.Lock() // want `acquiring mutex g\.a while holding mutex g\.b`
 	g.a.Unlock()
 }
 
+// holdAThenLockB holds a across same-package calls that acquire b,
+// directly and through another helper: each call is the nesting.
+func (g *G) holdAThenLockB() {
+	g.a.Lock()
+	defer g.a.Unlock()
+	g.lockB()      // want `acquiring mutex svc\.\(G\)\.b \(in svc\.\(G\)\.lockB\) while holding mutex g\.a`
+	g.lockBAgain() // want `acquiring mutex svc\.\(G\)\.b \(in svc\.\(G\)\.lockBAgain\) while holding mutex g\.a`
+}
+
+func (g *G) lockBAgain() { g.lockB() }
+
+// lockBAfterUnlock calls the same helper once a is released.
+func (g *G) lockBAfterUnlock() {
+	g.a.Lock()
+	g.a.Unlock()
+	g.lockB()
+}
+
 // localPair takes two function-local mutexes in both orders: they have
-// no declaration-site class, make no edges and form no cycle.
+// no declaration-site class, so neither nesting is reported.
 func localPair() {
 	var p, q sync.Mutex
 	p.Lock()

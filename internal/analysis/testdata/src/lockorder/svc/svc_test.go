@@ -1,7 +1,7 @@
 package svc
 
-// invertedInTest takes T's locks y then x, against consistent's x then
-// y. Lock order is built from non-test code only, so no cycle forms.
+// invertedInTest nests T's locks y then x. The leaf rule covers
+// non-test code only, so a test may nest locks.
 func (t *T) invertedInTest() {
 	t.y.Lock()
 	defer t.y.Unlock()

@@ -1,5 +1,5 @@
 // Fixture for an external test package: lock hygiene covers it, while
-// lock order, a property of production code, skips it.
+// the leaf rule, a property of production code, skips it.
 package ext_test
 
 import "sync"
@@ -24,7 +24,7 @@ type pair struct {
 	b sync.Mutex
 }
 
-// ab and ba invert each other; no cycle is reported in a _test
+// ab and ba nest in both orders; no nesting is reported in a _test
 // package.
 func (p *pair) ab() {
 	p.a.Lock()

@@ -1,6 +1,6 @@
 // Fixture dependency for lockscope: a fake of the project's store
-// package. lockscope matches store I/O by method name + receiver
-// package *name*, so only the package clause matters.
+// package. Lock hygiene matches store I/O by method or function name
+// and package *name*, so only the package clause matters.
 package store
 
 // Store mirrors the real Store surface lockscope targets.
@@ -9,4 +9,13 @@ type Store interface {
 	Put(key string, body []byte) error
 	Delete(key string) error
 	Keys() []string
+}
+
+// Peek reads key without reordering the store, as the real one does.
+func Peek(s Store, key string) ([]byte, bool) { return s.Get(key) }
+
+// Contains reports whether s holds key.
+func Contains(s Store, key string) bool {
+	_, ok := s.Get(key)
+	return ok
 }

@@ -35,6 +35,22 @@ func (s *S) storeUnderLock() {
 	s.mu.Unlock()
 }
 
+// readersUnderLock: the store package's readers over a Store are store
+// I/O too.
+func (s *S) readersUnderLock(k string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, _ = store.Peek(s.st, k)     // want `store I/O while holding mutex s\.mu`
+	return store.Contains(s.st, k) // want `store I/O while holding mutex s\.mu`
+}
+
+func (s *S) readersAfterUnlock(k string) bool {
+	s.mu.Lock()
+	s.mu.Unlock()
+	_, _ = store.Peek(s.st, k)
+	return store.Contains(s.st, k) // ok: lock already released
+}
+
 func (s *S) evaluateUnderLock() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

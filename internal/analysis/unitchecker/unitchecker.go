@@ -21,22 +21,13 @@
 // Diagnostics print to stderr as file:line:col: message and the tool
 // exits 2, which cmd/go reports per package.
 //
-// # Facts
-//
-// Analyzers with Facts set export one JSON summary per package; the
-// vetx files cmd/go threads between vet actions carry them. A vetx
-// file is JSON of the form
-//
-//	{"<analyzer>": {"<pkgpath>": <fact>, ...}, ...}
-//
-// and each package's vetx merges its direct dependencies' facts with
-// its own, so reading the direct imports' vetx files (the PackageVetx
-// table) yields the transitive closure — the same scheme x/tools
-// uses with gob. VetxOnly passes over in-module dependencies do a
-// full parse+typecheck and run just the fact analyzers with
-// diagnostics discarded; VetxOnly passes over the standard library
-// only forward merged dependency facts, since no project analyzer
-// mines facts from the stdlib.
+// cmd/go also runs the tool over every dependency of a vetted package,
+// with VetxOnly set, so that analyzers can compute facts for their
+// importers. No analyzer here uses facts, so such a pass returns at
+// once. It still writes its (empty) VetxOutput file: cmd/go caches a
+// dependency's pass only when that file exists, and without it every
+// `go vet` would start the tool once per dependency, standard library
+// included.
 package unitchecker
 
 import (
@@ -60,21 +51,16 @@ import (
 	"aarc/internal/analysis"
 )
 
-// Config mirrors the JSON cmd/go writes for each vetted package. Field
-// names are fixed by the protocol.
+// Config holds the fields the tool reads from the JSON cmd/go writes
+// for each vetted package. Field names are fixed by the protocol.
 type Config struct {
 	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -142,50 +128,8 @@ func Main(analyzers ...*analysis.Analyzer) {
 	os.Exit(Run(args[0], run, *jsonOut, os.Stdout, os.Stderr))
 }
 
-// factMap is the decoded form of a vetx file: analyzer name →
-// package path → that analyzer's summary of that package.
-type factMap = map[string]map[string]json.RawMessage
-
-// readDepFacts merges the vetx files of the package's direct imports.
-// Empty and legacy (zero-byte) files contribute nothing.
-func readDepFacts(cfg *Config) factMap {
-	merged := factMap{}
-	for _, file := range cfg.PackageVetx {
-		data, err := os.ReadFile(file)
-		if err != nil || len(data) == 0 {
-			continue
-		}
-		var fm factMap
-		if json.Unmarshal(data, &fm) != nil {
-			continue
-		}
-		for analyzer, perPkg := range fm {
-			dst := merged[analyzer]
-			if dst == nil {
-				dst = map[string]json.RawMessage{}
-				merged[analyzer] = dst
-			}
-			for path, fact := range perPkg {
-				dst[path] = fact
-			}
-		}
-	}
-	return merged
-}
-
-func writeVetx(cfg *Config, facts factMap) error {
-	if cfg.VetxOutput == "" {
-		return nil
-	}
-	data, err := json.Marshal(facts)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(cfg.VetxOutput, data, 0o666)
-}
-
-// parseFiles parses the package's Go files with comments (markers and
-// facts both need them).
+// parseFiles parses the package's Go files with comments (markers need
+// them).
 func parseFiles(fset *token.FileSet, cfg *Config) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range cfg.GoFiles {
@@ -198,36 +142,6 @@ func parseFiles(fset *token.FileSet, cfg *Config) ([]*ast.File, error) {
 	return files, nil
 }
 
-// runFacts runs the fact analyzers over an already-typechecked package
-// with diagnostics discarded, merging each one's exported summary into
-// facts under the package's import path.
-func runFacts(factAnalyzers []*analysis.Analyzer, facts factMap, cfg *Config,
-	fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) {
-	for _, a := range factAnalyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    func(analysis.Diagnostic) {},
-			Facts:     facts[a.Name],
-		}
-		name := a.Name
-		pass.ExportFact = func(v any) {
-			raw, err := json.Marshal(v)
-			if err != nil {
-				return
-			}
-			if facts[name] == nil {
-				facts[name] = map[string]json.RawMessage{}
-			}
-			facts[name][cfg.ImportPath] = raw
-		}
-		_ = a.Run(pass) // fact passes are best-effort; the real run reports errors
-	}
-}
-
 // Run vets the package described by cfgFile and returns the process
 // exit code: 0 clean, 1 operational error, 2 diagnostics found.
 func Run(cfgFile string, analyzers []*analysis.Analyzer, jsonOut bool, stdout, stderr io.Writer) int {
@@ -237,29 +151,13 @@ func Run(cfgFile string, analyzers []*analysis.Analyzer, jsonOut bool, stdout, s
 		return 1
 	}
 
-	var factAnalyzers []*analysis.Analyzer
-	for _, a := range analyzers {
-		if a.Facts {
-			factAnalyzers = append(factAnalyzers, a)
-		}
-	}
-	facts := readDepFacts(cfg)
-
-	// Facts-only pass over a dependency: compute in-module facts (the
-	// stdlib yields none), forward the merged map, skip diagnostics.
-	if cfg.VetxOnly {
-		if len(factAnalyzers) > 0 && inModule(cfg) {
-			fset := token.NewFileSet()
-			if files, err := parseFiles(fset, cfg); err == nil {
-				if pkg, info, err := typecheck(fset, cfg, files); err == nil {
-					runFacts(factAnalyzers, facts, cfg, fset, files, pkg, info)
-				}
-			}
-		}
-		if err := writeVetx(cfg, facts); err != nil {
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
+	}
+	if cfg.VetxOnly {
 		return 0
 	}
 
@@ -300,19 +198,6 @@ func Run(cfgFile string, analyzers []*analysis.Analyzer, jsonOut bool, stdout, s
 		pass.Report = func(d analysis.Diagnostic) {
 			findings = append(findings, finding{name, d})
 		}
-		if a.Facts {
-			pass.Facts = facts[a.Name]
-			pass.ExportFact = func(v any) {
-				raw, err := json.Marshal(v)
-				if err != nil {
-					return
-				}
-				if facts[name] == nil {
-					facts[name] = map[string]json.RawMessage{}
-				}
-				facts[name][cfg.ImportPath] = raw
-			}
-		}
 		if err := a.Run(pass); err != nil {
 			fmt.Fprintf(stderr, "%s: %s: %v\n", cfg.ImportPath, a.Name, err)
 			exit = 1
@@ -327,11 +212,6 @@ func Run(cfgFile string, analyzers []*analysis.Analyzer, jsonOut bool, stdout, s
 			Pos:     m.Pos,
 			Message: fmt.Sprintf("unknown marker //aarc:%s (known kinds: detached, locked, errpath, lockorder, nilok)", m.Name),
 		}})
-	}
-
-	if err := writeVetx(cfg, facts); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
 	}
 
 	sort.SliceStable(findings, func(i, j int) bool {
@@ -424,56 +304,6 @@ func langVersion(v string) string {
 		return v
 	}
 	return parts[0] + "." + parts[1]
-}
-
-// inModule reports whether the package described by cfg belongs to
-// the module being vetted, i.e. its import path sits under the module
-// path declared by the go.mod above its source directory. Standard
-// library packages resolve to GOROOT/src's `module std`, whose import
-// paths do not carry the module prefix, so they are excluded — which
-// is exactly what the facts pass wants: computing lock-order facts for
-// all of net/http's dependency cone would multiply vet time by orders
-// of magnitude for findings we could not act on anyway. (cfg.Standard
-// cannot answer this: it lists the package's standard *imports*, not
-// whether the package itself is standard.)
-func inModule(cfg *Config) bool {
-	root := findModuleRoot(cfg.Dir)
-	if root == "" {
-		return false
-	}
-	path := modulePath(filepath.Join(root, "go.mod"))
-	if path == "" || path == "std" || path == "cmd" {
-		return false
-	}
-	return cfg.ImportPath == path || strings.HasPrefix(cfg.ImportPath, path+"/")
-}
-
-// modulePath extracts the module path from a go.mod file.
-func modulePath(file string) string {
-	data, err := os.ReadFile(file)
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`)
-		}
-	}
-	return ""
-}
-
-func findModuleRoot(dir string) string {
-	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return ""
-		}
-		d = parent
-	}
 }
 
 // versionFlag implements -V=full: the printed line must start with the

@@ -10,11 +10,12 @@ import (
 
 // TestVettoolProtocol is the end-to-end check of the whole stack: build
 // the real aarcvet binary, point `go vet -vettool` at a throwaway
-// module seeded with a ctxflow violation and, in a _test.go file, a
-// lock-hygiene one, and require both diagnostics to surface through
-// cmd/go with a non-zero exit. The second pins that lockorder, which
-// exchanges facts, still reports on the test variant cmd/go vets. This
-// is the same path scripts/lint.sh and CI use.
+// module seeded with a ctxflow violation and a nested lock acquisition
+// in a non-test file and, in a _test.go file, a lock-hygiene violation,
+// and require all three diagnostics to surface through cmd/go with a
+// non-zero exit. The third pins that lockorder still reports on the
+// test variant cmd/go vets. This is the same path scripts/lint.sh and
+// CI use.
 func TestVettoolProtocol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and shells out to cmd/go")
@@ -52,6 +53,8 @@ func Detach(ctx context.Context) context.Context {
 	return context.WithoutCancel(ctx)
 }
 `)
+	// Two mutexes, the second acquired while the first is held.
+	writeFile(t, filepath.Join(mod, "nest.go"), nestSrc("\tr.b.Lock()\n\tr.b.Unlock()\n\tr.a.Unlock()\n"))
 	// A method named Search called while a sync.Mutex is held.
 	writeFile(t, filepath.Join(mod, "probe_test.go"), `package vetprobe
 
@@ -81,6 +84,7 @@ func (p *probe) lookup(q string) string {
 	}
 	for _, want := range []string{
 		"context.WithoutCancel detaches from the caller's cancellation",
+		"acquiring mutex r.b while holding mutex r.a",
 		"a search while holding mutex p.mu",
 	} {
 		if !strings.Contains(string(out), want) {
@@ -98,6 +102,7 @@ func Detach(ctx context.Context) context.Context {
 	return ctx
 }
 `)
+	writeFile(t, filepath.Join(mod, "nest.go"), nestSrc("\tr.a.Unlock()\n\tr.b.Lock()\n\tr.b.Unlock()\n"))
 	writeFile(t, filepath.Join(mod, "probe_test.go"), `package vetprobe
 
 import "sync"
@@ -122,6 +127,20 @@ func (p *probe) lookup(q string) string {
 	if out, err := vet.CombinedOutput(); err != nil {
 		t.Fatalf("go vet failed on a clean module: %v\n%s", err, out)
 	}
+}
+
+// nestSrc is a file whose pair.both locks a and then runs tail.
+func nestSrc(tail string) string {
+	return `package vetprobe
+
+import "sync"
+
+type pair struct{ a, b sync.Mutex }
+
+func (r *pair) both() {
+	r.a.Lock()
+` + tail + `}
+`
 }
 
 func writeFile(t *testing.T, path, content string) {

@@ -107,6 +107,20 @@ func (m *Memory) Keys() []string {
 	return keys
 }
 
+// peek reads key as Get does, leaving its recency as it is.
+func (m *Memory) peek(key string) (Entry, bool, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return Entry{}, false, ErrClosed
+	}
+	el, ok := m.items[key]
+	if !ok {
+		return Entry{}, false, nil
+	}
+	return el.Value.(*memItem).e, true, nil
+}
+
 // contains reports whether key is stored, leaving its recency as it is.
 func (m *Memory) contains(key string) bool {
 	m.mu.Lock()

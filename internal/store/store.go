@@ -122,17 +122,21 @@ func Contains(s Store, key string) bool {
 	return slices.Contains(s.Keys(), key)
 }
 
-// Peek reads key as Get does, except that a *Tiered answers from its
-// fast tier and then its slow tier without promoting a slow-tier hit into
-// the fast tier. A pass over every key, such as a listing, reads through
-// Peek so that it does not replace a tiered store's working set.
+// Peek reads key as Get does, except that it changes no store's
+// working set: a *Memory leaves the key's recency as it is, and a
+// *Tiered peeks at its fast tier, then reads its slow tier without
+// promoting a slow-tier hit into the fast tier. A pass over every key,
+// such as a listing, reads through Peek so that it neither reorders a
+// memory tier's evictions nor replaces its entries.
 func Peek(s Store, key string) (Entry, bool, error) {
-	t, ok := s.(*Tiered)
-	if !ok {
-		return s.Get(key)
+	switch s := s.(type) {
+	case *Memory:
+		return s.peek(key)
+	case *Tiered:
+		if e, ok, err := Peek(s.fast, key); err != nil || ok {
+			return e, ok, err
+		}
+		return s.slow.Get(key)
 	}
-	if e, ok, err := t.fast.Get(key); err != nil || ok {
-		return e, ok, err
-	}
-	return t.slow.Get(key)
+	return s.Get(key)
 }

@@ -644,6 +644,43 @@ func TestContainsReadsNoTier(t *testing.T) {
 	}
 }
 
+// TestPeekKeepsRecency: a memory store, alone or as a tiered store's
+// fast tier, holds a, b and c with a most recently used. Peeking at
+// every key, as a listing does, leaves that order, so the next insert
+// evicts b, the least recently used, and keeps a.
+func TestPeekKeepsRecency(t *testing.T) {
+	for name, newStore := range map[string]func(*store.Memory) store.Store{
+		"memory": func(m *store.Memory) store.Store { return m },
+		"tiered": func(m *store.Memory) store.Store { return store.NewTiered(m, store.NewMemory(100)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			mem := store.NewMemory(3)
+			st := newStore(mem)
+			defer st.Close()
+			for _, k := range []string{"a", "b", "c"} {
+				if err := st.Put(k, entry(0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, ok, err := st.Get("a"); !ok || err != nil {
+				t.Fatalf("Get(a) = %v, %v", ok, err)
+			}
+			for _, k := range []string{"a", "b", "c"} {
+				if _, ok, err := store.Peek(st, k); !ok || err != nil {
+					t.Fatalf("Peek(%s) = %v, %v", k, ok, err)
+				}
+			}
+			if err := st.Put("d", entry(0)); err != nil {
+				t.Fatal(err)
+			}
+			if !store.Contains(mem, "a") || store.Contains(mem, "b") {
+				t.Errorf("after Peek of a, b, c and Put(d): memory holds a = %v, b = %v; want a kept and b evicted",
+					store.Contains(mem, "a"), store.Contains(mem, "b"))
+			}
+		})
+	}
+}
+
 // keysStore is a custom store that only lists its keys.
 type keysStore []string
 

@@ -8,7 +8,7 @@
 # Any finding fails; there is no baseline file — designed exceptions
 # are waived in-source with //aarc: markers, so the tree is always
 # clean or red, never "known dirty". The aarcvet step prints its wall
-# time: about 3 s for the full tree on a warm build cache.
+# time: about 2 s for the full tree on a warm build cache.
 # Invariants a tier-1 test pins at every site are not checked here:
 # search-method versions (TestMethodPins against
 # internal/search/version.lock), canonical bytes, the alloc-free
